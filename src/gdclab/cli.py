@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,12 +41,6 @@ def _coder_config(ecfg):
         pred_width=ecfg.pred_width, features=ecfg.features,
         ctx_width=ecfg.ctx_width, kernel=ecfg.kernel,
         enc_strides=ecfg.stride_tuple())
-
-
-def _apply_desk(ecfg):
-    ecfg.core_width, ecfg.latent = 32, 32
-    ecfg.hyper_latent, ecfg.pred_width, ecfg.ctx_width = 16, 32, 8
-    return ecfg
 
 
 def _load_model(path, config=None):
@@ -141,7 +136,8 @@ def cmd_train(args):
         if val is not None:
             setattr(ecfg, name, val)
     if args.preset == "desk":
-        _apply_desk(ecfg)
+        for name, value in CD.DESK_DIMS.items():
+            setattr(ecfg, name, value)
     ecfg.validate()
     if args.init_from:
         if ecfg.coder != "gdc":
@@ -159,20 +155,14 @@ def cmd_train(args):
 
     pairs = _build_pairs(args, ecfg)
     tc = TR.TrainConfig(lmbda=ecfg.lmbda, lr=ecfg.lr, steps=ecfg.steps,
-                        seed=ecfg.seed, patch=ecfg.patch,
-                        any_lambda=ecfg.lmbda not in TR.LAMBDA_MENU)
+                        seed=ecfg.seed, patch=ecfg.patch)
     log_rows = []
     state = None
     done = 0
     epoch = 0
     while done < ecfg.steps:
         chunk = pairs[:ecfg.steps - done] if ecfg.steps - done < len(pairs) else pairs
-        stats, state = TR.train_epoch(
-            coder, chunk,
-            TR.TrainConfig(lmbda=tc.lmbda, lr=tc.lr, steps=tc.steps,
-                           seed=tc.seed + epoch, patch=tc.patch,
-                           any_lambda=tc.any_lambda),
-            state)
+        stats, state = TR.train_epoch(coder, chunk, replace(tc, seed=tc.seed + epoch), state)
         done += stats.steps
         epoch += 1
         log_rows.append([epoch, done, stats.mean_loss, stats.mean_bpp,
@@ -190,12 +180,11 @@ def cmd_train(args):
 
 # -- encode / decode --------------------------------------------------------
 
-def _default_recon(out, container=None):
+def _default_recon(out):
+    """The merged reconstruction if present, else d if present, else g."""
     if out.x_hat_merged is not None:
         return out.x_hat_merged, "merged"
-    if out.kind == "diff" or (out.kind == "xgdc" and out.x_hat_g is None):
-        return out.x_hat_d, "d"
-    if out.kind == "xgdc":
+    if out.x_hat_d is not None:
         return out.x_hat_d, "d"
     return out.x_hat_g, "g"
 
@@ -338,8 +327,11 @@ def cmd_selftest(args):
     pmf = np.array([0.7, 0.1, 0.1, 0.1])
     cdf = np.concatenate([[0], np.cumsum((pmf * (1 << 16)).astype(np.int64))])
     cdf[-1] = 1 << 16
-    payload = RC.encode_range(syms, cdf)
-    assert np.array_equal(RC.decode_range(payload, cdf, len(syms)), syms)
+    enc = RC.RangeEncoder()
+    for sym in syms:
+        enc.encode(int(sym), cdf)
+    dec = RC.RangeDecoder(enc.finish())
+    assert [dec.decode(cdf) for _ in syms] == list(syms)
     print("ok rangecoder")
 
     vals = rng.integers(-20, 20, size=(1, 2, 6, 6)).astype(np.float64)

@@ -31,12 +31,15 @@ from . import entropy as E
 from . import evaluation as V
 from . import tensor as T
 from .errors import ContractError, ShapeError
-from .fileio import BitstreamContainer, Payload
+from .fileio import CODER_KINDS, BitstreamContainer, Payload
 from .layers import (Network, ParamStore, context_spec, decoder_spec,
                      encoder_spec, gd_spec, gs_spec, hyper_decoder_spec,
                      hyper_encoder_spec, make_network, pred_branch_spec)
 
-KINDS = ("diff", "codecnet", "gdc", "xgdc")
+KINDS = CODER_KINDS
+
+# Small dims for fast experiments and training at 32x32.
+DESK_DIMS = dict(core_width=32, latent=32, hyper_latent=16, pred_width=32, ctx_width=8)
 
 
 @dataclass(frozen=True)
@@ -74,11 +77,8 @@ class CoderConfig:
 
     @classmethod
     def desk(cls, kind, **over):
-        """Small dims for fast experiments and training at 32x32."""
-        base = dict(core_width=32, latent=32, hyper_latent=16, pred_width=32,
-                    ctx_width=8)
-        base.update(over)
-        return cls(kind, **base)
+        """DESK_DIMS, overridable per field."""
+        return cls(kind, **{**DESK_DIMS, **over})
 
     @classmethod
     def tiny(cls, kind, **over):
@@ -265,10 +265,13 @@ class Coder:
     def encode(self, x, xt, qt_lambda=None, min_block=4, max_block=256):
         """Code a frame against its prediction; returns (container, output).
 
-        Frames of any size are padded to the stride multiple and the true
-        size is recorded in the container.  For the two-reconstruction kind,
-        passing ``qt_lambda`` also runs the quad-tree mode search and embeds
-        its side information.
+        This is the round-mode forward pass plus the range coder: the
+        rounded latents are coded under their entropy parameters, and the
+        forward rates become the payloads' ``est_bits``.  Frames of any size
+        are padded to the stride multiple and the true size is recorded in
+        the container.  For the two-reconstruction kind, passing
+        ``qt_lambda`` also runs the quad-tree mode search and embeds its
+        side information.
         """
         if qt_lambda is not None and self.cfg.kind != "xgdc":
             raise ContractError("quad-tree hybrid coding needs the two-reconstruction kind")
@@ -280,39 +283,25 @@ class Coder:
         sp = self.cfg.stride_product
         with T.no_grad():
             xp = T.Tensor(pad_to_multiple(xd_arr, sp))
-            xtp = T.Tensor(pad_to_multiple(xt_arr, sp))
-            y = self.nets["enc"](self._core_input(xp, xtp))
-            z = self.nets["hyp_enc"](y)
-            z_hat = E.quantize(z, "round")
-            y_hat = E.quantize(y, "round")
-            mean, scale = self._entropy_params(z_hat, y.shape)
-            bits_y = E.gaussian_bits(y_hat, mean, scale)
-            bits_z = E.context_bits(z_hat, self.nets["ctx"])
-
-            stream_z, sup_z = E.encode_context(z_hat.data, self.nets["ctx"])
-            stream_y, sup_y = E.encode_gaussian(y_hat.data, mean.data, scale.data)
+            out = self.forward(xp, T.Tensor(pad_to_multiple(xt_arr, sp)), mode="round")
+            lat = out.latents
+            stream_z, sup_z = E.encode_context(lat["z_hat"], self.nets["ctx"])
+            stream_y, sup_y = E.encode_gaussian(lat["y_hat"], lat["mean"], lat["scale"])
             pz = Payload(stream=stream_z, lo=sup_z[0], hi=sup_z[1],
-                         symbol_count=z_hat.size, est_bits=float(bits_z.data.sum()))
+                         symbol_count=lat["z_hat"].size, est_bits=out.rate_z.item())
             py = Payload(stream=stream_y, lo=sup_y[0], hi=sup_y[1],
-                         symbol_count=y_hat.size, est_bits=float(bits_y.data.sum()))
-
-            x_hat_d, x_hat_g = self._reconstruct(y_hat, xtp)
-            out = CoderOutput(
-                kind=self.cfg.kind, mode="round",
-                x_hat_d=self._crop(x_hat_d, true_h, true_w),
-                x_hat_g=self._crop(x_hat_g, true_h, true_w),
-                rate_y=T.sum_all(bits_y), rate_z=T.sum_all(bits_z),
-                latents={"y_hat": y_hat.data, "z_hat": z_hat.data,
-                         "mean": mean.data, "scale": scale.data})
+                         symbol_count=lat["y_hat"].size, est_bits=out.rate_y.item())
 
             qt_bits = None
             if qt_lambda is not None:
-                res = V.quadtree_search(xp.data, x_hat_d.data, x_hat_g.data,
+                res = V.quadtree_search(xp.data, out.x_hat_d.data, out.x_hat_g.data,
                                         qt_lambda, min_block=min_block,
                                         max_block=max_block)
                 qt_bits = V.serialize_quadtree(res.roots, min_block)
                 out.qt_result = res
                 out.x_hat_merged = self._crop(T.Tensor(res.merged), true_h, true_w)
+            out.x_hat_d = self._crop(out.x_hat_d, true_h, true_w)
+            out.x_hat_g = self._crop(out.x_hat_g, true_h, true_w)
 
             container = BitstreamContainer(
                 kind=self.cfg.kind, width=true_w, height=true_h,

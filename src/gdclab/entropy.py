@@ -160,15 +160,10 @@ def _decode_value(dec, lo, hi, cdf):
     return _unzigzag(u)
 
 
-def encode_gaussian(values, mean, scale, support=None):
-    """Range-code integer ``values`` under per-element Gaussians.
-
-    Arrays are flattened in C order.  Returns (payload_bytes, (lo, hi)).
-    ``support`` defaults to the observed value range and must be supplied
-    to the decoder (the container stores it next to the payload).
-    """
-    values = np.asarray(values)
-    flat = values.reshape(-1).astype(np.int64)
+def _encode_symbols(flat, mean, scale, support):
+    """Range-code the int64 array ``flat`` in order under per-element
+    Gaussians; ``support`` defaults to the observed value range.  Returns
+    (payload_bytes, (lo, hi))."""
     if support is None:
         lo = int(flat.min()) if flat.size else 0
         hi = int(flat.max()) if flat.size else 0
@@ -181,6 +176,17 @@ def encode_gaussian(values, mean, scale, support=None):
     for i, v in enumerate(flat):
         _encode_value(enc, v, lo, hi, cdfs[i])
     return enc.finish(), (lo, hi)
+
+
+def encode_gaussian(values, mean, scale, support=None):
+    """Range-code integer ``values`` under per-element Gaussians.
+
+    Arrays are flattened in C order.  Returns (payload_bytes, (lo, hi)).
+    ``support`` defaults to the observed value range and must be supplied
+    to the decoder (the container stores it next to the payload).
+    """
+    return _encode_symbols(np.asarray(values).reshape(-1).astype(np.int64),
+                           mean, scale, support)
 
 
 def decode_gaussian(payload, mean, scale, support, count):
@@ -223,19 +229,8 @@ def encode_context(z_hat, ctx_net, support=None):
     with T.no_grad():
         mean, scale = context_params(ctx_net, z, dtype)
     # reorder (c, h, w) -> (h, w, c) so the stream matches sequential decoding
-    flat = z[0].transpose(1, 2, 0).reshape(-1).astype(np.int64)
-    mean_f = mean[0].transpose(1, 2, 0).reshape(-1)
-    scale_f = scale[0].transpose(1, 2, 0).reshape(-1)
-    if support is None:
-        lo = int(flat.min()) if flat.size else 0
-        hi = int(flat.max()) if flat.size else 0
-    else:
-        lo, hi = int(support[0]), int(support[1])
-    cdfs = build_cdfs(mean_f, scale_f, lo, hi)
-    enc = RangeEncoder()
-    for i, v in enumerate(flat):
-        _encode_value(enc, v, lo, hi, cdfs[i])
-    return enc.finish(), (lo, hi)
+    flat, mean_f, scale_f = (a[0].transpose(1, 2, 0).reshape(-1) for a in (z, mean, scale))
+    return _encode_symbols(flat.astype(np.int64), mean_f, scale_f, support)
 
 
 def decode_context(payload, ctx_net, shape, support, dtype=np.float32):
@@ -273,29 +268,3 @@ def context_bits(z_hat_t, ctx_net):
     mean = T.slice_channels(out, 0, c)
     scale = scale_from_raw(T.slice_channels(out, c, 2 * c))
     return gaussian_bits(z_hat_t, mean, scale)
-
-
-class FactorizedModel:
-    """Per-channel Gaussian entropy model (no conditioning); the simplest
-    member of the model family, useful as a baseline and in tests."""
-
-    def __init__(self, params, prefix, channels):
-        self.prefix = prefix
-        self.channels = channels
-        if f"{prefix}.mean" not in params:
-            params.add(f"{prefix}.mean", np.zeros((1, channels, 1, 1)))
-            params.add(f"{prefix}.scale_raw", np.zeros((1, channels, 1, 1)))
-        self.params = params
-
-    def bits(self, values_t):
-        if values_t.shape[1] != self.channels:
-            raise ShapeError(f"expected {self.channels} channels, got {values_t.shape[1]}")
-        mean = T.broadcast_channels(self.params[f"{self.prefix}.mean"], values_t.shape)
-        raw = T.broadcast_channels(self.params[f"{self.prefix}.scale_raw"], values_t.shape)
-        return gaussian_bits(values_t, mean, scale_from_raw(raw))
-
-    def coder_params(self, shape):
-        mean = np.broadcast_to(self.params[f"{self.prefix}.mean"].data, shape)
-        raw = np.broadcast_to(self.params[f"{self.prefix}.scale_raw"].data, shape)
-        scale = np.logaddexp(0.0, raw) + SCALE_MIN
-        return mean, scale

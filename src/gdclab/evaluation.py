@@ -42,40 +42,6 @@ def bits_per_pixel(total_bits, height, width):
     return total_bits / float(height * width)
 
 
-def frame_select(costs, rates=None):
-    """Index of the cheapest candidate.  Ties break toward the lower rate,
-    then toward the earlier index."""
-    if len(costs) == 0:
-        raise ContractError("no candidates")
-    if rates is None:
-        rates = [0.0] * len(costs)
-    if len(rates) != len(costs):
-        raise ShapeError("costs and rates must align")
-    best = 0
-    for i in range(1, len(costs)):
-        if costs[i] < costs[best] or (costs[i] == costs[best] and rates[i] < rates[best]):
-            best = i
-    return best
-
-
-def frame_hybrid_select(candidates, x, lam):
-    """Pick the reconstruction with the lowest rate-distortion cost for a
-    whole frame.  ``candidates`` is a list of (reconstruction, rate_bpp)
-    pairs; the cost is squared error on the 0..255 scale plus lam times the
-    rate.  Returns (index, cost)."""
-    x = np.asarray(x, dtype=np.float64)
-    costs, rates = [], []
-    for recon, rate in candidates:
-        recon = np.asarray(recon, dtype=np.float64)
-        if recon.shape != x.shape:
-            raise ShapeError(f"candidate shape {recon.shape} vs frame {x.shape}")
-        mse = float(np.mean(((recon - x) * 255.0) ** 2))
-        costs.append(mse + lam * rate)
-        rates.append(rate)
-    idx = frame_select(costs, rates)
-    return idx, costs[idx]
-
-
 # -- rate-distortion curves -------------------------------------------------
 
 @dataclass(frozen=True)

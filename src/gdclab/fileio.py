@@ -367,9 +367,7 @@ class ExperimentConfig:
                 raise FormatError(f"config line {lineno}: unknown key {key!r}")
             current = getattr(cfg, key)
             try:
-                if isinstance(current, bool):
-                    parsed = value.lower() in ("1", "true", "yes")
-                elif isinstance(current, int):
+                if isinstance(current, int):
                     parsed = int(value)
                 elif isinstance(current, float):
                     parsed = float(value)

@@ -26,18 +26,6 @@ _BOTTOM = 1 << 16
 _MASK = 0xFFFFFFFF
 
 
-def check_cdf(cdf):
-    """Validate a cumulative frequency table; returns it as an int array."""
-    cdf = np.asarray(cdf)
-    if cdf.ndim != 1 or cdf.size < 2:
-        raise ContractError("cdf must be a 1-D array with at least two entries")
-    if cdf[0] != 0 or cdf[-1] != CDF_TOTAL:
-        raise ContractError(f"cdf must run from 0 to {CDF_TOTAL}, got [{cdf[0]}, {cdf[-1]}]")
-    if np.any(np.diff(cdf) <= 0):
-        raise ContractError("cdf must be strictly increasing (every symbol needs mass)")
-    return cdf.astype(np.int64)
-
-
 class RangeEncoder:
     def __init__(self):
         self.low = 0
@@ -107,53 +95,3 @@ class RangeDecoder:
             self.low = (self.low << 8) & _MASK
             self.range = (self.range << 8) & _MASK
         return symbol
-
-
-def encode_range(symbols, cdfs):
-    """Encode a symbol sequence; ``cdfs`` is either one table for all
-    symbols or a sequence of per-symbol tables.  Returns the payload bytes
-    (flush included); an empty input yields a flush-only payload."""
-    shared = _is_single_cdf(cdfs)
-    if shared:
-        cdfs_checked = check_cdf(cdfs)
-    else:
-        if len(cdfs) != len(symbols):
-            raise ContractError(f"{len(symbols)} symbols but {len(cdfs)} cdfs")
-        cdfs_checked = [check_cdf(c) for c in cdfs]
-    enc = RangeEncoder()
-    for i, s in enumerate(symbols):
-        enc.encode(int(s), cdfs_checked if shared else cdfs_checked[i])
-    return enc.finish()
-
-
-def decode_range(payload, cdfs, count=None):
-    """Decode ``count`` symbols (inferred from per-symbol cdfs if omitted)."""
-    shared = _is_single_cdf(cdfs)
-    if shared:
-        if count is None:
-            raise ContractError("count is required with a shared cdf")
-        table = check_cdf(cdfs)
-        dec = RangeDecoder(payload)
-        return [dec.decode(table) for _ in range(count)]
-    tables = [check_cdf(c) for c in cdfs]
-    if count is not None and count != len(tables):
-        raise ContractError(f"count {count} does not match {len(tables)} cdfs")
-    dec = RangeDecoder(payload)
-    return [dec.decode(t) for t in tables]
-
-
-def _is_single_cdf(cdfs):
-    if isinstance(cdfs, np.ndarray):
-        return cdfs.ndim == 1
-    return len(cdfs) > 0 and np.isscalar(cdfs[0])
-
-
-def ideal_bits(symbols, cdfs):
-    """Shannon cost of the sequence under the quantized tables, in bits."""
-    shared = _is_single_cdf(cdfs)
-    total = 0.0
-    for i, s in enumerate(symbols):
-        cdf = cdfs if shared else cdfs[i]
-        freq = int(cdf[int(s) + 1]) - int(cdf[int(s)])
-        total += -np.log2(freq / CDF_TOTAL)
-    return total

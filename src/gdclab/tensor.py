@@ -39,10 +39,6 @@ def set_default_dtype(dtype):
     _default_dtype = dtype.type
 
 
-def default_dtype():
-    return _default_dtype
-
-
 @contextlib.contextmanager
 def using_dtype(dtype):
     """Temporarily switch the default dtype (used by 64-bit verification)."""
@@ -53,10 +49,6 @@ def using_dtype(dtype):
         yield
     finally:
         _default_dtype = saved
-
-
-def grad_enabled():
-    return _grad_enabled
 
 
 @contextlib.contextmanager

@@ -3,12 +3,12 @@ the per-sample target-selection rule for the two-reconstruction coder.
 
 The loss is L = MSE + lambda * R with the squared error on the 0..255
 intensity scale and R in bits per pixel, which makes the two terms
-commensurate for the lambda menu used here.  Pair synthesis replaces an
-external motion pipeline: the prediction is a translated (optionally
-blurred) resampling of the source patch, degraded by uniform quantization
-calibrated so prediction quality lands near 35 dB, with a noise knob to
-push pairs below the 30 dB routing threshold when a corpus needs both
-regimes.
+commensurate for lambdas from a few hundred to a few thousand.  Pair
+synthesis replaces an external motion pipeline: the prediction is a
+translated (optionally blurred) resampling of the source patch, degraded by
+uniform quantization calibrated so prediction quality lands near 35 dB,
+with a noise knob to push pairs below the 30 dB routing threshold when a
+corpus needs both regimes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from . import tensor as T
 from .errors import ContractError, NumericError, ShapeError, TrainingError
 from .evaluation import psnr
 
-LAMBDA_MENU = (256.0, 512.0, 1024.0, 2048.0)
 THRESHOLD_DB = 30.0
 MSE_SCALE = 255.0 ** 2
 
@@ -34,15 +33,10 @@ class TrainConfig:
     steps: int = 2000
     seed: int = 0
     patch: int = 32
-    threshold_db: float = THRESHOLD_DB
-    any_lambda: bool = False   # lift the menu restriction explicitly
 
     def __post_init__(self):
         if self.lmbda <= 0 or self.lr <= 0:
             raise ContractError("lambda and learning rate must be positive")
-        if not self.any_lambda and self.lmbda not in LAMBDA_MENU:
-            raise ContractError(f"lambda {self.lmbda} not in menu {LAMBDA_MENU}; "
-                                f"set any_lambda to override")
         if self.patch % 16:
             raise ContractError(f"patch {self.patch} not divisible by 16")
         if self.steps < 0:
@@ -292,9 +286,9 @@ class EpochStats:
     losses: list = field(default_factory=list)
 
 
-def _route(coder, out, x_arr, xt_arr, threshold_db):
+def _route(coder, out, x_arr, xt_arr):
     if coder.cfg.kind == "xgdc":
-        target = select_xgdc_target(x_arr, xt_arr, threshold_db)
+        target = select_xgdc_target(x_arr, xt_arr)
         recon = out.x_hat_d if target == "train-d" else out.x_hat_g
         return recon, target
     return out.single(), ""
@@ -314,7 +308,7 @@ def train_epoch(coder, pairs, cfg, opt_state=None):
         tx = T.Tensor(np.asarray(x_arr))
         txt = T.Tensor(np.asarray(xt_arr))
         out = coder.forward(tx, txt, mode="noise", rng=rng)
-        recon, target = _route(coder, out, x_arr, xt_arr, cfg.threshold_db)
+        recon, target = _route(coder, out, x_arr, xt_arr)
         d_routed += target == "train-d"
         pixels = tx.shape[0] * tx.shape[2] * tx.shape[3]
         loss = rd_loss(tx, recon, out.total_rate(), cfg.lmbda, pixels)
@@ -337,7 +331,7 @@ def train_epoch(coder, pairs, cfg, opt_state=None):
     return stats, opt_state
 
 
-def evaluate_pairs(coder, pairs, lmbda, threshold_db=THRESHOLD_DB):
+def evaluate_pairs(coder, pairs, lmbda):
     """Held-out metrics in deterministic round mode; parameters untouched."""
     stats = EpochStats()
     d_routed = 0
@@ -347,7 +341,7 @@ def evaluate_pairs(coder, pairs, lmbda, threshold_db=THRESHOLD_DB):
             tx = T.Tensor(np.asarray(x_arr))
             txt = T.Tensor(np.asarray(xt_arr))
             out = coder.forward(tx, txt, mode="round")
-            recon, target = _route(coder, out, x_arr, xt_arr, threshold_db)
+            recon, target = _route(coder, out, x_arr, xt_arr)
             d_routed += target == "train-d"
             pixels = tx.shape[0] * tx.shape[2] * tx.shape[3]
             loss_sum += rd_loss(tx, recon, out.total_rate(), lmbda, pixels).item()

@@ -11,6 +11,7 @@ import pytest
 
 import gdclab.tensor as T
 from gdclab import cli
+from gdclab import coders as CD
 from gdclab import fileio as F
 
 
@@ -158,6 +159,21 @@ class TestEncodeDecode:
                        "--qt-lambda", "200"])
         assert rc == 1
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind, qt_lambda, tag", [
+    ("diff", None, "d"), ("codecnet", None, "g"), ("gdc", None, "g"),
+    ("xgdc", None, "d"), ("xgdc", 100.0, "merged")])
+def test_default_recon(kind, qt_lambda, tag):
+    rng = np.random.default_rng(12)
+    x = rng.uniform(0.2, 0.8, size=(1, 3, 32, 32)).astype(np.float32)
+    xt = np.clip(x + rng.normal(scale=0.04, size=x.shape), 0, 1).astype(np.float32)
+    coder = CD.Coder.new(CD.CoderConfig.desk(kind), seed=0)
+    container, enc = coder.encode(x, xt, qt_lambda=qt_lambda)
+    for out in (enc, coder.decode(xt, container)):
+        recon, got = cli._default_recon(out)
+        assert got == tag
+        assert recon is getattr(out, f"x_hat_{tag}")
 
 
 class TestEval:

@@ -272,32 +272,3 @@ class TestContextCoding:
         net = _context_net(1, 4, seed=21)
         with pytest.raises(ContractError):
             E.decode_context(b"\x00" * 8, net, (2, 1, 2, 2), (0, 0))
-
-
-class TestFactorizedModel:
-    def test_bits_and_coding_round_trip(self):
-        params = L.ParamStore(np.float64)
-        model = E.FactorizedModel(params, "fm", channels=2)
-        rng = np.random.default_rng(22)
-        values = np.rint(rng.normal(size=(1, 2, 4, 4))).astype(np.int64)
-        with T.using_dtype(np.float64):
-            bits = model.bits(t64(values.astype(float)))
-            assert bits.shape == values.shape
-            assert np.all(bits.data > 0)
-        mean, scale = model.coder_params(values.shape)
-        payload, support = E.encode_gaussian(values, mean, scale)
-        back = E.decode_gaussian(payload, mean.reshape(-1), scale.reshape(-1),
-                                 support, values.size)
-        assert np.array_equal(back, values.reshape(-1))
-
-    def test_channel_contract(self):
-        params = L.ParamStore(np.float64)
-        model = E.FactorizedModel(params, "fm", channels=2)
-        with pytest.raises(ShapeError):
-            model.bits(t64(np.zeros((1, 3, 2, 2))))
-
-    def test_reuses_existing_parameters(self):
-        params = L.ParamStore(np.float64)
-        E.FactorizedModel(params, "fm", channels=2)
-        E.FactorizedModel(params, "fm", channels=2)  # no duplicate error
-        assert len(params.names()) == 2

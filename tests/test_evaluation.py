@@ -44,40 +44,6 @@ class TestBitsPerPixel:
             V.bits_per_pixel(100, 0, 32)
 
 
-class TestFrameSelect:
-    def test_minimum_and_ties(self):
-        assert V.frame_select([3.0, 1.0, 2.0]) == 1
-        assert V.frame_select([1.0, 1.0], rates=[2.0, 1.0]) == 1
-        assert V.frame_select([1.0, 1.0], rates=[1.0, 1.0]) == 0
-
-    def test_contracts(self):
-        with pytest.raises(ContractError):
-            V.frame_select([])
-        with pytest.raises(ShapeError):
-            V.frame_select([1.0, 2.0], rates=[1.0])
-
-
-class TestFrameHybridSelect:
-    def test_matches_direct_computation(self):
-        rng = np.random.default_rng(1)
-        x = rng.uniform(size=(1, 3, 8, 8))
-        lam = 700.0
-        cands = []
-        for scale in (0.01, 0.05, 0.002, 0.03):
-            recon = x + rng.normal(scale=scale, size=x.shape)
-            cands.append((recon, float(rng.uniform(0.1, 2.0))))
-        costs = [float(np.mean(((r - x) * 255.0) ** 2)) + lam * rate
-                 for r, rate in cands]
-        idx, cost = V.frame_hybrid_select(cands, x, lam)
-        assert idx == int(np.argmin(costs))
-        assert cost == pytest.approx(min(costs), rel=1e-12)
-
-    def test_shape_contract(self):
-        x = np.zeros((1, 3, 8, 8))
-        with pytest.raises(ShapeError):
-            V.frame_hybrid_select([(np.zeros((1, 3, 8, 4)), 0.1)], x, 1.0)
-
-
 class TestCurves:
     def test_check_curve_contracts(self):
         good = [V.RDPoint(b, p) for b, p in [(0.1, 30), (0.2, 33), (0.4, 36), (0.8, 39)]]

@@ -40,15 +40,11 @@ class TestTrainConfig:
     def test_defaults(self):
         tc = TR.TrainConfig()
         assert tc.lmbda == 1024.0
-        assert tc.threshold_db == 30.0
         assert tc.patch == 32
 
-    def test_lambda_menu(self):
-        for lam in TR.LAMBDA_MENU:
-            assert TR.TrainConfig(lmbda=lam).lmbda == lam
-        with pytest.raises(ContractError):
-            TR.TrainConfig(lmbda=300.0)
-        assert TR.TrainConfig(lmbda=300.0, any_lambda=True).lmbda == 300.0
+    def test_any_positive_lambda(self):
+        # train --lambda takes any positive value
+        assert TR.TrainConfig(lmbda=300.0).lmbda == 300.0
 
     def test_other_contracts(self):
         with pytest.raises(ContractError):
@@ -56,7 +52,7 @@ class TestTrainConfig:
         with pytest.raises(ContractError):
             TR.TrainConfig(lr=0.0)
         with pytest.raises(ContractError):
-            TR.TrainConfig(lmbda=-1.0, any_lambda=True)
+            TR.TrainConfig(lmbda=-1.0)
         with pytest.raises(ContractError):
             TR.TrainConfig(steps=-1)
 

@@ -311,82 +311,93 @@ def cmd_quadtree(args):
 # -- selftest ---------------------------------------------------------------
 
 def cmd_selftest(args):
+    """Each suite returns True when its invariant holds; the first that
+    fails ends the run with exit status 1."""
     from . import entropy as EN
     from . import layers as LY
     from . import rangecoder as RC
 
     rng = np.random.default_rng(0)
 
-    for case in range(10):
-        j = IL.random_joint(rng, 5, 5)
-        IL.verify_main_identity(j)
-        IL.bottleneck_report(j, IL.random_map(rng, j.alphabet_xt, codomain_size=2))
-    print("ok infolab")
+    def infolab():
+        for _ in range(10):
+            j = IL.random_joint(rng, 5, 5)
+            IL.verify_main_identity(j)
+            IL.bottleneck_report(j, IL.random_map(rng, j.alphabet_xt, codomain_size=2))
+        return True
 
-    syms = rng.integers(0, 4, size=2000)
-    pmf = np.array([0.7, 0.1, 0.1, 0.1])
-    cdf = np.concatenate([[0], np.cumsum((pmf * (1 << 16)).astype(np.int64))])
-    cdf[-1] = 1 << 16
-    enc = RC.RangeEncoder()
-    for sym in syms:
-        enc.encode(int(sym), cdf)
-    dec = RC.RangeDecoder(enc.finish())
-    assert [dec.decode(cdf) for _ in syms] == list(syms)
-    print("ok rangecoder")
+    def rangecoder():
+        syms = rng.integers(0, 4, size=2000)
+        pmf = np.array([0.7, 0.1, 0.1, 0.1])
+        cdf = np.concatenate([[0], np.cumsum((pmf * (1 << 16)).astype(np.int64))])
+        cdf[-1] = 1 << 16
+        enc = RC.RangeEncoder()
+        for sym in syms:
+            enc.encode(int(sym), cdf)
+        dec = RC.RangeDecoder(enc.finish())
+        return [dec.decode(cdf) for _ in syms] == list(syms)
 
-    vals = rng.integers(-20, 20, size=(1, 2, 6, 6)).astype(np.float64)
-    mean = rng.normal(size=vals.shape)
-    scale = 0.11 + np.abs(rng.normal(size=vals.shape)) + 0.1
-    stream, support = EN.encode_gaussian(vals, mean, scale)
-    back = EN.decode_gaussian(stream, mean, scale, support, vals.size)
-    assert np.array_equal(back, vals.ravel().astype(np.int64))
-    print("ok entropy")
+    def entropy():
+        vals = rng.integers(-20, 20, size=(1, 2, 6, 6)).astype(np.float64)
+        mean = rng.normal(size=vals.shape)
+        scale = 0.11 + np.abs(rng.normal(size=vals.shape)) + 0.1
+        stream, support = EN.encode_gaussian(vals, mean, scale)
+        back = EN.decode_gaussian(stream, mean, scale, support, vals.size)
+        return np.array_equal(back, vals.ravel().astype(np.int64))
 
-    with T.using_dtype(np.float64):
-        x = T.Tensor(rng.normal(size=(1, 3, 6, 6)), requires_grad=True)
-        w = T.Tensor(rng.normal(size=(4, 3, 3, 3)) * 0.3, requires_grad=True)
-        err = T.grad_check(lambda a, b: T.sum_all(T.mul(LY.conv2d(a, b), LY.conv2d(a, b))),
-                           [x, w])
-        assert err < 1e-6, err
-    print("ok gradients")
+    def gradients():
+        with T.using_dtype(np.float64):
+            x = T.Tensor(rng.normal(size=(1, 3, 6, 6)), requires_grad=True)
+            w = T.Tensor(rng.normal(size=(4, 3, 3, 3)) * 0.3, requires_grad=True)
+            err = T.grad_check(
+                lambda a, b: T.sum_all(T.mul(LY.conv2d(a, b), LY.conv2d(a, b))), [x, w])
+        return err < 1e-6
 
-    for kind in CD.KINDS:
-        coder = CD.Coder.new(CD.CoderConfig.desk(kind), seed=4)
+    def coders():
+        ok = True
+        for kind in CD.KINDS:
+            coder = CD.Coder.new(CD.CoderConfig.desk(kind), seed=4)
+            x = rng.uniform(0.2, 0.8, size=(1, 3, 32, 32)).astype(np.float32)
+            xt = np.clip(x + rng.normal(scale=0.03, size=x.shape), 0, 1).astype(np.float32)
+            container, enc = coder.encode(x, xt)
+            dec = coder.decode(xt, F.BitstreamContainer.from_bytes(container.to_bytes()))
+            for a, b in ((enc.x_hat_d, dec.x_hat_d), (enc.x_hat_g, dec.x_hat_g)):
+                ok = ok and (a is None) == (b is None)
+                ok = ok and (a is None or np.array_equal(a.data, b.data))
+        diff = CD.Coder.new(CD.CoderConfig.desk("diff"), seed=6)
+        gdc = CD.gdc_from_diff(diff)
         x = rng.uniform(0.2, 0.8, size=(1, 3, 32, 32)).astype(np.float32)
-        xt = np.clip(x + rng.normal(scale=0.03, size=x.shape), 0, 1).astype(np.float32)
-        container, enc = coder.encode(x, xt)
-        dec = coder.decode(xt, F.BitstreamContainer.from_bytes(container.to_bytes()))
-        for a, b in ((enc.x_hat_d, dec.x_hat_d), (enc.x_hat_g, dec.x_hat_g)):
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert np.array_equal(a.data, b.data), kind
-    diff = CD.Coder.new(CD.CoderConfig.desk("diff"), seed=6)
-    gdc = CD.gdc_from_diff(diff)
-    x = rng.uniform(0.2, 0.8, size=(1, 3, 32, 32)).astype(np.float32)
-    xt = np.clip(x + rng.normal(scale=0.05, size=x.shape), 0, 1).astype(np.float32)
-    cd, od = diff.encode(x, xt)
-    cg, og = gdc.encode(x, xt)
-    assert cd.payload_y.stream == cg.payload_y.stream
-    assert np.array_equal(od.x_hat_d.data, og.x_hat_g.data)
-    print("ok coders")
+        xt = np.clip(x + rng.normal(scale=0.05, size=x.shape), 0, 1).astype(np.float32)
+        cd, od = diff.encode(x, xt)
+        cg, og = gdc.encode(x, xt)
+        return (ok and cd.payload_y.stream == cg.payload_y.stream
+                and np.array_equal(od.x_hat_d.data, og.x_hat_g.data))
 
-    for _ in range(10):
-        x = rng.uniform(size=(1, 1, 8, 8))
-        d = x + rng.normal(scale=0.05, size=x.shape)
-        g = x + rng.normal(scale=0.05, size=x.shape)
-        lam = float(rng.uniform(0, 500))
-        res = EV.quadtree_search(x, d, g, lam, min_block=4, max_block=8)
-        for mode, cand in (("d", d), ("g", g)):
-            delta = (x - cand) * 255.0
-            root = float(np.sum(delta * delta)) + lam * 2
-            assert res.cost <= root + 1e-9
-    print("ok quadtree")
+    def quadtree():
+        ok = True
+        for _ in range(10):
+            x = rng.uniform(size=(1, 1, 8, 8))
+            d = x + rng.normal(scale=0.05, size=x.shape)
+            g = x + rng.normal(scale=0.05, size=x.shape)
+            lam = float(rng.uniform(0, 500))
+            res = EV.quadtree_search(x, d, g, lam, min_block=4, max_block=8)
+            for cand in (d, g):
+                delta = (x - cand) * 255.0
+                ok = ok and res.cost <= float(np.sum(delta * delta)) + lam * 2 + 1e-9
+        return ok
 
-    pts = [EV.RDPoint(b, p) for b, p in [(0.1, 30), (0.2, 33), (0.4, 36), (0.8, 39)]]
-    assert abs(EV.bd_rate(pts, pts)) < 1e-12
-    half = [EV.RDPoint(p.bpp / 2, p.psnr) for p in pts]
-    assert abs(EV.bd_rate(pts, half) + 50.0) < 1e-9
-    print("ok bdrate")
+    def bdrate():
+        pts = [EV.RDPoint(b, p) for b, p in [(0.1, 30), (0.2, 33), (0.4, 36), (0.8, 39)]]
+        half = [EV.RDPoint(p.bpp / 2, p.psnr) for p in pts]
+        return abs(EV.bd_rate(pts, pts)) < 1e-12 and abs(EV.bd_rate(pts, half) + 50.0) < 1e-9
+
+    for name, suite in (("infolab", infolab), ("rangecoder", rangecoder),
+                        ("entropy", entropy), ("gradients", gradients),
+                        ("coders", coders), ("quadtree", quadtree), ("bdrate", bdrate)):
+        if not suite():
+            print(f"selftest failed: {name}")
+            return 1
+        print(f"ok {name}")
     print("selftest passed")
     return 0
 

@@ -23,7 +23,7 @@ rounded latents the decoder will recover, so both ends agree bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -113,9 +113,6 @@ def coder_specs(cfg):
     return specs
 
 
-_HYPER_STRIDES = (1, 2, 2)
-
-
 def _down(h, strides):
     for s in strides:
         h = (h - 1) // s + 1
@@ -145,7 +142,6 @@ class CoderOutput:
     rate_y: object = None
     rate_z: object = None
     latents: dict = field(default_factory=dict)
-    mode: str = ""
     x_hat_merged: object = None
     qt_result: object = None
 
@@ -219,10 +215,7 @@ class Coder:
             raise ShapeError(f"hyper decoder produced {h.shape}, smaller than latent {y_shape}")
         if h.shape[2] != yh or h.shape[3] != yw:
             h = T.crop_spatial(h, 0, yh, 0, yw)
-        ychan = self.cfg.latent
-        mean = T.slice_channels(h, 0, ychan)
-        scale = E.scale_from_raw(T.slice_channels(h, ychan, 2 * ychan))
-        return mean, scale
+        return E.gaussian_head(h, self.cfg.latent)
 
     def _reconstruct(self, y_hat, xt):
         kind = self.cfg.kind
@@ -256,7 +249,7 @@ class Coder:
         x_hat_d, x_hat_g = self._reconstruct(y_hat, xt)
         return CoderOutput(
             kind=self.cfg.kind, x_hat_d=x_hat_d, x_hat_g=x_hat_g,
-            rate_y=rate_y, rate_z=rate_z, mode=mode,
+            rate_y=rate_y, rate_z=rate_z,
             latents={"y": y.data, "y_hat": y_hat.data, "z": z.data,
                      "z_hat": z_hat.data, "mean": mean.data, "scale": scale.data})
 
@@ -332,7 +325,8 @@ class Coder:
             xtp = T.Tensor(pad_to_multiple(xt_arr, sp))
             ph, pw = xtp.shape[2], xtp.shape[3]
             yh, yw = ph // sp, pw // sp
-            zh, zw = _down(yh, _HYPER_STRIDES), _down(yw, _HYPER_STRIDES)
+            hyper_strides = [lay.stride for lay in self.specs["hyp_enc"].layers]
+            zh, zw = _down(yh, hyper_strides), _down(yw, hyper_strides)
             z_shape = (1, self.cfg.hyper_latent, zh, zw)
             z_arr = E.decode_context(container.payload_z.stream, self.nets["ctx"],
                                      z_shape, (container.payload_z.lo, container.payload_z.hi),
@@ -346,7 +340,7 @@ class Coder:
             y_hat = T.Tensor(y_flat.reshape(y_shape).astype(dtype))
             x_hat_d, x_hat_g = self._reconstruct(y_hat, xtp)
             out = CoderOutput(
-                kind=self.cfg.kind, mode="round",
+                kind=self.cfg.kind,
                 x_hat_d=self._crop(x_hat_d, container.height, container.width),
                 x_hat_g=self._crop(x_hat_g, container.height, container.width),
                 latents={"y_hat": y_hat.data, "z_hat": z_hat.data})
@@ -369,13 +363,7 @@ def gdc_from_diff(diff_coder):
     bit for bit until training moves the weights."""
     if diff_coder.cfg.kind != "diff":
         raise ContractError("source coder must be the difference kind")
-    cfg = CoderConfig(
-        "gdc", channels=diff_coder.cfg.channels,
-        core_width=diff_coder.cfg.core_width, latent=diff_coder.cfg.latent,
-        hyper_latent=diff_coder.cfg.hyper_latent,
-        pred_width=diff_coder.cfg.pred_width,
-        features=diff_coder.cfg.channels, ctx_width=diff_coder.cfg.ctx_width,
-        kernel=diff_coder.cfg.kernel, enc_strides=diff_coder.cfg.enc_strides)
+    cfg = replace(diff_coder.cfg, kind="gdc", features=diff_coder.cfg.channels)
     params = ParamStore(diff_coder.params.dtype)
     specs = coder_specs(cfg)
     make_network(specs["gd"], params, "gd", init="identity-difference")

@@ -74,12 +74,18 @@ def gaussian_bits(values, mean, scale):
     hi = T.div(T.add_scalar(centered, 0.5), scale)
     lo = T.div(T.add_scalar(centered, -0.5), scale)
     p = T.sub(T.normal_cdf(hi), T.normal_cdf(lo))
-    return T.neg(T.log2(T.clamp_min(p, PROB_FLOOR)))
+    return T.scale(T.log2(T.clamp_min(p, PROB_FLOOR)), -1.0)
 
 
 def scale_from_raw(raw):
     """Map an unconstrained tensor to a valid scale: SCALE_MIN + softplus."""
     return T.add_scalar(T.softplus(raw), SCALE_MIN)
+
+
+def gaussian_head(out, c):
+    """Split a net output of 2*c channels into (mean, scale) tensors: the
+    first c channels are the mean, the rest the raw scale."""
+    return T.slice_channels(out, 0, c), scale_from_raw(T.slice_channels(out, c, 2 * c))
 
 
 def _interval_probs(mean, scale, lo, hi):
@@ -189,30 +195,28 @@ def encode_gaussian(values, mean, scale, support=None):
                            mean, scale, support)
 
 
+def _decode_symbols(dec, mean, scale, lo, hi):
+    """Decode one symbol per (mean, scale) pair from ``dec``, in order;
+    returns a flat int64 array.  The inverse of ``_encode_symbols``."""
+    cdfs = build_cdfs(mean, scale, lo, hi)
+    return np.array([_decode_value(dec, lo, hi, cdf) for cdf in cdfs], dtype=np.int64)
+
+
 def decode_gaussian(payload, mean, scale, support, count):
     """Inverse of encode_gaussian; returns a flat int64 array."""
-    lo, hi = int(support[0]), int(support[1])
     mean = np.asarray(mean, dtype=np.float64).reshape(-1)
     if mean.size != count:
         raise ShapeError(f"count {count} != {mean.size} parameter sets")
-    cdfs = build_cdfs(mean, scale, lo, hi)
-    dec = RangeDecoder(payload)
-    out = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        out[i] = _decode_value(dec, lo, hi, cdfs[i])
-    return out
+    return _decode_symbols(RangeDecoder(payload), mean, scale, int(support[0]), int(support[1]))
 
 
 def context_params(ctx_net, z_hat_data, dtype):
     """Run the causal context net over a (1, C, H, W) integer-valued array
     and return float mean / scale arrays of the same shape."""
-    zt = T.Tensor(np.ascontiguousarray(z_hat_data, dtype=dtype))
-    out = ctx_net(zt)
-    c = z_hat_data.shape[1]
-    mean = out.data[:, :c]
-    scale_raw = out.data[:, c:]
-    scale = np.logaddexp(0.0, scale_raw).astype(scale_raw.dtype) + scale_raw.dtype.type(SCALE_MIN)
-    return mean, scale
+    with T.no_grad():
+        out = ctx_net(T.Tensor(np.ascontiguousarray(z_hat_data, dtype=dtype)))
+        mean, scale = gaussian_head(out, z_hat_data.shape[1])
+    return mean.data, scale.data
 
 
 def encode_context(z_hat, ctx_net, support=None):
@@ -226,8 +230,7 @@ def encode_context(z_hat, ctx_net, support=None):
     """
     z = np.asarray(z_hat)
     dtype = np.float32 if z.dtype != np.float64 else np.float64
-    with T.no_grad():
-        mean, scale = context_params(ctx_net, z, dtype)
+    mean, scale = context_params(ctx_net, z, dtype)
     # reorder (c, h, w) -> (h, w, c) so the stream matches sequential decoding
     flat, mean_f, scale_f = (a[0].transpose(1, 2, 0).reshape(-1) for a in (z, mean, scale))
     return _encode_symbols(flat.astype(np.int64), mean_f, scale_f, support)
@@ -242,7 +245,7 @@ def decode_context(payload, ctx_net, shape, support, dtype=np.float32):
     positions being decoded, so encoder and decoder compute bit-identical
     CDFs.
     """
-    n, c, h, w = shape
+    n, _, h, w = shape
     if n != 1:
         raise ContractError("context decoding runs on single-frame tensors")
     lo, hi = int(support[0]), int(support[1])
@@ -250,21 +253,13 @@ def decode_context(payload, ctx_net, shape, support, dtype=np.float32):
     dec = RangeDecoder(payload)
     for i in range(h):
         for j in range(w):
-            with T.no_grad():
-                mean, scale = context_params(ctx_net, z, dtype)
-            m = mean[0, :, i, j].astype(np.float64)
-            s = scale[0, :, i, j].astype(np.float64)
-            cdfs = build_cdfs(m, s, lo, hi)
-            for ch in range(c):
-                z[0, ch, i, j] = _decode_value(dec, lo, hi, cdfs[ch])
+            mean, scale = context_params(ctx_net, z, dtype)
+            z[0, :, i, j] = _decode_symbols(dec, mean[0, :, i, j], scale[0, :, i, j], lo, hi)
     return z
 
 
 def context_bits(z_hat_t, ctx_net):
     """Differentiable rate of a (possibly noise-quantized) hyper-latent
     under the context model; returns the per-element bits tensor."""
-    out = ctx_net(z_hat_t)
-    c = z_hat_t.shape[1]
-    mean = T.slice_channels(out, 0, c)
-    scale = scale_from_raw(T.slice_channels(out, c, 2 * c))
+    mean, scale = gaussian_head(ctx_net(z_hat_t), z_hat_t.shape[1])
     return gaussian_bits(z_hat_t, mean, scale)

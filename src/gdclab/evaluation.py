@@ -21,19 +21,20 @@ import numpy as np
 from .errors import ContractError, ShapeError
 
 PSNR_CAP = 99.0
+MIN_CURVE_POINTS = 4
 
 
-def psnr(a, b, cap=PSNR_CAP):
+def psnr(a, b):
     """Peak signal-to-noise ratio in dB between arrays on the [0, 1] scale.
-    Identical inputs (and anything above ``cap``) report ``cap``."""
+    Identical inputs (and anything above PSNR_CAP) report PSNR_CAP."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
     mse = float(np.mean((a - b) ** 2))
     if mse <= 0.0:
-        return cap
-    return min(cap, -10.0 * math.log10(mse))
+        return PSNR_CAP
+    return min(PSNR_CAP, -10.0 * math.log10(mse))
 
 
 def bits_per_pixel(total_bits, height, width):
@@ -51,11 +52,11 @@ class RDPoint:
     label: str = ""
 
 
-def check_curve(points, min_points=4):
-    """A usable curve has at least ``min_points`` samples with strictly
+def check_curve(points):
+    """A usable curve has at least MIN_CURVE_POINTS samples with strictly
     increasing rate and strictly increasing quality."""
-    if len(points) < min_points:
-        raise ContractError(f"need at least {min_points} points, got {len(points)}")
+    if len(points) < MIN_CURVE_POINTS:
+        raise ContractError(f"need at least {MIN_CURVE_POINTS} points, got {len(points)}")
     for prev, cur in zip(points, points[1:]):
         if not (cur.bpp > prev.bpp):
             raise ContractError(f"bpp not strictly increasing at {cur.bpp}")

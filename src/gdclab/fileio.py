@@ -8,6 +8,7 @@ and trailing garbage rather than guessing.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, fields as dc_fields
 
@@ -89,7 +90,7 @@ def parse_checkpoint(data):
             raise FormatError(f"entry {name!r}: rank {rank} != 4")
         dims = r.unpack("4I")
         dtype = _TAG_DTYPES[tag]
-        n_bytes = int(np.prod(dims)) * dtype.itemsize
+        n_bytes = math.prod(dims) * dtype.itemsize
         raw = r.take(n_bytes)
         arrays[name] = np.frombuffer(raw, dtype=dtype.newbyteorder("<")).astype(dtype).reshape(dims)
     r.done()
@@ -257,6 +258,8 @@ def parse_ppm(data):
     vals = []
     for _ in range(3):
         tok, pos = _read_ppm_token(data, pos)
+        if not tok.isdigit():
+            raise FormatError(f"pixmap header field {tok!r} is not a decimal number")
         vals.append(int(tok))
     w, h, maxval = vals
     if maxval != 255:

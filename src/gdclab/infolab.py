@@ -167,10 +167,6 @@ class BottleneckMap:
         if len(set(keys)) != len(keys):
             raise ContractError("map defined twice for some input")
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(tuple(sorted(d.items())))
-
     def domain(self):
         return tuple(k for k, _ in self.table)
 

@@ -237,14 +237,6 @@ class NetworkSpec:
         for lay in self.layers:
             lay.validate()
 
-    @property
-    def stride_product(self):
-        p = 1
-        for lay in self.layers:
-            if not lay.transposed:
-                p *= lay.stride
-        return p
-
     def param_count(self):
         total = 0
         for lay in self.layers:
@@ -276,17 +268,8 @@ class ParamStore:
     def __contains__(self, name):
         return name in self._params
 
-    def __iter__(self):
-        return iter(self._params)
-
     def items(self):
         return self._params.items()
-
-    def names(self):
-        return list(self._params)
-
-    def tensors(self):
-        return list(self._params.values())
 
     def total_params(self, prefix=None):
         return sum(t.size for n, t in self._params.items()

@@ -98,9 +98,6 @@ class Tensor:
             raise ShapeError(f"item() needs a scalar tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self):
-        return Tensor(self.data, requires_grad=False, op="detach")
-
     def zero_grad(self):
         self.grad = None
 
@@ -110,45 +107,8 @@ class Tensor:
         else:
             self.grad += g
 
-    def backward(self):
-        backward(self)
-
-    # Small operator sugar; scalars are python numbers, everything else a Tensor.
-    def __add__(self, other):
-        return add_scalar(self, other) if np.isscalar(other) else add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add_scalar(self, -other) if np.isscalar(other) else sub(self, other)
-
-    def __mul__(self, other):
-        return scale(self, other) if np.isscalar(other) else mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return scale(self, 1.0 / other) if np.isscalar(other) else div(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, op={self.op})"
-
-
-def tensor(data, requires_grad=False):
-    """Wrap an array (or nested list) as a rank-4 leaf tensor."""
-    arr = np.asarray(data, dtype=_default_dtype if not isinstance(data, np.ndarray) else None)
-    return Tensor(arr, requires_grad=requires_grad)
-
-
-def scalar(value, requires_grad=False):
-    return Tensor(np.full((1, 1, 1, 1), value, dtype=_default_dtype), requires_grad=requires_grad)
-
-
-def zeros(shape, requires_grad=False):
-    return Tensor(np.zeros(shape, dtype=_default_dtype), requires_grad=requires_grad)
 
 
 def _check_same(a, b, opname):
@@ -233,10 +193,6 @@ def add_scalar(a, s):
     return _node(a.data + np.asarray(s, dtype=a.data.dtype), (a,), bwd, "add_scalar")
 
 
-def neg(a):
-    return scale(a, -1.0)
-
-
 def concat_channels(tensors):
     """Concatenate along the channel axis; batch and spatial dims must agree."""
     if not tensors:
@@ -307,31 +263,11 @@ def power(a, p):
     return _node(out, (a,), bwd, "power")
 
 
-def exp(a):
-    out = np.exp(a.data)
-
-    def bwd(g):
-        a._accum(g * out)
-
-    return _node(out, (a,), bwd, "exp")
-
-
-def log(a):
-    def bwd(g):
-        a._accum(g / a.data)
-
-    return _node(np.log(a.data), (a,), bwd, "log")
-
-
 def log2(a):
     def bwd(g):
         a._accum(g / (a.data * a.data.dtype.type(_LN2)))
 
     return _node(np.log2(a.data), (a,), bwd, "log2")
-
-
-def sqrt(a):
-    return power(a, 0.5)
 
 
 def softplus(a):
@@ -354,18 +290,6 @@ def normal_cdf(a):
         a._accum(g * pdf.astype(a.data.dtype))
 
     return _node(out, (a,), bwd, "normal_cdf")
-
-
-def broadcast_channels(a, shape):
-    """Broadcast a (1, C, 1, 1) tensor to (N, C, H, W); the gradient sums
-    over the broadcast axes."""
-    if a.shape[0] != 1 or a.shape[2] != 1 or a.shape[3] != 1 or a.shape[1] != shape[1]:
-        raise ShapeError(f"broadcast_channels: cannot expand {a.shape} to {shape}")
-
-    def bwd(g):
-        a._accum(g.sum(axis=(0, 2, 3)).reshape(a.shape))
-
-    return _node(np.broadcast_to(a.data, shape).copy(), (a,), bwd, "bcast")
 
 
 def clamp_min(a, floor):

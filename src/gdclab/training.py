@@ -24,6 +24,9 @@ from .evaluation import psnr
 
 THRESHOLD_DB = 30.0
 MSE_SCALE = 255.0 ** 2
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+CALIBRATION_ITERS = 40
+CORPUS_BAND_DB = 1.0
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,7 @@ def adam_init(params):
         step=0)
 
 
-def adam_step(params, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_step(params, state, lr):
     """One bias-corrected Adam update.  Absent gradients count as zero;
     any non-finite gradient rejects the whole step before mutation."""
     grads = {}
@@ -82,23 +85,23 @@ def adam_step(params, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
             raise NumericError(f"non-finite gradient for {name!r}")
         grads[name] = g
     state.step += 1
-    c1 = 1.0 - beta1 ** state.step
-    c2 = 1.0 - beta2 ** state.step
+    c1 = 1.0 - ADAM_BETA1 ** state.step
+    c2 = 1.0 - ADAM_BETA2 ** state.step
     for name, t in params.items():
         g = grads[name]
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
         m_hat = state.m[name] / c1
         v_hat = state.v[name] / c2
-        t.data = t.data - (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(t.data.dtype)
+        t.data = t.data - (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(t.data.dtype)
 
 
-def select_xgdc_target(x, xt, threshold_db=THRESHOLD_DB):
+def select_xgdc_target(x, xt):
     """'train-d' when the prediction strictly exceeds the quality threshold,
     'train-g' otherwise (including exactly at the threshold)."""
     x = np.asarray(x.data if isinstance(x, T.Tensor) else x)
     xt = np.asarray(xt.data if isinstance(xt, T.Tensor) else xt)
-    return "train-d" if psnr(xt, x) > threshold_db else "train-g"
+    return "train-d" if psnr(xt, x) > THRESHOLD_DB else "train-g"
 
 
 # -- prediction-pair synthesis ----------------------------------------------
@@ -192,7 +195,7 @@ def make_pair(image, gen, rng):
 
 
 def calibrate_quant_step(images, gen, seed=0, target_db=35.0, tol=1.0,
-                         pairs_per_image=4, iters=40):
+                         pairs_per_image=4):
     """Bisect the quantization step until the corpus-mean degradation
     PSNR (quantized prediction vs clean prediction) hits the target."""
 
@@ -209,7 +212,7 @@ def calibrate_quant_step(images, gen, seed=0, target_db=35.0, tol=1.0,
     lo, hi = 0.25, 96.0
     if mean_db(lo) < target_db:
         raise ContractError("even the finest step misses the quality target")
-    for _ in range(iters):
+    for _ in range(CALIBRATION_ITERS):
         mid = 0.5 * (lo + hi)
         if mean_db(mid) >= target_db:
             lo = mid
@@ -245,12 +248,12 @@ def synthetic_image(rng, height=48, width=48, channels=3, waves=5):
     return img
 
 
-def make_corpus(rng, count, patch=32, threshold_db=THRESHOLD_DB, band=1.0):
+def make_corpus(rng, count, patch=32):
     """Alternating pairs guaranteed to straddle the routing threshold:
     even indices sit above it (translation-free, quantization only), odd
     indices sit below (shifted and noisy).  Each pair is re-synthesized
     with a harsher or gentler knob until its side is certain by at least
-    ``band`` dB."""
+    CORPUS_BAND_DB."""
     pairs = []
     size = patch + 8
     for i in range(count):
@@ -259,7 +262,7 @@ def make_corpus(rng, count, patch=32, threshold_db=THRESHOLD_DB, band=1.0):
             gen = GenConfig(patch=patch, max_shift=0, subpixel=False, quant_step=12.0)
             while True:
                 x, xt = make_pair(img, gen, rng)
-                if psnr(xt, x) > threshold_db + band:
+                if psnr(xt, x) > THRESHOLD_DB + CORPUS_BAND_DB:
                     break
                 gen = replace(gen, quant_step=gen.quant_step / 2.0)
         else:
@@ -267,7 +270,7 @@ def make_corpus(rng, count, patch=32, threshold_db=THRESHOLD_DB, band=1.0):
                             blur=0.5, quant_step=24.0, noise=0.03)
             while True:
                 x, xt = make_pair(img, gen, rng)
-                if psnr(xt, x) < threshold_db - band:
+                if psnr(xt, x) < THRESHOLD_DB - CORPUS_BAND_DB:
                     break
                 gen = replace(gen, noise=gen.noise * 1.8)
         pairs.append((x, xt))

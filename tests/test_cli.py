@@ -248,3 +248,9 @@ class TestSelftest:
     def test_passes(self, capsys):
         assert cli.main(["selftest"]) == 0
         assert "selftest passed" in capsys.readouterr().out
+
+    def test_reports_a_failing_suite(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.EV, "bd_rate", lambda reference, test: 5.0)
+        assert cli.main(["selftest"]) == 1
+        out = capsys.readouterr().out
+        assert "selftest failed: bdrate" in out and "selftest passed" not in out

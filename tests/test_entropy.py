@@ -268,6 +268,26 @@ class TestContextCoding:
         n = z.size
         assert 8 * len(payload) <= float(est.data.sum()) + 0.01 * n + 64
 
+    def test_escape_path(self):
+        # values outside an explicit support are escaped position by position
+        rng = np.random.default_rng(22)
+        net = _context_net(2, 4, seed=23)
+        z = rng.integers(-3, 4, size=(1, 2, 4, 5)).astype(np.float64)
+        z[0, 1, 2, 3] = 40.0
+        payload, support = E.encode_context(z, net, support=(-1, 1))
+        assert support == (-1, 1)
+        back = E.decode_context(payload, net, z.shape, support, dtype=np.float64)
+        assert np.array_equal(back, z)
+
+    def test_bits_come_from_the_coder_parameters(self):
+        # the rate estimate and the coder tables share one Gaussian head
+        rng = np.random.default_rng(24)
+        net = _context_net(2, 4, seed=25)
+        z = rng.integers(-3, 4, size=(1, 2, 5, 6)).astype(np.float64)
+        mean, scale = E.context_params(net, z, np.float64)
+        want = E.gaussian_bits(t64(z), t64(mean), t64(scale))
+        assert np.array_equal(E.context_bits(t64(z), net).data, want.data)
+
     def test_decode_rejects_batches(self):
         net = _context_net(1, 4, seed=21)
         with pytest.raises(ContractError):

@@ -69,6 +69,12 @@ class TestCheckpoint:
             F.parse_checkpoint(blob[:-3])
         with pytest.raises(StreamError):
             F.parse_checkpoint(blob + b"\x00")
+        # 65536**4 elements overflow a 64-bit product; the size must not wrap
+        huge = bytearray(F.CHECKPOINT_MAGIC + struct.pack("<II", 1, 1))
+        huge += struct.pack("<H", 1) + b"w"
+        huge += struct.pack("<BB", 0, 4) + struct.pack("<4I", *(65536,) * 4)
+        with pytest.raises(StreamError):
+            F.parse_checkpoint(bytes(huge))
 
 
 class TestBits:
@@ -196,6 +202,10 @@ class TestPixmap:
             F.parse_ppm(b"P6\n2 2\n255\n" + px.tobytes()[:-1])
         with pytest.raises(FormatError):
             F.parse_ppm(b"P6\n2")
+        with pytest.raises(FormatError):
+            F.parse_ppm(b"P6\nabc 2\n255\n")
+        with pytest.raises(FormatError):
+            F.parse_ppm(b"P6\n-2 2\n255\n" + px.tobytes())
         with pytest.raises(ShapeError):
             F.ppm_bytes(np.zeros((2, 2, 4), dtype=np.uint8))
 

@@ -358,14 +358,6 @@ class TestSpecs:
         with pytest.raises(ContractError):
             bad.validate()
 
-    def test_stride_product_ignores_transposed(self):
-        spec = L.NetworkSpec((
-            L.ConvSpec(2, 2, stride=2),
-            L.ConvSpec(2, 2, stride=2, transposed=True),
-            L.ConvSpec(2, 2, stride=2),
-        ))
-        assert spec.stride_product == 4
-
     @pytest.mark.parametrize("spec", [
         L.encoder_spec(3, 8, 12),
         L.decoder_spec(12, 8, 3),

@@ -11,6 +11,10 @@ def randt(rng, shape, scale=1.0):
     return T.Tensor(rng.normal(scale=scale, size=shape), requires_grad=True)
 
 
+def scalar(value, requires_grad=False):
+    return T.Tensor(np.full((1, 1, 1, 1), value, dtype=np.float64), requires_grad=requires_grad)
+
+
 class TestTensorBasics:
     def test_rank_enforced(self):
         with pytest.raises(ShapeError):
@@ -19,27 +23,23 @@ class TestTensorBasics:
             T.Tensor(np.zeros((1, 1, 1, 1, 1)))
 
     def test_scalar_helpers(self):
-        s = T.scalar(2.5)
+        s = scalar(2.5)
         assert s.shape == (1, 1, 1, 1)
         assert s.item() == 2.5
-        z = T.zeros((2, 3, 4, 5))
-        assert z.shape == (2, 3, 4, 5) and not z.data.any()
+        total = T.sum_all(T.Tensor(np.ones((2, 3, 4, 5))))
+        assert total.shape == (1, 1, 1, 1) and total.item() == 120.0
 
     def test_item_rejects_nonscalar(self):
         with pytest.raises(ShapeError):
-            T.zeros((1, 2, 1, 1)).item()
+            T.Tensor(np.zeros((1, 2, 1, 1))).item()
 
     def test_default_dtype_context(self):
-        assert T.zeros((1, 1, 1, 1)).dtype == np.float32
+        # non-float data is cast to the default dtype
+        ints = np.zeros((1, 1, 1, 1), dtype=np.int64)
+        assert T.Tensor(ints).dtype == np.float32
         with T.using_dtype(np.float64):
-            assert T.zeros((1, 1, 1, 1)).dtype == np.float64
-        assert T.zeros((1, 1, 1, 1)).dtype == np.float32
-
-    def test_detach_shares_values(self):
-        a = T.scalar(1.0, requires_grad=True)
-        d = a.detach()
-        assert not d.requires_grad and d._parents == ()
-        assert np.array_equal(d.data, a.data)
+            assert T.Tensor(ints).dtype == np.float64
+        assert T.Tensor(ints).dtype == np.float32
 
 
 class TestForwardValues:
@@ -52,22 +52,10 @@ class TestForwardValues:
         assert np.all(T.div(a, b).data == 2.0)
         assert np.all(T.scale(a, 0.5).data == 3.0)
         assert np.all(T.add_scalar(a, -1.0).data == 5.0)
-        assert np.all(T.neg(a).data == -6.0)
-
-    def test_operator_sugar(self):
-        a = T.Tensor(np.full((1, 1, 1, 1), 4.0))
-        b = T.Tensor(np.full((1, 1, 1, 1), 2.0))
-        assert (a + b).item() == 6.0
-        assert (a - b).item() == 2.0
-        assert (a * b).item() == 8.0
-        assert (a / b).item() == 2.0
-        assert (a * 0.5).item() == 2.0
-        assert (a + 1.0).item() == 5.0
-        assert (-a).item() == -4.0
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            T.add(T.zeros((1, 1, 2, 2)), T.zeros((1, 1, 2, 3)))
+            T.add(T.Tensor(np.zeros((1, 1, 2, 2))), T.Tensor(np.zeros((1, 1, 2, 3))))
 
     def test_concat_slice_crop(self):
         rng = np.random.default_rng(0)
@@ -89,20 +77,11 @@ class TestForwardValues:
         with T.using_dtype(np.float64):
             a = T.Tensor(np.full((1, 1, 1, 1), 4.0))
             assert T.power(a, 0.5).item() == 2.0
-            assert T.sqrt(a).item() == 2.0
-            assert abs(T.exp(T.scalar(1.0)).item() - np.e) < 1e-12
-            assert T.log(T.scalar(np.e)).item() == pytest.approx(1.0, abs=1e-12)
-            assert T.log2(T.scalar(8.0)).item() == pytest.approx(3.0, abs=1e-12)
+            assert T.log2(scalar(8.0)).item() == pytest.approx(3.0, abs=1e-12)
             # softplus(0) = ln 2; large inputs do not overflow
-            assert T.softplus(T.scalar(0.0)).item() == pytest.approx(np.log(2.0))
-            assert T.softplus(T.scalar(500.0)).item() == pytest.approx(500.0)
-            assert T.normal_cdf(T.scalar(0.0)).item() == pytest.approx(0.5)
-
-    def test_broadcast_channels(self):
-        a = T.Tensor(np.array([1.0, 2.0]).reshape(1, 2, 1, 1))
-        b = T.broadcast_channels(a, (3, 2, 2, 2))
-        assert b.shape == (3, 2, 2, 2)
-        assert np.all(b.data[:, 0] == 1.0) and np.all(b.data[:, 1] == 2.0)
+            assert T.softplus(scalar(0.0)).item() == pytest.approx(np.log(2.0))
+            assert T.softplus(scalar(500.0)).item() == pytest.approx(500.0)
+            assert T.normal_cdf(scalar(0.0)).item() == pytest.approx(0.5)
 
     def test_clamp_min(self):
         a = T.Tensor(np.array([-1.0, 0.5, 2.0, 1.0]).reshape(1, 1, 1, 4))
@@ -117,42 +96,42 @@ class TestBackward:
             T.backward(T.add(a, a))
 
     def test_rejects_nonfinite_loss(self):
-        a = T.scalar(np.inf, requires_grad=True)
+        a = scalar(np.inf, requires_grad=True)
         with pytest.raises(NumericError):
             T.backward(T.sum_all(a))
 
     def test_rejects_grad_free_loss(self):
         with pytest.raises(ContractError):
-            T.backward(T.scalar(1.0))
+            T.backward(scalar(1.0))
 
     def test_simple_chain(self):
-        a = T.scalar(3.0, requires_grad=True)
+        a = scalar(3.0, requires_grad=True)
         loss = T.sum_all(T.mul(a, a))
         T.backward(loss)
         assert a.grad[0, 0, 0, 0] == pytest.approx(6.0)
 
     def test_grad_accumulates_across_uses(self):
-        a = T.scalar(2.0, requires_grad=True)
+        a = scalar(2.0, requires_grad=True)
         loss = T.sum_all(T.add(T.mul(a, a), a))   # a^2 + a -> 2a + 1 = 5
         T.backward(loss)
         assert a.grad[0, 0, 0, 0] == pytest.approx(5.0)
 
     def test_no_grad_builds_no_graph(self):
-        a = T.scalar(2.0, requires_grad=True)
+        a = scalar(2.0, requires_grad=True)
         with T.no_grad():
             out = T.mul(a, a)
         assert out._parents == () and not out.requires_grad
 
     def test_diamond_graph(self):
         # loss = (a+a) * (a+a) = 4 a^2 -> grad 8a
-        a = T.scalar(1.5, requires_grad=True)
+        a = scalar(1.5, requires_grad=True)
         s = T.add(a, a)
         T.backward(T.sum_all(T.mul(s, s)))
         assert a.grad[0, 0, 0, 0] == pytest.approx(12.0)
 
     def test_deep_chain_iterative(self):
         # deep graphs must not hit the recursion limit
-        a = T.scalar(1.0, requires_grad=True)
+        a = scalar(1.0, requires_grad=True)
         cur = a
         for _ in range(3000):
             cur = T.add_scalar(cur, 0.0)
@@ -205,9 +184,7 @@ class TestGradCheck:
             a = T.Tensor(rng.uniform(0.5, 2.0, size=(1, 2, 3, 3)), requires_grad=True)
 
             def f(x):
-                s = T.add(T.exp(T.scale(x, 0.3)), T.log(x))
-                s = T.add(s, T.power(x, 1.7))
-                s = T.add(s, T.sqrt(x))
+                s = T.add(T.power(x, 1.7), T.power(x, 0.5))
                 s = T.add(s, T.log2(x))
                 s = T.add(s, T.softplus(x))
                 s = T.add(s, T.normal_cdf(x))
@@ -216,13 +193,15 @@ class TestGradCheck:
             assert T.grad_check(f, [a]) < 1e-7
 
     def test_mean_and_broadcast(self):
+        # the gradient of a mean is broadcast back over every element;
+        # operands bounded away from zero keep each coordinate's gradient
+        # large relative to finite-difference noise
         rng = np.random.default_rng(5)
         with T.using_dtype(np.float64):
-            a = randt(rng, (1, 3, 1, 1))
+            a = T.Tensor(rng.uniform(0.5, 1.5, size=(2, 3, 4, 4)), requires_grad=True)
 
             def f(x):
-                wide = T.broadcast_channels(x, (2, 3, 4, 4))
-                return T.mean_all(T.mul(wide, wide))
+                return T.mean_all(T.mul(x, x))
 
             assert T.grad_check(f, [a]) < 1e-8
 

@@ -180,10 +180,11 @@ class TestRouting:
         assert psnr(xt, x) == 30.0
         assert TR.select_xgdc_target(x, xt) == "train-g"
 
-    def test_accepts_tensors_and_custom_threshold(self):
+    def test_accepts_tensors(self):
         x, xt = pair_at_db(35.0)
         assert TR.select_xgdc_target(T.Tensor(x), T.Tensor(xt)) == "train-d"
-        assert TR.select_xgdc_target(x, xt, threshold_db=40.0) == "train-g"
+        x, xt = pair_at_db(25.0)
+        assert TR.select_xgdc_target(T.Tensor(x), T.Tensor(xt)) == "train-g"
 
 
 class TestBilinearCrop:

@@ -8,9 +8,11 @@ Rates are measured against the discretized Gaussian
 with p floored at 2^-16 so no element can cost more than 16 bits, and
 scales floored at SCALE_MIN.  The same mean/scale arrays drive the actual
 coder: they are turned into strictly increasing 2^16-grid CDF tables over
-an integer support, with one trailing escape bin.  Values outside the
-support are sent as the escape symbol followed by four raw bytes (zigzag),
-so the coder is total even when the model support is misjudged.
+an integer support, with one trailing escape bin, built a fixed number of
+cells at a time and streamed into the coder's integer loops.  Values
+outside the support are sent as the escape symbol followed by four raw
+bytes (zigzag), so the coder is total even when the model support is
+misjudged.
 """
 
 from __future__ import annotations
@@ -26,7 +28,12 @@ SCALE_MIN = 0.11
 PROB_FLOOR = 2.0 ** -16
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
-_BYTE_CDF = np.arange(257, dtype=np.int64) * (CDF_TOTAL // 256)
+# Tables of at most this many cells (rows x bins) are built at a time.
+CHUNK_CELLS = 1 << 17
+# Escaped values are sent as four raw bytes of their zigzag code.
+ESCAPE_LIMIT = 1 << 31
+_BYTE_FREQ = CDF_TOTAL // 256
+_BYTE_ROW = list(range(0, CDF_TOTAL + 1, _BYTE_FREQ))
 
 
 def round_away(x):
@@ -99,22 +106,30 @@ def _interval_probs(mean, scale, lo, hi):
     return np.diff(cdf, axis=1)
 
 
+def _table_bins(lo, hi):
+    """Bins of a coder table over support [lo, hi], escape included; raises
+    before anything is allocated when the support cannot fit the grid."""
+    if hi < lo:
+        raise ContractError(f"empty support [{lo}, {hi}]")
+    nbins = hi - lo + 2
+    if nbins > CDF_TOTAL:
+        raise ContractError(f"support of {nbins} bins cannot fit a 16-bit cdf")
+    return nbins
+
+
 def build_cdfs(mean, scale, lo, hi):
     """Quantized coder tables for integer support [lo, hi] plus escape.
 
     Returns an int64 array of shape (n, hi-lo+3): n cumulative tables whose
     bins are all >= 1 and sum exactly to 2^16.  The final bin is the escape
-    symbol.  Tables are a deterministic function of (mean, scale, lo, hi),
-    which is what makes encoder and decoder agree bit for bit.
+    symbol.  Each table is a deterministic function of its own (mean, scale)
+    and (lo, hi), which is what makes encoder and decoder agree bit for bit
+    however the elements are split into chunks.
     """
-    if hi < lo:
-        raise ContractError(f"empty support [{lo}, {hi}]")
+    nbins = _table_bins(lo, hi)
     mean = np.asarray(mean, dtype=np.float64).reshape(-1)
     scale = np.asarray(scale, dtype=np.float64).reshape(-1)
     probs = _interval_probs(mean, scale, lo, hi)
-    nbins = probs.shape[1] + 1  # + escape
-    if nbins > CDF_TOTAL:
-        raise ContractError(f"support of {nbins} bins cannot fit a 16-bit cdf")
     budget = CDF_TOTAL - nbins  # every bin gets a guaranteed single count
     p = np.concatenate([probs, np.zeros((probs.shape[0], 1))], axis=1)
     p = np.clip(p, 0.0, None)
@@ -134,36 +149,35 @@ def build_cdfs(mean, scale, lo, hi):
     return cdfs
 
 
-def _zigzag(v):
-    v = int(v)
-    return (v << 1) ^ (v >> 63) if v < 0 else (v << 1)
+def _chunked(mean, scale, lo, hi):
+    """Flat float64 (mean, scale) and the number of elements per chunk.  A
+    chunk's tables hold at most CHUNK_CELLS cells, so its memory is bounded
+    whatever support the caller (or a hostile header) declares; the
+    support is checked before anything is allocated."""
+    step = max(1, CHUNK_CELLS // _table_bins(lo, hi))
+    mean = np.asarray(mean, dtype=np.float64).reshape(-1)
+    scale = np.asarray(scale, dtype=np.float64).reshape(-1)
+    if scale.size != mean.size:
+        raise ShapeError(f"{mean.size} means but {scale.size} scales")
+    return mean, scale, step
 
 
 def _unzigzag(u):
     return (u >> 1) ^ -(u & 1)
 
 
-def _encode_value(enc, value, lo, hi, cdf):
-    """One element: in-support symbol, or escape + 4 raw zigzag bytes."""
-    if lo <= value <= hi:
-        enc.encode(int(value - lo), cdf)
-    else:
-        enc.encode(len(cdf) - 2, cdf)  # escape bin
-        u = _zigzag(value)
-        if u >= 1 << 32:
-            raise ContractError(f"value {value} too large for escape coding")
-        for shift in (24, 16, 8, 0):
-            enc.encode((u >> shift) & 0xFF, _BYTE_CDF)
-
-
-def _decode_value(dec, lo, hi, cdf):
-    sym = dec.decode(cdf)
-    if sym < len(cdf) - 2:
-        return lo + sym
-    u = 0
-    for _ in range(4):
-        u = (u << 8) | dec.decode(_BYTE_CDF)
-    return _unzigzag(u)
+def _escape_intervals(starts, freqs, values, escaped):
+    """Follow each escape interval with the four byte intervals of its
+    value's zigzag code, most significant byte first."""
+    reps = np.where(escaped, 5, 1)
+    slots = (np.cumsum(reps) - reps)[escaped]
+    starts, freqs = np.repeat(starts, reps), np.repeat(freqs, reps)
+    v = values[escaped]
+    u = np.where(v < 0, -2 * v - 1, 2 * v)
+    for k, shift in enumerate((24, 16, 8, 0), 1):
+        starts[slots + k] = ((u >> shift) & 0xFF) * _BYTE_FREQ
+        freqs[slots + k] = _BYTE_FREQ
+    return starts, freqs
 
 
 def _encode_symbols(flat, mean, scale, support):
@@ -175,12 +189,25 @@ def _encode_symbols(flat, mean, scale, support):
         hi = int(flat.max()) if flat.size else 0
     else:
         lo, hi = int(support[0]), int(support[1])
-    cdfs = build_cdfs(mean, scale, lo, hi)
-    if cdfs.shape[0] != flat.size:
-        raise ShapeError(f"{flat.size} values but {cdfs.shape[0]} parameter sets")
+    mean, scale, step = _chunked(mean, scale, lo, hi)
+    if mean.size != flat.size:
+        raise ShapeError(f"{flat.size} values but {mean.size} parameter sets")
+    outside = (flat < lo) | (flat > hi)
+    wide = flat[outside & ((flat < -ESCAPE_LIMIT) | (flat >= ESCAPE_LIMIT))]
+    if wide.size:
+        raise ContractError(f"value {wide[0]} too large for escape coding")
+    escape = hi - lo + 1
     enc = RangeEncoder()
-    for i, v in enumerate(flat):
-        _encode_value(enc, v, lo, hi, cdfs[i])
+    for a in range(0, flat.size, step):
+        part = slice(a, a + step)
+        cdfs = build_cdfs(mean[part], scale[part], lo, hi)
+        values, escaped = flat[part], outside[part]
+        symbols = np.where(escaped, escape, values - lo)[:, None]
+        starts = np.take_along_axis(cdfs, symbols, axis=1)[:, 0]
+        freqs = np.take_along_axis(cdfs, symbols + 1, axis=1)[:, 0] - starts
+        if escaped.any():
+            starts, freqs = _escape_intervals(starts, freqs, values, escaped)
+        enc.encode_intervals(starts.tolist(), freqs.tolist())
     return enc.finish(), (lo, hi)
 
 
@@ -198,8 +225,19 @@ def encode_gaussian(values, mean, scale, support=None):
 def _decode_symbols(dec, mean, scale, lo, hi):
     """Decode one symbol per (mean, scale) pair from ``dec``, in order;
     returns a flat int64 array.  The inverse of ``_encode_symbols``."""
-    cdfs = build_cdfs(mean, scale, lo, hi)
-    return np.array([_decode_value(dec, lo, hi, cdf) for cdf in cdfs], dtype=np.int64)
+    mean, scale, step = _chunked(mean, scale, lo, hi)
+    escape = hi - lo + 1
+    symbols, escapes = [], []
+    for a in range(0, mean.size, step):
+        rows = iter(build_cdfs(mean[a:a + step], scale[a:a + step], lo, hi).tolist())
+        while dec.decode_rows(rows, symbols, escape):
+            raw = []
+            dec.decode_rows((_BYTE_ROW,) * 4, raw)
+            escapes.append((len(symbols) - 1, _unzigzag(int.from_bytes(bytes(raw), "big"))))
+    out = np.array(symbols, dtype=np.int64) + lo
+    for i, v in escapes:
+        out[i] = v
+    return out
 
 
 def decode_gaussian(payload, mean, scale, support, count):
@@ -249,6 +287,7 @@ def decode_context(payload, ctx_net, shape, support, dtype=np.float32):
     if n != 1:
         raise ContractError("context decoding runs on single-frame tensors")
     lo, hi = int(support[0]), int(support[1])
+    _table_bins(lo, hi)  # an empty map still checks its support
     z = np.zeros(shape, dtype=np.float64)
     dec = RangeDecoder(payload)
     for i in range(h):

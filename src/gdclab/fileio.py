@@ -82,7 +82,11 @@ def parse_checkpoint(data):
     arrays = {}
     for _ in range(count):
         (nlen,) = r.unpack("H")
-        name = r.take(nlen).decode("utf-8")
+        raw_name = r.take(nlen)
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"entry name {raw_name!r} is not UTF-8") from None
         tag, rank = r.unpack("BB")
         if tag not in _TAG_DTYPES:
             raise FormatError(f"entry {name!r}: unknown dtype tag {tag}")

@@ -10,11 +10,16 @@ that is strictly increasing; symbol k owns [c_k, c_{k+1}).
 CDFs may differ per symbol (the decoder must then derive each CDF from
 already-decoded data exactly as the encoder did, which is what the
 context-model coding path does).
+
+The arithmetic runs on plain Python ints held in locals: the encoder codes
+a run of (start, freq) intervals per call and the decoder a run of tables
+(lists of ints).  ``encode(symbol, cdf)`` and ``decode(cdf)`` are one-symbol
+entries into the same two loops.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from bisect import bisect_right
 
 from .errors import ContractError, StreamError
 
@@ -36,20 +41,25 @@ class RangeEncoder:
         if not 0 <= symbol < len(cdf) - 1:
             raise ContractError(f"symbol {symbol} outside cdf with {len(cdf) - 1} bins")
         start = int(cdf[symbol])
-        freq = int(cdf[symbol + 1]) - start
-        r = self.range >> CDF_BITS
-        self.low = (self.low + r * start) & _MASK
-        self.range = r * freq
-        while True:
-            if (self.low ^ (self.low + self.range)) < _TOP:
-                pass
-            elif self.range < _BOTTOM:
-                self.range = (-self.low) & (_BOTTOM - 1)
-            else:
-                break
-            self.out.append((self.low >> 24) & 0xFF)
-            self.low = (self.low << 8) & _MASK
-            self.range = (self.range << 8) & _MASK
+        self.encode_intervals((start,), (int(cdf[symbol + 1]) - start,))
+
+    def encode_intervals(self, starts, freqs):
+        """Code each (start, freq) interval of the 2^16 grid in order; both
+        are sequences of ints with freq >= 1 and start + freq <= 2^16."""
+        low, rng, out = self.low, self.range, self.out
+        for start, freq in zip(starts, freqs):
+            r = rng >> CDF_BITS
+            low = (low + r * start) & _MASK
+            rng = r * freq
+            while True:
+                if (low ^ (low + rng)) >= _TOP:
+                    if rng >= _BOTTOM:
+                        break
+                    rng = (-low) & (_BOTTOM - 1)
+                out.append(low >> 24)
+                low = (low << 8) & _MASK
+                rng = (rng << 8) & _MASK
+        self.low, self.range = low, rng
 
     def finish(self):
         for _ in range(4):
@@ -60,38 +70,49 @@ class RangeEncoder:
 
 class RangeDecoder:
     def __init__(self, data):
+        if len(data) < 4:
+            raise StreamError("range decoder ran past the end of the payload")
         self.data = data
-        self.pos = 0
+        self.pos = 4
         self.low = 0
         self.range = _MASK
-        self.code = 0
-        for _ in range(4):
-            self.code = ((self.code << 8) | self._byte()) & _MASK
-
-    def _byte(self):
-        if self.pos >= len(self.data):
-            raise StreamError("range decoder ran past the end of the payload")
-        b = self.data[self.pos]
-        self.pos += 1
-        return b
+        self.code = int.from_bytes(data[:4], "big")
 
     def decode(self, cdf):
-        r = self.range >> CDF_BITS
-        target = (self.code - self.low) & _MASK
-        cum = min(target // r, CDF_TOTAL - 1)
-        symbol = int(np.searchsorted(cdf, cum, side="right")) - 1
-        start = int(cdf[symbol])
-        freq = int(cdf[symbol + 1]) - start
-        self.low = (self.low + r * start) & _MASK
-        self.range = r * freq
-        while True:
-            if (self.low ^ (self.low + self.range)) < _TOP:
-                pass
-            elif self.range < _BOTTOM:
-                self.range = (-self.low) & (_BOTTOM - 1)
-            else:
+        out = []
+        self.decode_rows(([int(c) for c in cdf],), out)
+        return out[0]
+
+    def decode_rows(self, rows, out, stop=-1):
+        """Decode one symbol per table drawn from ``rows`` (each a list of
+        ints) and append it to ``out``.  Returns True right after decoding
+        the symbol ``stop``, leaving the rest of ``rows`` unread (pass an
+        iterator to resume), and False once ``rows`` is exhausted."""
+        low, rng, code = self.low, self.range, self.code
+        data, pos = self.data, self.pos
+        end = len(data)
+        stopped = False
+        for row in rows:
+            r = rng >> CDF_BITS
+            cum = ((code - low) & _MASK) // r
+            symbol = bisect_right(row, cum if cum < CDF_TOTAL else CDF_TOTAL - 1) - 1
+            start = row[symbol]
+            low = (low + r * start) & _MASK
+            rng = r * (row[symbol + 1] - start)
+            while True:
+                if (low ^ (low + rng)) >= _TOP:
+                    if rng >= _BOTTOM:
+                        break
+                    rng = (-low) & (_BOTTOM - 1)
+                if pos >= end:
+                    raise StreamError("range decoder ran past the end of the payload")
+                code = ((code << 8) | data[pos]) & _MASK
+                pos += 1
+                low = (low << 8) & _MASK
+                rng = (rng << 8) & _MASK
+            out.append(symbol)
+            if symbol == stop:
+                stopped = True
                 break
-            self.code = ((self.code << 8) | self._byte()) & _MASK
-            self.low = (self.low << 8) & _MASK
-            self.range = (self.range << 8) & _MASK
-        return symbol
+        self.low, self.range, self.code, self.pos = low, rng, code, pos
+        return stopped

@@ -3,6 +3,7 @@ inputs, writes its artifacts, and returns the documented exit codes (0 for
 success, 1 for domain errors, 2 for argparse rejections)."""
 
 import csv
+import struct
 import subprocess
 import sys
 
@@ -191,6 +192,18 @@ class TestEval:
             assert row["psnr_d"] != "" and row["psnr_g"] == ""
             assert row["mode_d_area"] == ""
         assert "mean" in capsys.readouterr().out
+
+    def test_entry_name_not_utf8(self, workdir, diff_model, capsys):
+        # a checkpoint whose one entry is named b"\xff" is a domain error
+        bad = workdir / "bad_name.ckpt"
+        blob = F.CHECKPOINT_MAGIC + struct.pack("<II", 1, 1) + struct.pack("<H", 1) + b"\xff"
+        blob += struct.pack("<BB", 0, 4) + struct.pack("<4I", 1, 1, 1, 1) + b"\x00" * 4
+        bad.write_bytes(blob)
+        (workdir / "bad_name.ckpt.cfg").write_bytes((workdir / "diff.ckpt.cfg").read_bytes())
+        rc = cli.main(["eval", "--model", str(bad), "--frames", "1",
+                       "--out", str(workdir / "bad.csv")])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
 
 
 class TestBdrate:

@@ -2,6 +2,8 @@
 error-function oracle, coder-table construction, and round trips through
 the Gaussian and context coding paths."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -9,8 +11,9 @@ from scipy.special import erf
 from gdclab import entropy as E
 from gdclab import layers as L
 from gdclab import tensor as T
-from gdclab.errors import ContractError, NumericError, ShapeError
-from gdclab.rangecoder import CDF_TOTAL
+from gdclab.errors import (ContractError, FormatError, NumericError, ShapeError,
+                           StreamError)
+from gdclab.rangecoder import CDF_TOTAL, RangeEncoder
 from gdclab.tensor import Tensor
 
 
@@ -153,6 +156,25 @@ class TestBuildCdfs:
         with pytest.raises(ContractError):
             E.build_cdfs(np.zeros(1), np.ones(1), 0, CDF_TOTAL)
 
+    def test_oversized_support_rejected_before_allocation(self):
+        # 64 tables of 70k bins would take over 35 MB per float64 array
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContractError):
+                E.build_cdfs(np.zeros(64), np.ones(64), 0, 70000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_rows_do_not_depend_on_their_neighbours(self):
+        rng = np.random.default_rng(14)
+        mean = rng.normal(scale=3.0, size=300)
+        scale = rng.uniform(0.11, 4.0, size=300)
+        full = E.build_cdfs(mean, scale, -6, 7)
+        for a, b in ((0, 1), (0, 299), (1, 300), (150, 151), (17, 230)):
+            assert np.array_equal(E.build_cdfs(mean[a:b], scale[a:b], -6, 7), full[a:b])
+
 
 class TestGaussianCoding:
     def test_round_trip_random(self):
@@ -190,10 +212,14 @@ class TestGaussianCoding:
         assert np.array_equal(back, values)
 
     def test_escape_value_too_large(self):
-        from gdclab.rangecoder import RangeEncoder
-        cdf = E.build_cdfs(np.zeros(1), np.ones(1), -1, 1)[0]
-        with pytest.raises(ContractError):
-            E._encode_value(RangeEncoder(), 1 << 31, -1, 1, cdf)
+        # the escape carries a 32-bit zigzag code: [-2^31, 2^31) fits
+        mean, scale = np.zeros(2), np.ones(2)
+        for v in (1 << 31, -(1 << 31) - 1, 1 << 62):
+            with pytest.raises(ContractError):
+                E.encode_gaussian(np.array([0, v]), mean, scale, support=(-1, 1))
+        values = np.array([(1 << 31) - 1, -(1 << 31)])
+        payload, _ = E.encode_gaussian(values, mean, scale, support=(-1, 1))
+        assert np.array_equal(E.decode_gaussian(payload, mean, scale, (-1, 1), 2), values)
 
     def test_count_mismatch(self):
         payload, support = E.encode_gaussian(np.zeros(3, dtype=np.int64),
@@ -208,6 +234,79 @@ class TestGaussianCoding:
                                              np.zeros(0), np.ones(0))
         back = E.decode_gaussian(payload, np.zeros(0), np.ones(0), support, 0)
         assert back.size == 0
+
+
+def _reference_stream(values, mean, scale, lo, hi):
+    """The coder's byte stream rebuilt one symbol at a time from a single
+    full-size table build: in-support values as symbols, every other value
+    as the escape bin plus four byte symbols of its zigzag code."""
+    cdfs = E.build_cdfs(mean, scale, lo, hi)
+    byte_cdf = np.arange(257) * (CDF_TOTAL // 256)
+    enc = RangeEncoder()
+    for v, cdf in zip(values.tolist(), cdfs):
+        if lo <= v <= hi:
+            enc.encode(v - lo, cdf)
+            continue
+        enc.encode(len(cdf) - 2, cdf)
+        u = 2 * v if v >= 0 else -2 * v - 1
+        for shift in (24, 16, 8, 0):
+            enc.encode((u >> shift) & 0xFF, byte_cdf)
+    return enc.finish()
+
+
+class TestChunkEdges:
+    """Tables are built CHUNK_CELLS cells at a time; the chunking must not
+    show in the bytes, whatever the length and wherever the escapes fall."""
+
+    @pytest.mark.parametrize("lo, hi", [(-300, 300), (-2, 2)])
+    def test_lengths_around_the_chunk_size(self, lo, hi):
+        chunk = E.CHUNK_CELLS // (hi - lo + 2)
+        rng = np.random.default_rng(15)
+        for n in (0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7):
+            mean = rng.normal(scale=2.0, size=n)
+            scale = rng.uniform(0.11, 3.0, size=n)
+            values = np.clip(np.round(mean + scale * rng.normal(size=n)), lo, hi).astype(np.int64)
+            escapes = [i for i in (chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, n - 1) if 0 <= i < n]
+            big = [hi + 1, lo - 1, (1 << 31) - 1, -(1 << 31), 12345]
+            for i, v in zip(escapes, big):
+                values[i] = v
+            payload, support = E.encode_gaussian(values, mean, scale, support=(lo, hi))
+            assert support == (lo, hi)
+            assert payload == _reference_stream(values, mean, scale, lo, hi), n
+            back = E.decode_gaussian(payload, mean, scale, (lo, hi), n)
+            assert back.dtype == np.int64 and np.array_equal(back, values), n
+
+    def test_empty_payload_still_checks_its_support(self):
+        payload, _ = E.encode_gaussian(np.zeros(0, dtype=np.int64), np.zeros(0), np.ones(0))
+        for support in ((0, CDF_TOTAL), (3, 2)):
+            with pytest.raises(ContractError):
+                E.decode_gaussian(payload, np.zeros(0), np.ones(0), support, 0)
+            with pytest.raises(ContractError):
+                E.encode_gaussian(np.zeros(0, dtype=np.int64), np.zeros(0), np.ones(0),
+                                  support=support)
+            with pytest.raises(ContractError):
+                E.decode_context(payload, _context_net(2, 4, 0), (1, 2, 0, 3), support)
+
+
+class TestHostileHeader:
+    def test_patched_support_decodes_in_bounded_memory(self):
+        # a 128-symbol payload whose header claims support [-32768, 32000]
+        # (64,770 bins, just inside the 16-bit grid) must not build all 128
+        # wide tables at once
+        rng = np.random.default_rng(16)
+        mean = rng.normal(size=128)
+        scale = rng.uniform(0.2, 2.0, size=128)
+        values = np.round(mean + scale * rng.normal(size=128)).astype(np.int64)
+        payload, _ = E.encode_gaussian(values, mean, scale)
+        tracemalloc.start()
+        try:
+            E.decode_gaussian(payload, mean, scale, (-32768, 32000), 128)
+        except (ContractError, FormatError, NumericError, ShapeError, StreamError):
+            pass
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 def _context_net(channels, hidden, seed, zero=False):

@@ -56,6 +56,13 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             F.parse_checkpoint(bytes(blob))
 
+    def test_entry_name_not_utf8(self):
+        blob = bytearray(F.CHECKPOINT_MAGIC + struct.pack("<II", 1, 1))
+        blob += struct.pack("<H", 1) + b"\xff"
+        blob += struct.pack("<BB", 0, 4) + struct.pack("<4I", 1, 1, 1, 1) + b"\x00" * 4
+        with pytest.raises(FormatError):
+            F.parse_checkpoint(bytes(blob))
+
     def test_bad_rank_tag(self):
         blob = bytearray(F.CHECKPOINT_MAGIC + struct.pack("<II", 1, 1))
         blob += struct.pack("<H", 1) + b"w"

@@ -291,17 +291,8 @@ def cmd_quadtree(args):
     print(f"cost {res.cost:.1f}, {res.side_bits} side bits, "
           f"mode-d fraction {res.mode_d_fraction:.3f}")
     if args.out:
-        rows = []
-
-        def leaves(node):
-            if node.is_leaf:
-                rows.append([node.y, node.x, node.size, node.mode])
-            else:
-                for c in node.children:
-                    leaves(c)
-        for r in res.roots:
-            leaves(r)
-        _write_csv(args.out, ["y", "x", "size", "mode"], rows)
+        _write_csv(args.out, ["y", "x", "size", "mode"],
+                   ([n.y, n.x, n.size, n.mode] for n in EV.quadtree_leaves(res.roots)))
     if args.merged:
         h, w = x.shape[2], x.shape[3]
         F.write_image(args.merged, T.Tensor(res.merged[:, :, :h, :w]))

@@ -180,8 +180,8 @@ class Coder:
         return cls(cfg, params)
 
     @classmethod
-    def from_arrays(cls, cfg, arrays, dtype=np.float32):
-        coder = cls.new(cfg, seed=0, dtype=dtype)
+    def from_arrays(cls, cfg, arrays):
+        coder = cls.new(cfg, seed=0)
         coder.params.load_arrays(arrays)
         return coder
 
@@ -272,6 +272,8 @@ class Coder:
         xt_arr = np.asarray(xt.data if isinstance(xt, T.Tensor) else xt)
         if xd_arr.shape != xt_arr.shape:
             raise ShapeError(f"frame/prediction shape mismatch {xd_arr.shape} vs {xt_arr.shape}")
+        if xd_arr.size == 0:
+            raise ShapeError(f"empty frame {xd_arr.shape}")
         true_h, true_w = xd_arr.shape[2], xd_arr.shape[3]
         sp = self.cfg.stride_product
         with T.no_grad():
@@ -290,7 +292,7 @@ class Coder:
                 res = V.quadtree_search(xp.data, out.x_hat_d.data, out.x_hat_g.data,
                                         qt_lambda, min_block=min_block,
                                         max_block=max_block)
-                qt_bits = V.serialize_quadtree(res.roots, min_block)
+                qt_bits = res.bits
                 out.qt_result = res
                 out.x_hat_merged = self._crop(T.Tensor(res.merged), true_h, true_w)
             out.x_hat_d = self._crop(out.x_hat_d, true_h, true_w)

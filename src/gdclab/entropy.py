@@ -30,6 +30,9 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 # Tables of at most this many cells (rows x bins) are built at a time.
 CHUNK_CELLS = 1 << 17
+# A coder table has at most this many bins, escape included, so a decoder
+# rejects a wider (patched) support before building any table.
+MAX_TABLE_BINS = 1024
 # Escaped values are sent as four raw bytes of their zigzag code.
 ESCAPE_LIMIT = 1 << 31
 _BYTE_FREQ = CDF_TOTAL // 256
@@ -108,12 +111,12 @@ def _interval_probs(mean, scale, lo, hi):
 
 def _table_bins(lo, hi):
     """Bins of a coder table over support [lo, hi], escape included; raises
-    before anything is allocated when the support cannot fit the grid."""
+    before anything is allocated when there are more than MAX_TABLE_BINS."""
     if hi < lo:
         raise ContractError(f"empty support [{lo}, {hi}]")
     nbins = hi - lo + 2
-    if nbins > CDF_TOTAL:
-        raise ContractError(f"support of {nbins} bins cannot fit a 16-bit cdf")
+    if nbins > MAX_TABLE_BINS:
+        raise ContractError(f"support of {nbins} bins exceeds {MAX_TABLE_BINS}")
     return nbins
 
 
@@ -182,11 +185,15 @@ def _escape_intervals(starts, freqs, values, escaped):
 
 def _encode_symbols(flat, mean, scale, support):
     """Range-code the int64 array ``flat`` in order under per-element
-    Gaussians; ``support`` defaults to the observed value range.  Returns
-    (payload_bytes, (lo, hi))."""
+    Gaussians; ``support`` defaults to the observed value range, narrowed
+    to MAX_TABLE_BINS around the median value when wider (the rest is
+    escaped).  Returns (payload_bytes, (lo, hi))."""
     if support is None:
         lo = int(flat.min()) if flat.size else 0
         hi = int(flat.max()) if flat.size else 0
+        if hi - lo + 2 > MAX_TABLE_BINS:
+            lo = int(np.median(flat)) - (MAX_TABLE_BINS - 2) // 2
+            hi = lo + MAX_TABLE_BINS - 2
     else:
         lo, hi = int(support[0]), int(support[1])
     mean, scale, step = _chunked(mean, scale, lo, hi)

@@ -112,9 +112,13 @@ class QTResult:
     roots: tuple
     merged: np.ndarray
     cost: float
-    side_bits: int
+    bits: list               # serialize_quadtree(roots, min_block)
     mode_d_area: int
     area: int
+
+    @property
+    def side_bits(self):
+        return len(self.bits)
 
     @property
     def mode_d_fraction(self):
@@ -220,42 +224,31 @@ def quadtree_search(x, cand_d, cand_g, lam, min_block=4, max_block=256):
     roots = tuple(build(yi, xi, b)
                   for yi in range(h // b) for xi in range(w // b))
     merged = merge_reconstructions(cand_d, cand_g, roots)
-    side = sum(count_side_bits(r, min_block) for r in roots)
-    d_area = sum(_mode_area(r, "d") for r in roots)
+    d_area = sum(n.size * n.size for n in quadtree_leaves(roots) if n.mode == "d")
     return QTResult(roots=roots, merged=merged,
                     cost=float(sum(r.cost for r in roots)),
-                    side_bits=side, mode_d_area=d_area, area=h * w)
+                    bits=serialize_quadtree(roots, min_block),
+                    mode_d_area=d_area, area=h * w)
 
 
-def count_side_bits(node, min_block):
-    bits = 1 if node.size > min_block else 0
-    if node.is_leaf:
-        return bits + 1
-    return bits + sum(count_side_bits(c, min_block) for c in node.children)
-
-
-def _mode_area(node, mode):
-    if node.is_leaf:
-        return node.size * node.size if node.mode == mode else 0
-    return sum(_mode_area(c, mode) for c in node.children)
+def quadtree_leaves(roots):
+    """The leaves under ``roots`` in pre-order: roots in raster order,
+    children in raster order."""
+    for node in roots:
+        if node.is_leaf:
+            yield node
+        else:
+            yield from quadtree_leaves(node.children)
 
 
 def merge_reconstructions(cand_d, cand_g, roots):
     cand_d = np.asarray(cand_d)
     cand_g = np.asarray(cand_g)
     out = np.empty_like(cand_d)
-
-    def fill(node):
-        if node.is_leaf:
-            src = cand_d if node.mode == "d" else cand_g
-            out[:, :, node.y:node.y + node.size, node.x:node.x + node.size] = \
-                src[:, :, node.y:node.y + node.size, node.x:node.x + node.size]
-        else:
-            for c in node.children:
-                fill(c)
-
-    for r in roots:
-        fill(r)
+    for node in quadtree_leaves(roots):
+        src = cand_d if node.mode == "d" else cand_g
+        block = np.s_[:, :, node.y:node.y + node.size, node.x:node.x + node.size]
+        out[block] = src[block]
     return out
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, fields as dc_fields
 
 import numpy as np
 
+from .entropy import round_away
 from .errors import ContractError, FormatError, ShapeError, StreamError
 from .tensor import Tensor
 
@@ -205,6 +206,8 @@ class BitstreamContainer:
         kind_idx, lambda_idx, width, height, flags = r.unpack("BBHHB")
         if kind_idx >= len(CODER_KINDS):
             raise FormatError(f"unknown coder kind tag {kind_idx}")
+        if width == 0 or height == 0:
+            raise FormatError(f"empty frame size {width}x{height}")
         if flags & ~1:
             raise FormatError(f"unknown flag bits 0x{flags:02x}")
         (zlen,) = r.unpack("I")
@@ -266,6 +269,8 @@ def parse_ppm(data):
             raise FormatError(f"pixmap header field {tok!r} is not a decimal number")
         vals.append(int(tok))
     w, h, maxval = vals
+    if w == 0 or h == 0:
+        raise FormatError(f"empty pixmap {w}x{h}")
     if maxval != 255:
         raise FormatError(f"only 8-bit pixmaps supported, maxval={maxval}")
     pos += 1  # single whitespace byte after maxval
@@ -296,8 +301,7 @@ def tensor_to_pixels(t):
     data = np.asarray(t.data if isinstance(t, Tensor) else t)
     if data.ndim != 4 or data.shape[0] != 1 or data.shape[1] != 3:
         raise ShapeError(f"expected (1, 3, h, w), got {data.shape}")
-    scaled = np.clip(data[0].transpose(1, 2, 0), 0.0, 1.0) * 255.0
-    return np.copysign(np.floor(np.abs(scaled) + 0.5), scaled).astype(np.uint8)
+    return round_away(np.clip(data[0].transpose(1, 2, 0), 0.0, 1.0) * 255.0).astype(np.uint8)
 
 
 def load_image(path):

@@ -81,18 +81,10 @@ def joint_entropy(joint):
     return entropy(joint.pmf)
 
 
-def cond_entropy(joint, direction="x_given_xt"):
-    """H(X|X~) or H(X~|X), as sum over conditions of weighted branch
-    entropies."""
-    if direction == "x_given_xt":
-        table = joint.pmf.T
-    elif direction == "xt_given_x":
-        table = joint.pmf
-    else:
-        raise ContractError(f"direction must be 'x_given_xt' or 'xt_given_x', "
-                            f"got {direction!r}")
+def cond_entropy(joint):
+    """H(X|X~), as sum over conditions of weighted branch entropies."""
     total = 0.0
-    for row in table:
+    for row in joint.pmf.T:
         w = row.sum()
         if w > 0:
             total += w * entropy(row / w)
@@ -130,14 +122,14 @@ def residual_pmf(joint):
     return r_alphabet, r_p, xt_r
 
 
-def verify_main_identity(joint, tol=IDENTITY_TOL):
+def verify_main_identity(joint):
     """Check H(X - X~) = H(X|X~) + I(X~; R) by independent enumeration.
 
     Returns a report dict; raises IdentityError if the identity fails,
     which signals an implementation bug rather than a counterexample."""
     _, r_p, xt_r = residual_pmf(joint)
     h_r = entropy(r_p)
-    h_x_given_xt = cond_entropy(joint, "x_given_xt")
+    h_x_given_xt = cond_entropy(joint)
     i_xt_r = mutual_info(xt_r)
     residual = abs(h_r - h_x_given_xt - i_xt_r)
     report = {
@@ -147,7 +139,7 @@ def verify_main_identity(joint, tol=IDENTITY_TOL):
         "residual_abs": residual,
         "equality": i_xt_r <= EQUALITY_TOL,
     }
-    if residual > tol:
+    if residual > IDENTITY_TOL:
         raise IdentityError(f"residual identity off by {residual} bits", joint=joint)
     if h_r < h_x_given_xt - EQUALITY_TOL:
         raise IdentityError(f"H(R) = {h_r} fell below H(X|X~) = {h_x_given_xt}",
@@ -217,7 +209,7 @@ def _cond_mutual_info(p3):
     return float(total)
 
 
-def bottleneck_report(joint, f, tol=IDENTITY_TOL):
+def bottleneck_report(joint, f):
     """Quantify what coarsening the prediction through f costs.
 
     Asserts, with Y = f(X~) and R = X - X~:
@@ -232,9 +224,9 @@ def bottleneck_report(joint, f, tol=IDENTITY_TOL):
     ys, p3 = _triple_table(joint, f)
     h_xt = entropy(joint.marginal_xt())
     h_y = entropy(p3.sum(axis=(0, 1)))
-    h_x_given_xt = cond_entropy(joint, "x_given_xt")
+    h_x_given_xt = cond_entropy(joint)
     xy_joint = DiscreteJoint(joint.alphabet_x, ys, p3.sum(axis=1))
-    h_x_given_y = cond_entropy(xy_joint, "x_given_xt")
+    h_x_given_y = cond_entropy(xy_joint)
     i_cond = _cond_mutual_info(p3)
     _, r_p, xt_r = residual_pmf(joint)
     h_r = entropy(r_p)
@@ -243,8 +235,8 @@ def bottleneck_report(joint, f, tol=IDENTITY_TOL):
     checks = {
         "function_entropy": h_xt >= h_y - EQUALITY_TOL,
         "finer_conditioning": h_x_given_xt <= h_x_given_y + EQUALITY_TOL,
-        "conditioning_identity": abs(h_x_given_xt - (h_x_given_y - i_cond)) <= tol,
-        "residual_identity": abs(h_r - (h_x_given_y - i_cond + i_xt_r)) <= tol,
+        "conditioning_identity": abs(h_x_given_xt - (h_x_given_y - i_cond)) <= IDENTITY_TOL,
+        "residual_identity": abs(h_r - (h_x_given_y - i_cond + i_xt_r)) <= IDENTITY_TOL,
         "cond_mi_nonneg": i_cond >= -EQUALITY_TOL,
         "injective_no_loss": (not f.is_injective()) or i_cond <= EQUALITY_TOL,
     }
@@ -263,17 +255,17 @@ def bottleneck_report(joint, f, tol=IDENTITY_TOL):
 
 # -- case generators --------------------------------------------------------
 
-def random_joint(rng, nx=4, nxt=4, concentration=1.0):
-    """Dirichlet-random joint on alphabets 0..nx-1 and 0..nxt-1."""
-    p = rng.dirichlet(np.full(nx * nxt, concentration)).reshape(nx, nxt)
+def random_joint(rng, nx=4, nxt=4):
+    """Flat-Dirichlet random joint on alphabets 0..nx-1 and 0..nxt-1."""
+    p = rng.dirichlet(np.ones(nx * nxt)).reshape(nx, nxt)
     return DiscreteJoint(tuple(range(nx)), tuple(range(nxt)), p)
 
 
-def additive_noise_joint(rng, nx=6, span=2, concentration=1.0):
+def additive_noise_joint(rng, nx=6, span=2):
     """Prediction = source + bounded random offset: X~ = X + N with N in
-    [-span, span], source and noise both Dirichlet-random."""
-    px = rng.dirichlet(np.full(nx, concentration))
-    pn = rng.dirichlet(np.full(2 * span + 1, concentration))
+    [-span, span], source and noise both flat-Dirichlet random."""
+    px = rng.dirichlet(np.ones(nx))
+    pn = rng.dirichlet(np.ones(2 * span + 1))
     xt_alphabet = tuple(range(-span, nx + span))
     p = np.zeros((nx, len(xt_alphabet)), dtype=np.float64)
     for i in range(nx):
@@ -282,9 +274,9 @@ def additive_noise_joint(rng, nx=6, span=2, concentration=1.0):
     return DiscreteJoint(tuple(range(nx)), xt_alphabet, p)
 
 
-def perfect_prediction_joint(rng, n=4, concentration=1.0):
+def perfect_prediction_joint(rng, n=4):
     """The X = X~ corner case."""
-    px = rng.dirichlet(np.full(n, concentration))
+    px = rng.dirichlet(np.ones(n))
     return DiscreteJoint(tuple(range(n)), tuple(range(n)), np.diag(px))
 
 

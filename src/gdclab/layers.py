@@ -20,6 +20,8 @@ from .errors import ContractError, ShapeError
 from .tensor import Tensor
 
 GDN_BETA_MIN = 1e-6
+# Hidden width of the shallow gd/gs feature transforms.
+FEATURE_HIDDEN = 16
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +273,8 @@ class ParamStore:
     def items(self):
         return self._params.items()
 
-    def total_params(self, prefix=None):
-        return sum(t.size for n, t in self._params.items()
-                   if prefix is None or n.startswith(prefix))
+    def total_params(self):
+        return sum(t.size for t in self._params.values())
 
     def zero_grads(self):
         for t in self._params.values():
@@ -333,45 +334,42 @@ def make_network(spec, params, prefix, rng=None, init="random"):
     """Create parameters for ``spec`` under ``prefix`` and return the bound
     Network.
 
-    init 'random' draws fan-in scaled normals.  init 'identity-difference'
-    arranges the stack to compute first_half - second_half of its input
-    channels exactly (used to start a generalized difference transform as a
-    plain difference); 'identity-sum' computes first_half + second_half
-    (used to start the synthesis as plain addition).  Identity inits require
-    PReLU activations throughout and hidden widths of at least the carried
-    channel count.
+    init 'random' draws fan-in scaled normals.  The identity inits make the
+    stack compute first_half - second_half ('identity-difference', used to
+    start a generalized difference transform as a plain difference) or
+    first_half + second_half ('identity-sum', used to start the synthesis
+    as plain addition) of its input channels, exactly: with C = half the
+    first layer's inputs, every layer carries channels 0..C-1 through its
+    centre tap and the first layer also adds -1 or +1 times channel C + c.
+    Identity inits require PReLU activations and every layer at least C
+    channels wide.
     """
     spec.validate()
     if init == "random" and rng is None:
         raise ContractError("random init needs an rng")
+    if init not in ("random", "identity-difference", "identity-sum"):
+        raise ContractError(f"unknown init {init!r}")
     for i, lay in enumerate(spec.layers):
         wshape = ((lay.in_ch, lay.out_ch, lay.kernel, lay.kernel) if lay.transposed
                   else (lay.out_ch, lay.in_ch, lay.kernel, lay.kernel))
-        fan_in = lay.in_ch * lay.kernel * lay.kernel
+        b = np.zeros((1, lay.out_ch, 1, 1))
         if init == "random":
-            w = _init_weight(rng, wshape, fan_in)
-            b = np.zeros((1, lay.out_ch, 1, 1))
+            w = _init_weight(rng, wshape, lay.in_ch * lay.kernel * lay.kernel)
             slope_val = 0.25
-        elif init in ("identity-difference", "identity-sum"):
+        else:
             if lay.activation != "prelu":
                 raise ContractError("identity inits require prelu activations")
+            carried = spec.layers[0].in_ch // 2
+            if lay.out_ch < carried:
+                raise ContractError(f"layer {i} of {prefix!r} has {lay.out_ch} channels, "
+                                    f"the identity init carries {carried}")
             w = np.zeros(wshape)
-            b = np.zeros((1, lay.out_ch, 1, 1))
             mid = lay.kernel // 2
-            if i == 0:
-                carried = min(3, lay.in_ch // 2 if init == "identity-difference" else lay.in_ch - 3)
-                carried = min(carried, lay.out_ch)
-                second = 1.0 if init == "identity-sum" else -1.0
-                base = 3 if init == "identity-sum" else lay.in_ch // 2
-                for ch in range(carried):
-                    w[ch, ch, mid, mid] = 1.0
-                    w[ch, base + ch, mid, mid] = second
-            else:
-                for ch in range(min(lay.in_ch, lay.out_ch, 3)):
-                    w[ch, ch, mid, mid] = 1.0
+            for c in range(carried):
+                w[c, c, mid, mid] = 1.0
+                if i == 0:
+                    w[c, carried + c, mid, mid] = 1.0 if init == "identity-sum" else -1.0
             slope_val = 1.0
-        else:
-            raise ContractError(f"unknown init {init!r}")
         params.add(f"{prefix}.{i}.w", w)
         params.add(f"{prefix}.{i}.b", b)
         if lay.activation == "prelu":
@@ -436,21 +434,21 @@ def context_spec(hyper_latent, hidden=16):
     ), role="context")
 
 
-def gd_spec(out_ch, in_ch=6, hidden=16, kernel=5):
+def gd_spec(out_ch, in_ch=6, kernel=5):
     """Shallow generalized-difference transform (x, prediction) -> features."""
     return NetworkSpec((
-        ConvSpec(in_ch, hidden, kernel, 1, False, "prelu"),
-        ConvSpec(hidden, hidden, kernel, 1, False, "prelu"),
-        ConvSpec(hidden, out_ch, kernel, 1, False, "prelu"),
+        ConvSpec(in_ch, FEATURE_HIDDEN, kernel, 1, False, "prelu"),
+        ConvSpec(FEATURE_HIDDEN, FEATURE_HIDDEN, kernel, 1, False, "prelu"),
+        ConvSpec(FEATURE_HIDDEN, out_ch, kernel, 1, False, "prelu"),
     ), role="gd")
 
 
-def gs_spec(in_ch, out_ch=3, hidden=16, kernel=5):
+def gs_spec(in_ch, out_ch=3, kernel=5):
     """Shallow generalized-sum transform (prediction, decoded) -> frame."""
     return NetworkSpec((
-        ConvSpec(in_ch, hidden, kernel, 1, False, "prelu"),
-        ConvSpec(hidden, hidden, kernel, 1, False, "prelu"),
-        ConvSpec(hidden, out_ch, kernel, 1, False, "prelu"),
+        ConvSpec(in_ch, FEATURE_HIDDEN, kernel, 1, False, "prelu"),
+        ConvSpec(FEATURE_HIDDEN, FEATURE_HIDDEN, kernel, 1, False, "prelu"),
+        ConvSpec(FEATURE_HIDDEN, out_ch, kernel, 1, False, "prelu"),
     ), role="gs")
 
 

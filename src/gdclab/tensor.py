@@ -25,26 +25,23 @@ from .errors import ContractError, NumericError, ShapeError
 _LN2 = math.log(2.0)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# Central-difference step of grad_check.
+GRAD_CHECK_STEP = 1e-5
 
 _default_dtype = np.float32
 _grad_enabled = True
 
 
-def set_default_dtype(dtype):
-    """Set the dtype used when tensors are built from python/list data."""
+@contextlib.contextmanager
+def using_dtype(dtype):
+    """Temporarily switch the dtype used when tensors are built from
+    non-float data (used by 64-bit verification)."""
     global _default_dtype
     dtype = np.dtype(dtype)
     if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ContractError("only float32 and float64 tensors are supported")
-    _default_dtype = dtype.type
-
-
-@contextlib.contextmanager
-def using_dtype(dtype):
-    """Temporarily switch the default dtype (used by 64-bit verification)."""
-    global _default_dtype
     saved = _default_dtype
-    set_default_dtype(dtype)
+    _default_dtype = dtype.type
     try:
         yield
     finally:
@@ -342,7 +339,7 @@ def backward(loss):
             node._bwd(node.grad)
 
 
-def grad_check(f, inputs, step=1e-5):
+def grad_check(f, inputs):
     """Compare analytic gradients of ``f(*inputs)`` against central differences.
 
     ``f`` must build a fresh graph on every call and return a scalar tensor;
@@ -377,12 +374,12 @@ def grad_check(f, inputs, step=1e-5):
             gflat = ga.reshape(-1)
             for i in range(flat.size):
                 keep = flat[i]
-                flat[i] = keep + step
+                flat[i] = keep + GRAD_CHECK_STEP
                 hi = f(*inputs).item()
-                flat[i] = keep - step
+                flat[i] = keep - GRAD_CHECK_STEP
                 lo = f(*inputs).item()
                 flat[i] = keep
-                numeric = (hi - lo) / (2.0 * step)
+                numeric = (hi - lo) / (2.0 * GRAD_CHECK_STEP)
                 denom = max(abs(gflat[i]), abs(numeric), 1e-12)
                 err = abs(gflat[i] - numeric) / denom
                 if err > worst:

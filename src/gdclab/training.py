@@ -26,7 +26,15 @@ THRESHOLD_DB = 30.0
 MSE_SCALE = 255.0 ** 2
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 CALIBRATION_ITERS = 40
+# calibrate_quant_step aims the corpus-mean degradation at this PSNR, within
+# this tolerance, sampling this many pairs per image.
+CALIBRATION_TARGET_DB = 35.0
+CALIBRATION_TOL_DB = 1.0
+CALIBRATION_PAIRS = 4
 CORPUS_BAND_DB = 1.0
+# synthetic_image: colour channels and cosine gratings per image.
+SYNTHETIC_CHANNELS = 3
+SYNTHETIC_WAVES = 5
 
 
 @dataclass(frozen=True)
@@ -194,16 +202,17 @@ def make_pair(image, gen, rng):
     return x, xt
 
 
-def calibrate_quant_step(images, gen, seed=0, target_db=35.0, tol=1.0,
-                         pairs_per_image=4):
+def calibrate_quant_step(images, gen, seed=0):
     """Bisect the quantization step until the corpus-mean degradation
-    PSNR (quantized prediction vs clean prediction) hits the target."""
+    PSNR (quantized prediction vs clean prediction) hits
+    CALIBRATION_TARGET_DB."""
+    target_db, tol = CALIBRATION_TARGET_DB, CALIBRATION_TOL_DB
 
     def mean_db(step):
         rng = np.random.default_rng(seed)
         vals = []
         for img in images:
-            for _ in range(pairs_per_image):
+            for _ in range(CALIBRATION_PAIRS):
                 clean = replace(gen, quant_step=0.0, noise=0.0)
                 _, xt = make_pair(img, clean, rng)
                 vals.append(psnr(quantize_intensities(xt, step), xt))
@@ -229,18 +238,18 @@ def calibrate_quant_step(images, gen, seed=0, target_db=35.0, tol=1.0,
 
 # -- synthetic corpus -------------------------------------------------------
 
-def synthetic_image(rng, height=48, width=48, channels=3, waves=5):
+def synthetic_image(rng, height=48, width=48):
     """Smooth random field: a mean level plus a few low-frequency cosine
     gratings, mildly decorrelated across channels."""
     yy, xx = np.meshgrid(np.linspace(0, 1, height), np.linspace(0, 1, width),
                          indexing="ij")
     base = np.zeros((height, width))
-    for _ in range(waves):
+    for _ in range(SYNTHETIC_WAVES):
         fy, fx = rng.uniform(-3, 3, size=2)
         phase = rng.uniform(0, 2 * np.pi)
         base += rng.uniform(0.05, 0.2) * np.cos(2 * np.pi * (fy * yy + fx * xx) + phase)
-    img = np.empty((1, channels, height, width), dtype=np.float32)
-    for c in range(channels):
+    img = np.empty((1, SYNTHETIC_CHANNELS, height, width), dtype=np.float32)
+    for c in range(SYNTHETIC_CHANNELS):
         tweak = rng.uniform(0.02, 0.06) * np.cos(
             2 * np.pi * (rng.uniform(-2, 2) * yy + rng.uniform(-2, 2) * xx)
             + rng.uniform(0, 2 * np.pi))
@@ -289,12 +298,43 @@ class EpochStats:
     losses: list = field(default_factory=list)
 
 
-def _route(coder, out, x_arr, xt_arr):
-    if coder.cfg.kind == "xgdc":
-        target = select_xgdc_target(x_arr, xt_arr)
-        recon = out.x_hat_d if target == "train-d" else out.x_hat_g
-        return recon, target
-    return out.single(), ""
+class _Tally:
+    """Per-pair accounting of one pass, shared by training and evaluation:
+    loss, bpp, PSNR and the count routed to train-d, summed in pair order
+    and turned into EpochStats means in one place."""
+
+    def __init__(self, coder, lmbda):
+        self.coder, self.lmbda = coder, lmbda
+        self.steps = self.d_routed = 0
+        self.loss = self.bpp = self.psnr = 0.0
+
+    def add(self, out, tx, txt):
+        """Route the forward pass ``out`` of the pair (tx, txt), add its
+        figures and return its loss tensor."""
+        if self.coder.cfg.kind == "xgdc":
+            to_d = select_xgdc_target(tx, txt) == "train-d"
+            recon = out.x_hat_d if to_d else out.x_hat_g
+        else:
+            to_d, recon = False, out.single()
+        pixels = tx.shape[0] * tx.shape[2] * tx.shape[3]
+        rate = out.total_rate()
+        loss = rd_loss(tx, recon, rate, self.lmbda, pixels)
+        self.steps += 1
+        self.d_routed += to_d
+        self.loss += loss.item()
+        self.bpp += rate.item() / pixels
+        self.psnr += psnr(recon.data, tx.data)
+        return loss
+
+    def stats(self, losses=()):
+        stats = EpochStats(steps=self.steps, losses=list(losses))
+        if self.steps:
+            stats.mean_loss = self.loss / self.steps
+            stats.mean_bpp = self.bpp / self.steps
+            stats.mean_psnr = self.psnr / self.steps
+            if self.coder.cfg.kind == "xgdc":
+                stats.mode_d_fraction = self.d_routed / self.steps
+        return stats
 
 
 def train_epoch(coder, pairs, cfg, opt_state=None):
@@ -303,58 +343,28 @@ def train_epoch(coder, pairs, cfg, opt_state=None):
     if opt_state is None:
         opt_state = adam_init(coder.params)
     rng = np.random.default_rng(cfg.seed)
-    stats = EpochStats()
-    d_routed = 0
-    loss_sum = bpp_sum = psnr_sum = 0.0
+    tally = _Tally(coder, cfg.lmbda)
+    losses = []
     for step, (x_arr, xt_arr) in enumerate(pairs):
         coder.params.zero_grads()
         tx = T.Tensor(np.asarray(x_arr))
         txt = T.Tensor(np.asarray(xt_arr))
-        out = coder.forward(tx, txt, mode="noise", rng=rng)
-        recon, target = _route(coder, out, x_arr, xt_arr)
-        d_routed += target == "train-d"
-        pixels = tx.shape[0] * tx.shape[2] * tx.shape[3]
-        loss = rd_loss(tx, recon, out.total_rate(), cfg.lmbda, pixels)
+        loss = tally.add(coder.forward(tx, txt, mode="noise", rng=rng), tx, txt)
         val = loss.item()
         if not np.isfinite(val):
             raise TrainingError(f"non-finite loss {val!r}", step=step)
         T.backward(loss)
         adam_step(coder.params, opt_state, cfg.lr)
-        loss_sum += val
-        bpp_sum += out.total_rate().item() / pixels
-        psnr_sum += psnr(recon.data, tx.data)
-        stats.losses.append(val)
-        stats.steps += 1
-    if stats.steps:
-        stats.mean_loss = loss_sum / stats.steps
-        stats.mean_bpp = bpp_sum / stats.steps
-        stats.mean_psnr = psnr_sum / stats.steps
-        if coder.cfg.kind == "xgdc":
-            stats.mode_d_fraction = d_routed / stats.steps
-    return stats, opt_state
+        losses.append(val)
+    return tally.stats(losses), opt_state
 
 
 def evaluate_pairs(coder, pairs, lmbda):
     """Held-out metrics in deterministic round mode; parameters untouched."""
-    stats = EpochStats()
-    d_routed = 0
-    loss_sum = bpp_sum = psnr_sum = 0.0
+    tally = _Tally(coder, lmbda)
     with T.no_grad():
         for x_arr, xt_arr in pairs:
             tx = T.Tensor(np.asarray(x_arr))
             txt = T.Tensor(np.asarray(xt_arr))
-            out = coder.forward(tx, txt, mode="round")
-            recon, target = _route(coder, out, x_arr, xt_arr)
-            d_routed += target == "train-d"
-            pixels = tx.shape[0] * tx.shape[2] * tx.shape[3]
-            loss_sum += rd_loss(tx, recon, out.total_rate(), lmbda, pixels).item()
-            bpp_sum += out.total_rate().item() / pixels
-            psnr_sum += psnr(recon.data, tx.data)
-            stats.steps += 1
-    if stats.steps:
-        stats.mean_loss = loss_sum / stats.steps
-        stats.mean_bpp = bpp_sum / stats.steps
-        stats.mean_psnr = psnr_sum / stats.steps
-        if coder.cfg.kind == "xgdc":
-            stats.mode_d_fraction = d_routed / stats.steps
-    return stats
+            tally.add(coder.forward(tx, txt, mode="round"), tx, txt)
+    return tally.stats()

@@ -161,6 +161,14 @@ class TestEncodeDecode:
         assert rc == 1
         capsys.readouterr()
 
+    def test_empty_frame_is_an_error(self, workdir, diff_model, capsys):
+        empty = workdir / "empty.ppm"
+        empty.write_bytes(b"P6\n0 0\n255\n")
+        rc = cli.main(["encode", "--model", str(diff_model), "--frame", str(empty),
+                       "--pred", str(empty), "--out", str(workdir / "empty.gdc")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 @pytest.mark.parametrize("kind, qt_lambda, tag", [
     ("diff", None, "d"), ("codecnet", None, "g"), ("gdc", None, "g"),

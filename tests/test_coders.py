@@ -216,6 +216,12 @@ class TestEncodeDecode:
         with pytest.raises(ShapeError):
             coder.decode(xt[:, :, :16, :], container)
 
+    def test_empty_frame_rejected(self):
+        coder = C.Coder.new(C.CoderConfig.desk("diff"), seed=0)
+        empty = np.zeros((1, 3, 0, 0), dtype=np.float32)
+        with pytest.raises(ShapeError):
+            coder.encode(empty, empty)
+
     def test_qt_lambda_needs_two_reconstructions(self):
         coder = C.Coder.new(C.CoderConfig.desk("diff"), seed=9)
         x, xt = frame_pair(np.random.default_rng(13), 32, 32)
@@ -281,6 +287,19 @@ class TestGdcFromDiff:
             assert np.array_equal(fd.x_hat_d.data, fg.x_hat_g.data)
             assert fd.rate_y.item() == fg.rate_y.item()
             assert fd.rate_z.item() == fg.rate_z.item()
+
+    @pytest.mark.parametrize("channels", [1, 2, 3, 4, 5])
+    def test_any_channel_count(self, channels):
+        diff = C.Coder.new(C.CoderConfig.desk("diff", channels=channels), seed=channels)
+        gdc = C.gdc_from_diff(diff)
+        rng = np.random.default_rng(20 + channels)
+        x = rng.uniform(0.1, 0.9, size=(1, channels, 32, 48)).astype(np.float32)
+        xt = np.clip(x + rng.normal(scale=0.05, size=x.shape), 0, 1).astype(np.float32)
+        cd, od = diff.encode(x, xt)
+        cg, og = gdc.encode(x, xt)
+        assert cd.payload_z.stream == cg.payload_z.stream
+        assert cd.payload_y.stream == cg.payload_y.stream
+        assert np.array_equal(od.x_hat_d.data, og.x_hat_g.data)
 
     def test_source_must_be_diff(self):
         gdc = C.Coder.new(C.CoderConfig.desk("gdc"), seed=0)

@@ -308,6 +308,41 @@ class TestHostileHeader:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
 
+    def test_patched_support_builds_no_table(self, monkeypatch):
+        # a 4,096-symbol payload of about 1 KB whose header claims support
+        # [-32768, 32000] is rejected before a single table is built, so it
+        # costs no time in proportion to its length
+        rng = np.random.default_rng(17)
+        mean = rng.normal(size=4096)
+        scale = rng.uniform(0.2, 2.0, size=4096)
+        values = np.round(mean + scale * rng.normal(size=4096)).astype(np.int64)
+        payload, _ = E.encode_gaussian(values, mean, scale)
+        z = np.round(rng.normal(size=(1, 2, 3, 4)))
+        net = _context_net(2, 4, 1)
+        z_payload, _ = E.encode_context(z, net)
+        calls = []
+        build = E.build_cdfs
+        monkeypatch.setattr(E, "build_cdfs", lambda *a: calls.append(a) or build(*a))
+        with pytest.raises(ContractError):
+            E.decode_gaussian(payload, mean, scale, (-32768, 32000), 4096)
+        with pytest.raises(ContractError):
+            E.decode_context(z_payload, net, z.shape, (-32768, 32000), dtype=np.float64)
+        assert calls == []
+
+    def test_wide_value_range_is_windowed(self):
+        # 5,000 distinct values would need a 5,001-bin table: the encoder
+        # narrows the support around the median and escapes the rest
+        rng = np.random.default_rng(18)
+        values = np.arange(-2500, 2500, dtype=np.int64)
+        rng.shuffle(values)
+        mean = values + rng.normal(scale=3.0, size=values.size)
+        scale = rng.uniform(0.5, 8.0, size=values.size)
+        payload, (lo, hi) = E.encode_gaussian(values, mean, scale)
+        assert hi - lo + 2 <= E.MAX_TABLE_BINS
+        assert lo <= int(np.median(values)) <= hi
+        back = E.decode_gaussian(payload, mean, scale, (lo, hi), values.size)
+        assert np.array_equal(back, values)
+
 
 def _context_net(channels, hidden, seed, zero=False):
     params = L.ParamStore(np.float64)

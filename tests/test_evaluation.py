@@ -249,7 +249,7 @@ class TestQuadTree:
         for r in res.roots:
             check(r)
         areas = res.mode_d_area + sum(
-            V._mode_area(r, "g") for r in res.roots)
+            n.size * n.size for n in V.quadtree_leaves(res.roots) if n.mode == "g")
         assert areas == res.area == 256
 
     def test_side_bits_equal_serialization_length(self):

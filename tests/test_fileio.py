@@ -180,6 +180,15 @@ class TestContainer:
         with pytest.raises(FormatError):
             F.BitstreamContainer.from_bytes(bytes(bad_flags))
 
+    def test_empty_frame_size_rejected(self):
+        # offsets 10 and 12 hold the u16 width and height, as in to_bytes
+        data = _container().to_bytes()
+        for offset in (10, 12):
+            patched = bytearray(data)
+            patched[offset:offset + 2] = b"\x00\x00"
+            with pytest.raises(FormatError):
+                F.BitstreamContainer.from_bytes(bytes(patched))
+
     def test_file_round_trip(self, tmp_path):
         c = _container()
         path = tmp_path / "frame.gdc"
@@ -213,6 +222,9 @@ class TestPixmap:
             F.parse_ppm(b"P6\nabc 2\n255\n")
         with pytest.raises(FormatError):
             F.parse_ppm(b"P6\n-2 2\n255\n" + px.tobytes())
+        for header in (b"P6\n0 0\n255\n", b"P6\n0 2\n255\n", b"P6\n2 0\n255\n"):
+            with pytest.raises(FormatError):
+                F.parse_ppm(header)
         with pytest.raises(ShapeError):
             F.ppm_bytes(np.zeros((2, 2, 4), dtype=np.uint8))
 

@@ -371,7 +371,7 @@ class TestSpecs:
     def test_param_count_matches_store(self, spec):
         params = L.ParamStore(np.float64)
         L.make_network(spec, params, "n", rng=np.random.default_rng(0))
-        assert params.total_params("n") == spec.param_count()
+        assert params.total_params() == spec.param_count()
 
     def test_difference_transform_pair_count(self):
         # three 5x5 prelu layers 6->16->16->3 hold 10070 parameters each way
@@ -412,6 +412,12 @@ class TestIdentityInits:
             d = rng.normal(size=(1, 3, 5, 5))
             out = net(T.concat_channels([t64(xt), t64(d)]))
         assert out.data == pytest.approx(xt + d, abs=1e-12)
+
+    def test_identity_init_rejects_narrow_layers(self):
+        # a 6-channel input carries 3 channels; a 2-channel output cannot
+        with pytest.raises(ContractError):
+            L.make_network(L.gs_spec(6, out_ch=2), L.ParamStore(np.float64), "gs",
+                           init="identity-sum")
 
     def test_identity_init_requires_prelu(self):
         params = L.ParamStore(np.float64)
@@ -460,11 +466,10 @@ class TestParamStore:
         with pytest.raises(ContractError):
             store.load_arrays({"w": np.zeros((1, 1, 1, 1)), "v": np.zeros((1, 1, 1, 1))})
 
-    def test_prefix_totals_and_zero_grads(self):
+    def test_totals_and_zero_grads(self):
         store = L.ParamStore(np.float64)
         a = store.add("enc.w", np.zeros((2, 2, 1, 1)))
         store.add("dec.w", np.zeros((3, 1, 1, 1)))
-        assert store.total_params("enc") == 4
         assert store.total_params() == 7
         a.grad = np.ones_like(a.data)
         store.zero_grads()

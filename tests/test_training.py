@@ -305,11 +305,12 @@ class TestCalibration:
         assert step > 0.0
         assert 34.0 <= achieved <= 36.0
 
-    def test_unreachable_target(self):
+    def test_unreachable_target(self, monkeypatch):
+        monkeypatch.setattr(TR, "CALIBRATION_TARGET_DB", 200.0)
+        monkeypatch.setattr(TR, "CALIBRATION_PAIRS", 1)
         imgs = [TR.synthetic_image(np.random.default_rng(0), 48, 48)]
         with pytest.raises(ContractError):
-            TR.calibrate_quant_step(imgs, TR.GenConfig(patch=32, max_shift=0),
-                                    target_db=200.0, pairs_per_image=1)
+            TR.calibrate_quant_step(imgs, TR.GenConfig(patch=32, max_shift=0))
 
 
 class TestCorpus:

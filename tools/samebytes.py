@@ -1,0 +1,189 @@
+"""Hash what the package produces, to prove a refactor keeps the same bytes.
+
+    python3 tools/samebytes.py <repo root> [hd]
+
+Imports the package from ``<root>/src`` and the benchmark fixtures from
+``<root>/bench``, runs a fixed set of seeded cases and prints one SHA-256
+per case group plus a total.  Run it once against a checkout of the parent
+commit and once against the change: identical lines mean identical
+streams, reconstructions, rate estimates and training figures.  The script
+only calls API that has been stable across refactors, so one copy hashes
+both trees.
+
+Cases:
+  desk      all four kinds at seed 5, float32 and float64, at 32x32 and a
+            padded 70x100; xgdc also with quad-tree lambda 50 and 400
+  fixture   the benchmark's diff and xgdc coders at 128x128 and 72x120,
+            xgdc with and without quad-tree lambda 300
+  gdc       gdc_from_diff against its source diff coder
+  training  a make_corpus corpus, train_epoch and evaluate_pairs figures
+  infolab   random joints of the three generators and their identity and
+            bottleneck reports
+  hd        (only with ``hd``) the diff fixture at 1088x1920
+Each coded case hashes the container bytes, x_hat_d, x_hat_g, x_hat_merged,
+both payloads' est_bits and the decoder's reconstructions.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+
+
+def _setup(root):
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
+    import gdclab
+    src = os.path.join(root, "src", "gdclab")
+    if not os.path.samefile(os.path.dirname(gdclab.__file__), src):
+        raise SystemExit(f"gdclab imported from {gdclab.__file__}, not {src}")
+
+
+class Digest:
+    def __init__(self):
+        self.h = hashlib.sha256()
+
+    def add(self, label, value):
+        import numpy as np
+        self.h.update(label.encode())
+        if value is None:
+            self.h.update(b"<none>")
+        elif isinstance(value, bytes):
+            self.h.update(value)
+        elif isinstance(value, np.ndarray):
+            self.h.update(f"{value.dtype}{value.shape}".encode())
+            self.h.update(np.ascontiguousarray(value).tobytes())
+        else:
+            self.h.update(repr(value).encode())
+
+    def hex(self):
+        return self.h.hexdigest()
+
+
+def code_case(d, label, coder, x, xt, qt_lambda=None):
+    """Encode, serialize, parse and decode one pair; hash everything."""
+    from gdclab import fileio as F
+    container, enc = coder.encode(x, xt, qt_lambda=qt_lambda)
+    data = container.to_bytes()
+    dec = coder.decode(xt, F.BitstreamContainer.from_bytes(data))
+    d.add(label + "/bytes", data)
+    d.add(label + "/est", (container.payload_y.est_bits, container.payload_z.est_bits))
+    for side, out in (("enc", enc), ("dec", dec)):
+        for attr in ("x_hat_d", "x_hat_g", "x_hat_merged"):
+            t = getattr(out, attr)
+            d.add(f"{label}/{side}/{attr}", None if t is None else t.data)
+
+
+def desk(d):
+    import numpy as np
+    from gdclab import coders as CD
+    for dtype in (np.float32, np.float64):
+        for h, w in ((32, 32), (70, 100)):
+            rng = np.random.default_rng(h * w)
+            x = rng.uniform(0.1, 0.9, size=(1, 3, h, w)).astype(dtype)
+            xt = np.clip(x + rng.normal(scale=0.04, size=x.shape), 0, 1).astype(dtype)
+            for kind in CD.KINDS:
+                coder = CD.Coder.new(CD.CoderConfig.desk(kind), seed=5, dtype=dtype)
+                label = f"{np.dtype(dtype).name}/{h}x{w}/{kind}"
+                code_case(d, label, coder, x, xt)
+                if kind == "xgdc":
+                    for lam in (50.0, 400.0):
+                        code_case(d, f"{label}/qt{lam:g}", coder, x, xt, qt_lambda=lam)
+
+
+def _fixture(root, kind):
+    from gdclab import coders as CD
+    from gdclab import fileio as F
+    path = os.path.join(root, "bench", "fixtures", f"{kind}.ckpt")
+    e = F.ExperimentConfig.from_file(path + ".cfg")
+    cfg = CD.CoderConfig(kind=e.coder, channels=e.channels, core_width=e.core_width,
+                         latent=e.latent, hyper_latent=e.hyper_latent,
+                         pred_width=e.pred_width, features=e.features,
+                         ctx_width=e.ctx_width, kernel=e.kernel,
+                         enc_strides=e.stride_tuple())
+    return CD.Coder.from_arrays(cfg, F.load_checkpoint(path))
+
+
+def fixture(d, root, sizes=((128, 128), (72, 120)), kinds=("diff", "xgdc")):
+    import numpy as np
+    import inputs
+    for kind in kinds:
+        coder = _fixture(root, kind)
+        for h, w in sizes:
+            x, xt = inputs.coding_pair(np.random.default_rng(h + w), h, w)
+            code_case(d, f"{kind}/{h}x{w}", coder, x, xt)
+            if kind == "xgdc":
+                code_case(d, f"{kind}/{h}x{w}/qt300", coder, x, xt, qt_lambda=300.0)
+
+
+def gdc(d):
+    import numpy as np
+    from gdclab import coders as CD
+    rng = np.random.default_rng(11)
+    x = rng.uniform(0.1, 0.9, size=(1, 3, 32, 48)).astype(np.float32)
+    xt = np.clip(x + rng.normal(scale=0.05, size=x.shape), 0, 1).astype(np.float32)
+    diff = CD.Coder.new(CD.CoderConfig.desk("diff"), seed=6)
+    code_case(d, "diff", diff, x, xt)
+    coder = CD.gdc_from_diff(diff)
+    code_case(d, "gdc", coder, x, xt)
+    for name, t in coder.params.items():
+        d.add("param/" + name, t.data)
+
+
+def training(d):
+    import numpy as np
+    from gdclab import coders as CD
+    from gdclab import training as TR
+    pairs = TR.make_corpus(np.random.default_rng(3), 6, patch=32)
+    for i, (x, xt) in enumerate(pairs):
+        d.add(f"pair{i}/x", x)
+        d.add(f"pair{i}/xt", xt)
+    for kind in ("diff", "xgdc"):
+        coder = CD.Coder.new(CD.CoderConfig.desk(kind), seed=5)
+        cfg = TR.TrainConfig(lmbda=512.0, lr=1e-3, steps=len(pairs), seed=9)
+        for epoch in range(2):
+            stats, _ = TR.train_epoch(coder, pairs, cfg)
+            d.add(f"{kind}/train{epoch}", vars(stats))
+        ev = TR.evaluate_pairs(coder, pairs, 512.0)
+        d.add(f"{kind}/eval", vars(ev))
+        for name, t in coder.params.items():
+            d.add(f"{kind}/param/{name}", t.data)
+
+
+def infolab(d):
+    import numpy as np
+    from gdclab import infolab as IL
+    rng = np.random.default_rng(7)
+    for case in range(30):
+        if case % 3 == 0:
+            j = IL.random_joint(rng, 5, 4)
+        elif case % 3 == 1:
+            j = IL.additive_noise_joint(rng, 5, 2)
+        else:
+            j = IL.perfect_prediction_joint(rng, 4)
+        d.add(f"{case}/pmf", j.pmf)
+        d.add(f"{case}/identity", IL.verify_main_identity(j))
+        f = IL.random_map(rng, j.alphabet_xt, codomain_size=2)
+        d.add(f"{case}/bottleneck", IL.bottleneck_report(j, f))
+
+
+def main(argv):
+    if not argv or len(argv) > 2 or (len(argv) == 2 and argv[1] != "hd"):
+        raise SystemExit(__doc__.split("\n\n")[1])
+    root = os.path.abspath(argv[0])
+    _setup(root)
+    groups = [("desk", desk), ("fixture", lambda d: fixture(d, root)),
+              ("gdc", gdc), ("training", training), ("infolab", infolab)]
+    if len(argv) == 2:
+        groups.append(("hd", lambda d: fixture(d, root, ((1088, 1920),), ("diff",))))
+    total = Digest()
+    for name, fn in groups:
+        d = Digest()
+        fn(d)
+        total.add(name, d.hex())
+        print(f"{name:9s} {d.hex()}", flush=True)
+    print(f"{'total':9s} {total.hex()}")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

@@ -33,7 +33,7 @@ from . import tensor as T
 from .errors import ContractError, ShapeError
 from .fileio import CODER_KINDS, BitstreamContainer, Payload
 from .layers import (Network, ParamStore, context_spec, decoder_spec,
-                     encoder_spec, gd_spec, gs_spec, hyper_decoder_spec,
+                     encoder_spec, feature_spec, hyper_decoder_spec,
                      hyper_encoder_spec, make_network, pred_branch_spec)
 
 KINDS = CODER_KINDS
@@ -106,8 +106,8 @@ def coder_specs(cfg):
         "ctx": context_spec(cfg.hyper_latent, cfg.ctx_width),
     }
     if cfg.kind in ("gdc", "xgdc"):
-        specs["gd"] = gd_spec(cfg.features, in_ch=2 * C, kernel=k)
-        specs["gs"] = gs_spec(C + dec_out, out_ch=C, kernel=k)
+        specs["gd"] = feature_spec(2 * C, cfg.features, k, "gd")
+        specs["gs"] = feature_spec(C + dec_out, C, k, "gs")
     if cfg.kind == "codecnet":
         specs["pred"] = pred_branch_spec(C, cfg.pred_width, k, cfg.enc_strides)
     return specs
@@ -255,21 +255,24 @@ class Coder:
 
     # -- real coding --------------------------------------------------------
 
+    def _frame(self, a):
+        """A frame or prediction (array or Tensor) in the coder's dtype."""
+        return np.asarray(a.data if isinstance(a, T.Tensor) else a, dtype=self.params.dtype)
+
     def encode(self, x, xt, qt_lambda=None, min_block=4, max_block=256):
         """Code a frame against its prediction; returns (container, output).
 
         This is the round-mode forward pass plus the range coder: the
         rounded latents are coded under their entropy parameters, and the
-        forward rates become the payloads' ``est_bits``.  Frames of any size
-        are padded to the stride multiple and the true size is recorded in
-        the container.  For the two-reconstruction kind, passing
-        ``qt_lambda`` also runs the quad-tree mode search and embeds its
-        side information.
+        forward rates become the payloads' ``est_bits``.  Both frames enter
+        in the coder's dtype.  Frames of any size are padded to the stride
+        multiple and the true size is recorded in the container.  For the
+        two-reconstruction kind, passing ``qt_lambda`` also runs the
+        quad-tree mode search and embeds its side information.
         """
         if qt_lambda is not None and self.cfg.kind != "xgdc":
             raise ContractError("quad-tree hybrid coding needs the two-reconstruction kind")
-        xd_arr = np.asarray(x.data if isinstance(x, T.Tensor) else x)
-        xt_arr = np.asarray(xt.data if isinstance(xt, T.Tensor) else xt)
+        xd_arr, xt_arr = self._frame(x), self._frame(xt)
         if xd_arr.shape != xt_arr.shape:
             raise ShapeError(f"frame/prediction shape mismatch {xd_arr.shape} vs {xt_arr.shape}")
         if xd_arr.size == 0:
@@ -314,15 +317,15 @@ class Coder:
         return T.crop_spatial(t, 0, h, 0, w)
 
     def decode(self, xt, container):
-        """Reconstruct from prediction + bitstream alone."""
+        """Reconstruct from prediction + bitstream alone; the prediction
+        enters in the coder's dtype."""
         if container.kind != self.cfg.kind:
             raise ContractError(f"container is {container.kind!r}, coder is {self.cfg.kind!r}")
-        xt_arr = np.asarray(xt.data if isinstance(xt, T.Tensor) else xt)
+        xt_arr = self._frame(xt)
         if xt_arr.shape[2] != container.height or xt_arr.shape[3] != container.width:
             raise ShapeError(f"prediction is {xt_arr.shape[2]}x{xt_arr.shape[3]}, "
                              f"container says {container.height}x{container.width}")
         sp = self.cfg.stride_product
-        dtype = self.params.dtype
         with T.no_grad():
             xtp = T.Tensor(pad_to_multiple(xt_arr, sp))
             ph, pw = xtp.shape[2], xtp.shape[3]
@@ -331,15 +334,14 @@ class Coder:
             zh, zw = _down(yh, hyper_strides), _down(yw, hyper_strides)
             z_shape = (1, self.cfg.hyper_latent, zh, zw)
             z_arr = E.decode_context(container.payload_z.stream, self.nets["ctx"],
-                                     z_shape, (container.payload_z.lo, container.payload_z.hi),
-                                     dtype=dtype)
-            z_hat = T.Tensor(z_arr.astype(dtype))
+                                     z_shape, (container.payload_z.lo, container.payload_z.hi))
+            z_hat = T.Tensor(z_arr.astype(self.params.dtype))
             y_shape = (1, self.cfg.latent, yh, yw)
             mean, scale = self._entropy_params(z_hat, y_shape)
             y_flat = E.decode_gaussian(container.payload_y.stream, mean.data, scale.data,
                                        (container.payload_y.lo, container.payload_y.hi),
                                        int(np.prod(y_shape)))
-            y_hat = T.Tensor(y_flat.reshape(y_shape).astype(dtype))
+            y_hat = T.Tensor(y_flat.reshape(y_shape).astype(self.params.dtype))
             x_hat_d, x_hat_g = self._reconstruct(y_hat, xtp)
             out = CoderOutput(
                 kind=self.cfg.kind,

@@ -255,11 +255,12 @@ def decode_gaussian(payload, mean, scale, support, count):
     return _decode_symbols(RangeDecoder(payload), mean, scale, int(support[0]), int(support[1]))
 
 
-def context_params(ctx_net, z_hat_data, dtype):
+def context_params(ctx_net, z_hat_data):
     """Run the causal context net over a (1, C, H, W) integer-valued array
-    and return float mean / scale arrays of the same shape."""
+    cast to the net's dtype and return float mean / scale arrays of the
+    same shape."""
     with T.no_grad():
-        out = ctx_net(T.Tensor(np.ascontiguousarray(z_hat_data, dtype=dtype)))
+        out = ctx_net(T.Tensor(np.ascontiguousarray(z_hat_data, dtype=ctx_net.params.dtype)))
         mean, scale = gaussian_head(out, z_hat_data.shape[1])
     return mean.data, scale.data
 
@@ -274,14 +275,13 @@ def encode_context(z_hat, ctx_net, support=None):
     (payload, (lo, hi)).
     """
     z = np.asarray(z_hat)
-    dtype = np.float32 if z.dtype != np.float64 else np.float64
-    mean, scale = context_params(ctx_net, z, dtype)
+    mean, scale = context_params(ctx_net, z)
     # reorder (c, h, w) -> (h, w, c) so the stream matches sequential decoding
     flat, mean_f, scale_f = (a[0].transpose(1, 2, 0).reshape(-1) for a in (z, mean, scale))
     return _encode_symbols(flat.astype(np.int64), mean_f, scale_f, support)
 
 
-def decode_context(payload, ctx_net, shape, support, dtype=np.float32):
+def decode_context(payload, ctx_net, shape, support):
     """Decode the hyper-latent by alternating context-net evaluations with
     symbol decoding in raster order (all channels of a position at once).
 
@@ -299,7 +299,7 @@ def decode_context(payload, ctx_net, shape, support, dtype=np.float32):
     dec = RangeDecoder(payload)
     for i in range(h):
         for j in range(w):
-            mean, scale = context_params(ctx_net, z, dtype)
+            mean, scale = context_params(ctx_net, z)
             z[0, :, i, j] = _decode_symbols(dec, mean[0, :, i, j], scale[0, :, i, j], lo, hi)
     return z
 

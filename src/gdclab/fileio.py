@@ -21,6 +21,9 @@ from .tensor import Tensor
 CHECKPOINT_MAGIC = b"GDCK"
 CONTAINER_MAGIC = b"GDCB"
 FORMAT_VERSION = 1
+# The container header byte after the coder kind tag, unused: written as
+# this value and rejected as any other.
+RESERVED_BYTE = 0xFF
 
 CODER_KINDS = ("diff", "codecnet", "gdc", "xgdc")
 
@@ -162,7 +165,6 @@ class BitstreamContainer:
     height: int
     payload_z: Payload
     payload_y: Payload
-    lambda_idx: int = 255
     qt_bits: list = field(default=None)
     qt_min_block: int = 0
     qt_max_block: int = 0
@@ -181,7 +183,7 @@ class BitstreamContainer:
         out = bytearray()
         out += CONTAINER_MAGIC
         out += struct.pack("<I", FORMAT_VERSION)
-        out += struct.pack("<BBHHB", CODER_KINDS.index(self.kind), self.lambda_idx,
+        out += struct.pack("<BBHHB", CODER_KINDS.index(self.kind), RESERVED_BYTE,
                            self.width, self.height, flags)
         out += struct.pack("<I", len(zb)) + zb
         out += struct.pack("<I", len(yb)) + yb
@@ -203,9 +205,11 @@ class BitstreamContainer:
         (version,) = r.unpack("I")
         if version != FORMAT_VERSION:
             raise FormatError(f"unsupported container version {version}")
-        kind_idx, lambda_idx, width, height, flags = r.unpack("BBHHB")
+        kind_idx, reserved, width, height, flags = r.unpack("BBHHB")
         if kind_idx >= len(CODER_KINDS):
             raise FormatError(f"unknown coder kind tag {kind_idx}")
+        if reserved != RESERVED_BYTE:
+            raise FormatError(f"reserved header byte 0x{reserved:02x} is not 0xff")
         if width == 0 or height == 0:
             raise FormatError(f"empty frame size {width}x{height}")
         if flags & ~1:
@@ -222,7 +226,7 @@ class BitstreamContainer:
             qt = unpack_bits(r.take((nbits + 7) // 8), nbits)
         r.done()
         return cls(kind=CODER_KINDS[kind_idx], width=width, height=height,
-                   payload_z=pz, payload_y=py, lambda_idx=lambda_idx, qt_bits=qt,
+                   payload_z=pz, payload_y=py, qt_bits=qt,
                    qt_min_block=qt_min, qt_max_block=qt_max)
 
 

@@ -25,83 +25,106 @@ FEATURE_HIDDEN = 16
 
 
 # ---------------------------------------------------------------------------
-# raw conv arithmetic (shared by forward and backward passes)
+# convolution: one autodiff node over one raster tap walk
 # ---------------------------------------------------------------------------
+#
+# A stride-s layer links a big grid (the conv input, the tconv output) to a
+# small grid of ceil(H/s) x ceil(W/s) positions.  Three kernels serve every
+# pass of both layers: gather (big -> small), its adjoint scatter (small ->
+# big) and the weight gradient.  Each walks the first ``taps`` kernel taps in
+# raster order, so a causal mask is a tap count.
 
-def _conv_fwd(x, w, stride, pad):
-    n, c, h, ww = x.shape
-    oc, ic, k, _ = w.shape
-    if ic != c:
-        raise ShapeError(f"conv: input has {c} channels, weight expects {ic}")
-    oh = (h - 1) // stride + 1
-    ow = (ww - 1) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    out = np.zeros((n, oc, oh, ow), dtype=x.dtype)
-    for ki in range(k):
-        for kj in range(k):
-            xs = xp[:, :, ki:ki + (oh - 1) * stride + 1:stride,
-                    kj:kj + (ow - 1) * stride + 1:stride]
-            # [oc,c] x [n,c,oh,ow] -> [oc,n,oh,ow]
-            out += np.tensordot(w[:, :, ki, kj], xs, axes=([1], [1])).transpose(1, 0, 2, 3)
+def _windows(k, taps, stride, oh, ow):
+    """(ki, kj, index) for the first ``taps`` taps of a k x k kernel in
+    raster order; index picks the padded big-grid positions that the tap
+    meets over an oh x ow small grid."""
+    for t in range(taps):
+        ki, kj = divmod(t, k)
+        yield ki, kj, (slice(None), slice(None), slice(ki, ki + (oh - 1) * stride + 1, stride),
+                       slice(kj, kj + (ow - 1) * stride + 1, stride))
+
+
+def _pad(a, pad):
+    return np.pad(a, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+
+
+def _gather(big, w, stride, taps):
+    n, _, h, ww = big.shape
+    k = w.shape[2]
+    oh, ow = (h - 1) // stride + 1, (ww - 1) // stride + 1
+    bp = _pad(big, (k - 1) // 2)
+    out = np.zeros((n, w.shape[0], oh, ow), dtype=big.dtype)
+    for ki, kj, win in _windows(k, taps, stride, oh, ow):
+        # [o,c] x [n,c,oh,ow] -> [o,n,oh,ow]
+        out += np.tensordot(w[:, :, ki, kj], bp[win], axes=([1], [1])).transpose(1, 0, 2, 3)
     return out
 
 
-def _conv_bwd_x(g, w, stride, pad, x_shape):
-    n, c, h, ww = x_shape
-    oc, ic, k, _ = w.shape
-    _, _, oh, ow = g.shape
-    dxp = np.zeros((n, c, h + 2 * pad, ww + 2 * pad), dtype=g.dtype)
-    for ki in range(k):
-        for kj in range(k):
-            # [n,oc,oh,ow] x [oc,c] -> [n,oh,ow,c]
-            t = np.tensordot(g, w[:, :, ki, kj], axes=([1], [0])).transpose(0, 3, 1, 2)
-            dxp[:, :, ki:ki + (oh - 1) * stride + 1:stride,
-                kj:kj + (ow - 1) * stride + 1:stride] += t
-    if pad:
-        return dxp[:, :, pad:pad + h, pad:pad + ww]
-    return dxp
+def _scatter(small, w, stride, taps, big_shape):
+    n, c, h, ww = big_shape
+    k = w.shape[2]
+    pad = (k - 1) // 2
+    _, _, oh, ow = small.shape
+    bp = np.zeros((n, c, h + 2 * pad, ww + 2 * pad), dtype=small.dtype)
+    for ki, kj, win in _windows(k, taps, stride, oh, ow):
+        # [n,o,oh,ow] x [o,c] -> [n,oh,ow,c]
+        bp[win] += np.tensordot(small, w[:, :, ki, kj], axes=([1], [0])).transpose(0, 3, 1, 2)
+    return bp[:, :, pad:pad + h, pad:pad + ww] if pad else bp
 
 
-def _conv_bwd_w(x, g, stride, pad, w_shape):
-    oc, c, k, _ = w_shape
-    _, _, oh, ow = g.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    dw = np.zeros(w_shape, dtype=g.dtype)
-    for ki in range(k):
-        for kj in range(k):
-            xs = xp[:, :, ki:ki + (oh - 1) * stride + 1:stride,
-                    kj:kj + (ow - 1) * stride + 1:stride]
-            dw[:, :, ki, kj] = np.tensordot(g, xs, axes=([0, 2, 3], [0, 2, 3]))
+def _weight_grad(big, small, stride, taps, w_shape):
+    k = w_shape[2]
+    _, _, oh, ow = small.shape
+    bp = _pad(big, (k - 1) // 2)
+    dw = np.zeros(w_shape, dtype=small.dtype)
+    for ki, kj, win in _windows(k, taps, stride, oh, ow):
+        dw[:, :, ki, kj] = np.tensordot(small, bp[win], axes=([0, 2, 3], [0, 2, 3]))
     return dw
 
 
-# ---------------------------------------------------------------------------
-# autodiff layer ops
-# ---------------------------------------------------------------------------
-
-def conv2d(x, weight, bias=None, stride=1):
-    """2-D convolution, weight [out_ch, in_ch, k, k], bias (1, out_ch, 1, 1)."""
-    if weight.data.ndim != 4 or weight.shape[2] != weight.shape[3]:
-        raise ShapeError(f"conv2d: bad weight shape {weight.shape}")
-    k = weight.shape[2]
-    pad = (k - 1) // 2
-    out = _conv_fwd(x.data, weight.data, stride, pad)
+def _conv(x, weight, bias, stride, transposed, op, mask=""):
+    """The autodiff node of every convolution.  Weights are [out, in, k, k],
+    or [in, out, k, k] when ``transposed``; mask "A" walks the k*k//2 taps
+    before the centre, "B" the centre as well, "" all k*k."""
+    w = weight.data
+    if w.ndim != 4 or w.shape[2] != w.shape[3]:
+        raise ShapeError(f"{op}: bad weight shape {weight.shape}")
+    cin, cout = (w.shape[0], w.shape[1]) if transposed else (w.shape[1], w.shape[0])
+    if x.shape[1] != cin:
+        raise ShapeError(f"{op}: input has {x.shape[1]} channels, weight expects {cin}")
+    k = w.shape[2]
+    taps = k * k // 2 + (mask == "B") if mask else k * k
+    if transposed:
+        n, _, h, ww = x.shape
+        out = _scatter(x.data, w, stride, taps, (n, cout, h * stride, ww * stride))
+    else:
+        out = _gather(x.data, w, stride, taps)
     if bias is not None:
-        if bias.shape != (1, weight.shape[0], 1, 1):
-            raise ShapeError(f"conv2d: bias shape {bias.shape} != (1,{weight.shape[0]},1,1)")
+        if bias.shape != (1, cout, 1, 1):
+            raise ShapeError(f"{op}: bias shape {bias.shape} != (1,{cout},1,1)")
         out += bias.data
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def bwd(g):
+        # read weight.data here, not at build time: a graph kept alive past
+        # an optimizer step must not pin the replaced weight arrays
+        wd = weight.data
         if x.requires_grad:
-            x._accum(_conv_bwd_x(g, weight.data, stride, pad, x.shape))
+            x._accum(_gather(g, wd, stride, taps) if transposed
+                     else _scatter(g, wd, stride, taps, x.shape))
         if weight.requires_grad:
-            weight._accum(_conv_bwd_w(x.data, g, stride, pad, weight.shape))
+            big, small = (g, x.data) if transposed else (x.data, g)
+            weight._accum(_weight_grad(big, small, stride, taps, wd.shape))
         if bias is not None and bias.requires_grad:
             bias._accum(g.sum(axis=(0, 2, 3)).reshape(bias.shape))
 
-    return T._node(out, parents, bwd, "conv2d")
+    return T._node(out, parents, bwd, op)
+
+
+def conv2d(x, weight, bias=None, stride=1):
+    """2-D convolution, weight [out_ch, in_ch, k, k], bias (1, out_ch, 1, 1)."""
+    return _conv(x, weight, bias, stride, False, "conv2d")
 
 
 def tconv2d(x, weight, bias=None, stride=1):
@@ -109,31 +132,7 @@ def tconv2d(x, weight, bias=None, stride=1):
 
     Output spatial size is exactly input * stride.
     """
-    if weight.data.ndim != 4 or weight.shape[2] != weight.shape[3]:
-        raise ShapeError(f"tconv2d: bad weight shape {weight.shape}")
-    ic, oc, k, _ = weight.shape
-    if x.shape[1] != ic:
-        raise ShapeError(f"tconv2d: input has {x.shape[1]} channels, weight expects {ic}")
-    pad = (k - 1) // 2
-    n, _, h, w_ = x.shape
-    out_shape = (n, oc, h * stride, w_ * stride)
-    out = _conv_bwd_x(x.data, weight.data, stride, pad, out_shape)
-    if bias is not None:
-        if bias.shape != (1, oc, 1, 1):
-            raise ShapeError(f"tconv2d: bias shape {bias.shape} != (1,{oc},1,1)")
-        out += bias.data
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def bwd(g):
-        if x.requires_grad:
-            x._accum(_conv_fwd(g, weight.data, stride, pad))
-        if weight.requires_grad:
-            weight._accum(_conv_bwd_w(g, x.data, stride, pad, weight.shape))
-        if bias is not None and bias.requires_grad:
-            bias._accum(g.sum(axis=(0, 2, 3)).reshape(bias.shape))
-
-    return T._node(out, parents, bwd, "tconv2d")
+    return _conv(x, weight, bias, stride, True, "tconv2d")
 
 
 def prelu(x, slope):
@@ -173,31 +172,14 @@ def gdn(x, beta_raw, gamma_raw, inverse=False):
     return T.mul(x, T.power(norm, 0.5 if inverse else -0.5))
 
 
-def raster_mask(k, kind):
-    """0/1 mask over a k x k kernel for raster-order causal convolutions.
-
-    Kind 'A' zeroes the centre tap and everything after it in raster order;
-    kind 'B' keeps the centre.  Masks apply to every (out, in) channel pair.
-    """
+def masked_conv2d(x, weight, bias=None, kind="A"):
+    """Stride-1 convolution over the kernel taps before the centre in raster
+    order (mask A) or up to and including it (mask B), so output at a
+    position never sees that position's input (A) or sees at most the
+    already-produced positions plus itself (B)."""
     if kind not in ("A", "B"):
         raise ContractError(f"mask kind must be 'A' or 'B', got {kind!r}")
-    m = np.zeros((k, k), dtype=np.float64)
-    mid = k // 2
-    m[:mid, :] = 1.0
-    m[mid, :mid] = 1.0
-    if kind == "B":
-        m[mid, mid] = 1.0
-    return m
-
-
-def masked_conv2d(x, weight, bias=None, kind="A"):
-    """Stride-1 convolution whose kernel is multiplied by a raster mask,
-    so output at a position never sees that position's input (mask A) or
-    sees at most the already-produced positions plus itself (mask B)."""
-    k = weight.shape[2]
-    mask = raster_mask(k, kind).astype(weight.data.dtype)
-    mask_t = Tensor(np.broadcast_to(mask, weight.shape).copy(), requires_grad=False, op="mask")
-    return conv2d(x, T.mul(weight, mask_t), bias=bias, stride=1)
+    return _conv(x, weight, bias, 1, False, "masked_conv2d", kind)
 
 
 # ---------------------------------------------------------------------------
@@ -434,22 +416,15 @@ def context_spec(hyper_latent, hidden=16):
     ), role="context")
 
 
-def gd_spec(out_ch, in_ch=6, kernel=5):
-    """Shallow generalized-difference transform (x, prediction) -> features."""
+def feature_spec(in_ch, out_ch, kernel, role):
+    """Shallow feature transform: three k x k PReLU convs at FEATURE_HIDDEN.
+    Role 'gd' maps (x, prediction) to features, 'gs' maps (prediction,
+    decoded) to a frame."""
     return NetworkSpec((
         ConvSpec(in_ch, FEATURE_HIDDEN, kernel, 1, False, "prelu"),
         ConvSpec(FEATURE_HIDDEN, FEATURE_HIDDEN, kernel, 1, False, "prelu"),
         ConvSpec(FEATURE_HIDDEN, out_ch, kernel, 1, False, "prelu"),
-    ), role="gd")
-
-
-def gs_spec(in_ch, out_ch=3, kernel=5):
-    """Shallow generalized-sum transform (prediction, decoded) -> frame."""
-    return NetworkSpec((
-        ConvSpec(in_ch, FEATURE_HIDDEN, kernel, 1, False, "prelu"),
-        ConvSpec(FEATURE_HIDDEN, FEATURE_HIDDEN, kernel, 1, False, "prelu"),
-        ConvSpec(FEATURE_HIDDEN, out_ch, kernel, 1, False, "prelu"),
-    ), role="gs")
+    ), role=role)
 
 
 def pred_branch_spec(in_ch, width, kernel=5, strides=(2, 2, 2, 2)):

@@ -167,6 +167,28 @@ class TestEncodeDecode:
             if a is not None:
                 assert np.array_equal(a.data, b.data)
 
+    @pytest.mark.parametrize("kind", ["diff", "xgdc"])
+    @pytest.mark.parametrize("coder_dtype, frame_dtype", [(np.float32, np.float64),
+                                                          (np.float64, np.float32)])
+    def test_frames_enter_in_the_coder_dtype(self, kind, coder_dtype, frame_dtype):
+        # frames of the other float width code and decode exactly like the
+        # same frames given in the coder's own dtype
+        coder = C.Coder.new(C.CoderConfig.desk(kind), seed=3, dtype=coder_dtype)
+        x, xt = frame_pair(np.random.default_rng(15), 32, 32)
+        ref, ref_out = coder.encode(x.astype(coder_dtype), xt.astype(coder_dtype))
+        container, enc_out = coder.encode(x.astype(frame_dtype), xt.astype(frame_dtype))
+        data = container.to_bytes()
+        dec_out = coder.decode(xt.astype(frame_dtype), BitstreamContainer.from_bytes(data))
+        assert data == ref.to_bytes()
+        for attr in ("x_hat_d", "x_hat_g"):
+            want = getattr(ref_out, attr)
+            for out in (enc_out, dec_out):
+                got = getattr(out, attr)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert got.dtype == coder_dtype
+                    assert np.array_equal(got.data, want.data)
+
     @pytest.mark.parametrize("kind", C.KINDS)
     def test_rate_consistency(self, kind):
         coder = C.Coder.new(C.CoderConfig.desk(kind), seed=4)

@@ -18,7 +18,7 @@ from gdclab.tensor import Tensor
 
 
 def t64(arr, grad=False):
-    return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=grad)
+    return Tensor(np.asarray(arr), requires_grad=grad)
 
 
 def gauss_prob_oracle(v, mu, sigma):
@@ -326,7 +326,7 @@ class TestHostileHeader:
         with pytest.raises(ContractError):
             E.decode_gaussian(payload, mean, scale, (-32768, 32000), 4096)
         with pytest.raises(ContractError):
-            E.decode_context(z_payload, net, z.shape, (-32768, 32000), dtype=np.float64)
+            E.decode_context(z_payload, net, z.shape, (-32768, 32000))
         assert calls == []
 
     def test_wide_value_range_is_windowed(self):
@@ -360,7 +360,7 @@ class TestContextCoding:
             net = _context_net(2, 4, seed=16)
             z = rng.integers(-4, 5, size=(1, 2, 5, 6)).astype(np.float64)
             payload, support = E.encode_context(z, net)
-            back = E.decode_context(payload, net, z.shape, support, dtype=np.float64)
+            back = E.decode_context(payload, net, z.shape, support)
         assert np.array_equal(back, z)
 
     def test_all_zero_with_zero_net(self):
@@ -368,11 +368,11 @@ class TestContextCoding:
         with T.using_dtype(np.float64):
             net = _context_net(2, 4, seed=0, zero=True)
             z = np.zeros((1, 2, 4, 4))
-            mean, scale = E.context_params(net, z, np.float64)
+            mean, scale = E.context_params(net, z)
             assert np.all(mean == mean.reshape(-1)[0])
             assert np.all(scale == scale.reshape(-1)[0])
             payload, support = E.encode_context(z, net)
-            back = E.decode_context(payload, net, z.shape, support, dtype=np.float64)
+            back = E.decode_context(payload, net, z.shape, support)
         assert np.array_equal(back, z)
 
     def test_causality_of_parameters(self):
@@ -381,11 +381,11 @@ class TestContextCoding:
         with T.using_dtype(np.float64):
             net = _context_net(2, 4, seed=18)
             z = rng.integers(-2, 3, size=(1, 2, 4, 5)).astype(np.float64)
-            m1, s1 = E.context_params(net, z, np.float64)
+            m1, s1 = E.context_params(net, z)
             qy, qx = 2, 3
             z2 = z.copy()
             z2[0, :, qy, qx] += 4.0
-            m2, s2 = E.context_params(net, z2, np.float64)
+            m2, s2 = E.context_params(net, z2)
         cut = qy * 5 + qx
         dm = np.abs(m1 - m2).max(axis=(0, 1)).reshape(-1)
         ds = np.abs(s1 - s2).max(axis=(0, 1)).reshape(-1)
@@ -410,7 +410,7 @@ class TestContextCoding:
         z[0, 1, 2, 3] = 40.0
         payload, support = E.encode_context(z, net, support=(-1, 1))
         assert support == (-1, 1)
-        back = E.decode_context(payload, net, z.shape, support, dtype=np.float64)
+        back = E.decode_context(payload, net, z.shape, support)
         assert np.array_equal(back, z)
 
     def test_bits_come_from_the_coder_parameters(self):
@@ -418,7 +418,7 @@ class TestContextCoding:
         rng = np.random.default_rng(24)
         net = _context_net(2, 4, seed=25)
         z = rng.integers(-3, 4, size=(1, 2, 5, 6)).astype(np.float64)
-        mean, scale = E.context_params(net, z, np.float64)
+        mean, scale = E.context_params(net, z)
         want = E.gaussian_bits(t64(z), t64(mean), t64(scale))
         assert np.array_equal(E.context_bits(t64(z), net).data, want.data)
 

@@ -136,11 +136,10 @@ class TestContainer:
 
     def test_round_trip_with_quadtree(self):
         c = _container(kind="xgdc", qt_bits=[1, 0, 0, 1, 1, 0, 1, 1, 0],
-                       qt_min_block=4, qt_max_block=64, lambda_idx=2)
+                       qt_min_block=4, qt_max_block=64)
         back = F.BitstreamContainer.from_bytes(c.to_bytes())
         assert back.qt_bits == c.qt_bits
         assert (back.qt_min_block, back.qt_max_block) == (4, 64)
-        assert back.lambda_idx == 2
         assert back.to_bytes() == c.to_bytes()
 
     def test_total_bits(self):
@@ -179,6 +178,17 @@ class TestContainer:
         bad_flags[14] |= 0x02
         with pytest.raises(FormatError):
             F.BitstreamContainer.from_bytes(bytes(bad_flags))
+
+    def test_reserved_byte_is_fixed(self):
+        # offset 9, after the kind tag, is written as 0xff and read back only
+        # as 0xff
+        data = _container().to_bytes()
+        assert data[9] == F.RESERVED_BYTE == 0xFF
+        for value in (0, 2, 0xFE):
+            patched = bytearray(data)
+            patched[9] = value
+            with pytest.raises(FormatError):
+                F.BitstreamContainer.from_bytes(bytes(patched))
 
     def test_empty_frame_size_rejected(self):
         # offsets 10 and 12 hold the u16 width and height, as in to_bytes

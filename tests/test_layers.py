@@ -217,22 +217,41 @@ class TestPReLU:
 
 
 class TestMaskedConv:
-    def test_mask_patterns(self):
-        a = L.raster_mask(3, "A")
-        b = L.raster_mask(3, "B")
-        assert a.tolist() == [[1, 1, 1], [1, 0, 0], [0, 0, 0]]
-        assert b.tolist() == [[1, 1, 1], [1, 1, 0], [0, 0, 0]]
-        with pytest.raises(ContractError):
-            L.raster_mask(3, "C")
-
-    def test_equals_conv_with_masked_weight(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=(1, 2, 5, 5))
-        w = rng.normal(size=(3, 2, 5, 5))
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("kind", ["A", "B"])
+    def test_equals_conv_with_masked_weight(self, k, kind):
+        # the rows above the centre and the taps left of it (mask A), plus
+        # the centre itself (mask B)
+        mid = k // 2
+        mask = np.zeros((k, k))
+        mask[:mid] = 1.0
+        mask[mid, :mid] = 1.0
+        mask[mid, mid] = kind == "B"
+        rng = np.random.default_rng(4 + k)
+        x = rng.normal(size=(2, 3, 6, 7))
+        w = rng.normal(size=(4, 3, k, k))
+        b = rng.normal(size=(1, 4, 1, 1))
+        r = rng.normal(size=(2, 4, 6, 7))
+        grads = []
         with T.using_dtype(np.float64):
-            got = L.masked_conv2d(t64(x), t64(w), kind="B")
-        want = conv_oracle(x, w * L.raster_mask(5, "B"), 1)
-        assert got.data == pytest.approx(want, abs=1e-12)
+            for op, weight in ((lambda *a: L.masked_conv2d(*a, kind=kind), w),
+                               (L.conv2d, w * mask)):
+                ts = [t64(a, grad=True) for a in (x, weight, b)]
+                out = op(*ts)
+                T.backward(T.sum_all(T.mul(out, t64(r))))
+                grads.append([out.data] + [t.grad for t in ts])
+        (out, dx, dw, db), (want, want_dx, want_dw, want_db) = grads
+        assert np.array_equal(out, want)
+        assert np.array_equal(dx, want_dx)
+        assert np.array_equal(dw, want_dw * mask)
+        assert np.all(dw[:, :, mask == 0] == 0.0)
+        assert np.array_equal(db, want_db)
+
+    def test_bad_kind(self):
+        x, w = t64(np.zeros((1, 2, 4, 4))), t64(np.zeros((2, 2, 3, 3)))
+        for kind in ("C", ""):
+            with pytest.raises(ContractError):
+                L.masked_conv2d(x, w, kind=kind)
 
     @pytest.mark.parametrize("kind", ["A", "B"])
     def test_causality(self, kind):
@@ -364,8 +383,8 @@ class TestSpecs:
         L.hyper_encoder_spec(12, 8, 6),
         L.hyper_decoder_spec(6, 8, 12),
         L.context_spec(6, hidden=8),
-        L.gd_spec(3),
-        L.gs_spec(6),
+        L.feature_spec(6, 3, 5, "gd"),
+        L.feature_spec(6, 3, 5, "gs"),
         L.pred_branch_spec(3, 8),
     ])
     def test_param_count_matches_store(self, spec):
@@ -375,9 +394,10 @@ class TestSpecs:
 
     def test_difference_transform_pair_count(self):
         # three 5x5 prelu layers 6->16->16->3 hold 10070 parameters each way
-        assert L.gd_spec(3).param_count() == 10070
-        assert L.gs_spec(6).param_count() == 10070
-        assert L.gd_spec(3).param_count() + L.gs_spec(6).param_count() == 20140
+        gd, gs = L.feature_spec(6, 3, 5, "gd"), L.feature_spec(6, 3, 5, "gs")
+        assert gd.param_count() == gs.param_count() == 10070
+        assert gd.param_count() + gs.param_count() == 20140
+        assert (gd.role, gs.role) == ("gd", "gs")
 
     def test_encoder_decoder_round_trip_shape(self):
         params = L.ParamStore(np.float64)
@@ -396,7 +416,8 @@ class TestIdentityInits:
     def test_difference_init_computes_difference(self):
         params = L.ParamStore(np.float64)
         with T.using_dtype(np.float64):
-            net = L.make_network(L.gd_spec(3), params, "gd", init="identity-difference")
+            net = L.make_network(L.feature_spec(6, 3, 5, "gd"), params, "gd",
+                                 init="identity-difference")
             rng = np.random.default_rng(9)
             x = rng.normal(size=(2, 3, 6, 6))
             xt = rng.normal(size=(2, 3, 6, 6))
@@ -406,7 +427,7 @@ class TestIdentityInits:
     def test_sum_init_computes_sum(self):
         params = L.ParamStore(np.float64)
         with T.using_dtype(np.float64):
-            net = L.make_network(L.gs_spec(6), params, "gs", init="identity-sum")
+            net = L.make_network(L.feature_spec(6, 3, 5, "gs"), params, "gs", init="identity-sum")
             rng = np.random.default_rng(10)
             xt = rng.normal(size=(1, 3, 5, 5))
             d = rng.normal(size=(1, 3, 5, 5))
@@ -416,7 +437,7 @@ class TestIdentityInits:
     def test_identity_init_rejects_narrow_layers(self):
         # a 6-channel input carries 3 channels; a 2-channel output cannot
         with pytest.raises(ContractError):
-            L.make_network(L.gs_spec(6, out_ch=2), L.ParamStore(np.float64), "gs",
+            L.make_network(L.feature_spec(6, 2, 5, "gs"), L.ParamStore(np.float64), "gs",
                            init="identity-sum")
 
     def test_identity_init_requires_prelu(self):
@@ -427,12 +448,12 @@ class TestIdentityInits:
     def test_random_init_requires_rng(self):
         params = L.ParamStore(np.float64)
         with pytest.raises(ContractError):
-            L.make_network(L.gd_spec(3), params, "g")
+            L.make_network(L.feature_spec(6, 3, 5, "gd"), params, "g")
 
     def test_unknown_init_rejected(self):
         params = L.ParamStore(np.float64)
         with pytest.raises(ContractError):
-            L.make_network(L.gd_spec(3), params, "g", init="xavier")
+            L.make_network(L.feature_spec(6, 3, 5, "gd"), params, "g", init="xavier")
 
 
 class TestParamStore:

@@ -19,9 +19,17 @@ Cases:
   training  a make_corpus corpus, train_epoch and evaluate_pairs figures
   infolab   random joints of the three generators and their identity and
             bottleneck reports
+  layers    conv2d and tconv2d at k 1/3/5, stride 1/2, batch 2 and odd
+            sizes, and masked_conv2d with masks A and B at k 1/3/5, in
+            float32 and float64: the output and the input, weight and bias
+            gradients of a seeded linear loss
   hd        (only with ``hd``) the diff fixture at 1088x1920
 Each coded case hashes the container bytes, x_hat_d, x_hat_g, x_hat_merged,
-both payloads' est_bits and the decoder's reconstructions.
+both payloads' est_bits and the decoder's reconstructions.  A masked
+layer's weight gradient is 0 at its masked taps however the layer is
+written, but multiplying by a 0/1 mask leaves -0.0 where the upstream
+gradient is negative; the masked cases therefore fold -0.0 into +0.0
+before hashing, and every other array is hashed bit for bit.
 """
 
 from __future__ import annotations
@@ -167,13 +175,52 @@ def infolab(d):
         d.add(f"{case}/bottleneck", IL.bottleneck_report(j, f))
 
 
+def _layer_case(d, label, op, x, w, b, rng, fold_zeros=False):
+    """Hash op's output and the gradients of sum(out * r) for a seeded r."""
+    from gdclab import tensor as T
+    xt, wt, bt = (T.Tensor(a, requires_grad=True) for a in (x, w, b))
+    out = op(xt, wt, bt)
+    r = T.Tensor(rng.normal(size=out.shape).astype(x.dtype))
+    T.backward(T.sum_all(T.mul(out, r)))
+    for name, a in (("out", out.data), ("dx", xt.grad), ("dw", wt.grad), ("db", bt.grad)):
+        d.add(f"{label}/{name}", a + 0.0 if fold_zeros else a)
+
+
+def layers(d):
+    import numpy as np
+    from gdclab import layers as L
+    for dtype in (np.float32, np.float64):
+        rng = np.random.default_rng(12)
+        name = np.dtype(dtype).name
+
+        def draw(*shape, dtype=dtype):
+            return rng.normal(size=shape).astype(dtype)
+
+        for k in (1, 3, 5):
+            for stride in (1, 2):
+                for h, w in ((7, 9), (4, 5)):
+                    x = draw(2, 3, h, w)
+                    _layer_case(d, f"{name}/conv/k{k}/s{stride}/{h}x{w}",
+                                lambda a, b, c, s=stride: L.conv2d(a, b, bias=c, stride=s),
+                                x, draw(4, 3, k, k), draw(1, 4, 1, 1), rng)
+                    _layer_case(d, f"{name}/tconv/k{k}/s{stride}/{h}x{w}",
+                                lambda a, b, c, s=stride: L.tconv2d(a, b, bias=c, stride=s),
+                                x, draw(3, 4, k, k), draw(1, 4, 1, 1), rng)
+            for kind in ("A", "B"):
+                _layer_case(d, f"{name}/masked{kind}/k{k}",
+                            lambda a, b, c, m=kind: L.masked_conv2d(a, b, bias=c, kind=m),
+                            draw(2, 3, 7, 9), draw(4, 3, k, k), draw(1, 4, 1, 1), rng,
+                            fold_zeros=True)
+
+
 def main(argv):
     if not argv or len(argv) > 2 or (len(argv) == 2 and argv[1] != "hd"):
         raise SystemExit(__doc__.split("\n\n")[1])
     root = os.path.abspath(argv[0])
     _setup(root)
     groups = [("desk", desk), ("fixture", lambda d: fixture(d, root)),
-              ("gdc", gdc), ("training", training), ("infolab", infolab)]
+              ("gdc", gdc), ("training", training), ("infolab", infolab),
+              ("layers", layers)]
     if len(argv) == 2:
         groups.append(("hd", lambda d: fixture(d, root, ((1088, 1920),), ("diff",))))
     total = Digest()

@@ -291,8 +291,7 @@ def cmd_quadtree(args):
     print(f"cost {res.cost:.1f}, {res.side_bits} side bits, "
           f"mode-d fraction {res.mode_d_fraction:.3f}")
     if args.out:
-        _write_csv(args.out, ["y", "x", "size", "mode"],
-                   ([n.y, n.x, n.size, n.mode] for n in EV.quadtree_leaves(res.roots)))
+        _write_csv(args.out, EV.QTLeaf._fields, res.leaves)
     if args.merged:
         h, w = x.shape[2], x.shape[3]
         F.write_image(args.merged, T.Tensor(res.merged[:, :, :h, :w]))

@@ -349,13 +349,9 @@ class Coder:
                 x_hat_g=self._crop(x_hat_g, container.height, container.width),
                 latents={"y_hat": y_hat.data, "z_hat": z_hat.data})
             if container.qt_bits is not None:
-                roots, used = V.parse_quadtree(container.qt_bits, ph, pw,
-                                               container.qt_min_block,
-                                               container.qt_max_block)
-                if used != len(container.qt_bits):
-                    raise ContractError(f"quad-tree side info has {len(container.qt_bits)} bits, "
-                                        f"tree used {used}")
-                merged = V.merge_reconstructions(x_hat_d.data, x_hat_g.data, roots)
+                leaves = V.parse_quadtree(container.qt_bits, ph, pw,
+                                          container.qt_min_block, container.qt_max_block)
+                merged = V.merge_reconstructions(x_hat_d.data, x_hat_g.data, leaves)
                 out.x_hat_merged = self._crop(T.Tensor(merged), container.height, container.width)
         return out
 

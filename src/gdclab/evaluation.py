@@ -9,12 +9,15 @@ spends one split flag, and every leaf spends one mode bit.  A tree built
 under this rule is exactly decodable from its bit sequence, and the
 dynamic program below is optimal for the induced cost
 ``J = SSE + lambda * side_bits`` with SSE measured on the 0..255 scale.
+The search writes the bits, and parse_quadtree alone turns bits into a
+leaf list, for the encoder and the decoder alike.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,7 +52,6 @@ def bits_per_pixel(total_bits, height, width):
 class RDPoint:
     bpp: float
     psnr: float
-    label: str = ""
 
 
 def check_curve(points):
@@ -93,32 +95,28 @@ def bd_rate(reference, test):
 
 # -- quad-tree mode search --------------------------------------------------
 
-@dataclass
-class QTNode:
+class QTLeaf(NamedTuple):
     y: int
     x: int
     size: int
-    mode: str = ""           # "d" or "g" on leaves, "" on split nodes
-    children: tuple = ()     # (tl, tr, bl, br) when split
-    cost: float = 0.0
-
-    @property
-    def is_leaf(self):
-        return not self.children
+    mode: str                # "d" or "g"
 
 
 @dataclass
 class QTResult:
-    roots: tuple
+    leaves: tuple            # parse_quadtree(bits, ...): the tree in pre-order
+    bits: list
     merged: np.ndarray
     cost: float
-    bits: list               # serialize_quadtree(roots, min_block)
-    mode_d_area: int
     area: int
 
     @property
     def side_bits(self):
         return len(self.bits)
+
+    @property
+    def mode_d_area(self):
+        return sum(leaf.size * leaf.size for leaf in self.leaves if leaf.mode == "d")
 
     @property
     def mode_d_fraction(self):
@@ -129,20 +127,22 @@ def _is_pow2(v):
     return v >= 1 and (v & (v - 1)) == 0
 
 
-def _check_blocks(min_block, max_block):
+def root_block(height, width, min_block, max_block):
+    """Root tile size for a height x width canvas: the largest power of two
+    dividing both dimensions, clipped to ``max_block``.  Raises unless the
+    block range is valid and the canvas tiles at ``min_block`` or above."""
     if not (_is_pow2(min_block) and _is_pow2(max_block)):
         raise ContractError(f"block sizes must be powers of two, "
                             f"got {min_block}, {max_block}")
     if not (4 <= min_block <= max_block <= 256):
         raise ContractError(f"block range must satisfy 4 <= min <= max <= 256, "
                             f"got [{min_block}, {max_block}]")
-
-
-def root_block(height, width, max_block):
-    """Root tile size: the largest power of two dividing both dimensions,
-    clipped to ``max_block``."""
     g = math.gcd(height, width)
-    return min(max_block, g & (-g))
+    b = min(max_block, g & (-g))
+    if b < min_block:
+        raise ContractError(f"{height}x{width} canvas cannot be tiled at "
+                            f"block size >= {min_block}")
+    return b
 
 
 def _integral(err):
@@ -166,32 +166,25 @@ def quadtree_search(x, cand_d, cand_g, lam, min_block=4, max_block=256):
     """Optimal quad-tree over two candidate reconstructions of ``x``.
 
     All frames are (1, C, H, W) with H and W divisible by the root tile.
-    Ties prefer not splitting, and equal-SSE leaves prefer mode "d".
+    Ties prefer not splitting, and equal-SSE leaves prefer mode "d".  The
+    merged frame comes from parsing the tree's own bits, as a decoder does.
     """
     x = np.asarray(x)
     if x.ndim != 4 or x.shape[0] != 1:
         raise ShapeError(f"expected a single (1, C, H, W) frame, got {x.shape}")
     if x.shape != np.asarray(cand_d).shape or x.shape != np.asarray(cand_g).shape:
         raise ShapeError("frame and candidates must share a shape")
-    _check_blocks(min_block, max_block)
-    if lam < 0:
-        raise ContractError("lambda must be non-negative")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ContractError(f"lambda must be finite and non-negative, got {lam}")
     h, w = x.shape[2], x.shape[3]
-    b = root_block(h, w, max_block)
-    if b < min_block:
-        raise ContractError(f"{h}x{w} frame cannot be tiled at block size >= {min_block}")
+    b = root_block(h, w, min_block, max_block)
 
     int_d = _integral(_sse_map(x, cand_d))
     int_g = _integral(_sse_map(x, cand_g))
 
-    sizes = []
+    levels = {}
     s = min_block
     while s <= b:
-        sizes.append(s)
-        s *= 2
-
-    levels = {}
-    for s in sizes:
         sse_d = _block_sums(int_d, s)
         sse_g = _block_sums(int_g, s)
         mode_g = sse_g < sse_d
@@ -200,86 +193,63 @@ def quadtree_search(x, cand_d, cand_g, lam, min_block=4, max_block=256):
             cost = leaf_sse + lam
             split = np.zeros_like(mode_g)
         else:
-            child = levels[s // 2]["cost"]
-            split_sum = (child[0::2, 0::2] + child[0::2, 1::2]
-                         + child[1::2, 0::2] + child[1::2, 1::2])
+            split_sum = (cost[0::2, 0::2] + cost[0::2, 1::2]
+                         + cost[1::2, 0::2] + cost[1::2, 1::2])
             leaf_total = lam + leaf_sse + lam
             split_total = lam + split_sum
             split = split_total < leaf_total
             cost = np.where(split, split_total, leaf_total)
-        levels[s] = {"cost": cost, "mode_g": mode_g, "split": split}
+        levels[s] = (split.tolist(), mode_g.tolist())
+        s *= 2
 
-    def build(yi, xi, s):
-        lvl = levels[s]
-        if not lvl["split"][yi, xi]:
-            mode = "g" if lvl["mode_g"][yi, xi] else "d"
-            return QTNode(y=yi * s, x=xi * s, size=s, mode=mode,
-                          cost=float(lvl["cost"][yi, xi]))
-        half = s // 2
-        kids = tuple(build(2 * yi + dy, 2 * xi + dx, half)
-                     for dy in (0, 1) for dx in (0, 1))
-        return QTNode(y=yi * s, x=xi * s, size=s, children=kids,
-                      cost=float(lvl["cost"][yi, xi]))
-
-    roots = tuple(build(yi, xi, b)
-                  for yi in range(h // b) for xi in range(w // b))
-    merged = merge_reconstructions(cand_d, cand_g, roots)
-    d_area = sum(n.size * n.size for n in quadtree_leaves(roots) if n.mode == "d")
-    return QTResult(roots=roots, merged=merged,
-                    cost=float(sum(r.cost for r in roots)),
-                    bits=serialize_quadtree(roots, min_block),
-                    mode_d_area=d_area, area=h * w)
+    bits = serialize_quadtree(levels)
+    leaves = parse_quadtree(bits, h, w, min_block, max_block)
+    return QTResult(leaves=leaves, bits=bits,
+                    merged=merge_reconstructions(cand_d, cand_g, leaves),
+                    cost=float(sum(cost.ravel().tolist())), area=h * w)
 
 
-def quadtree_leaves(roots):
-    """The leaves under ``roots`` in pre-order: roots in raster order,
-    children in raster order."""
-    for node in roots:
-        if node.is_leaf:
-            yield node
-        else:
-            yield from quadtree_leaves(node.children)
-
-
-def merge_reconstructions(cand_d, cand_g, roots):
+def merge_reconstructions(cand_d, cand_g, leaves):
     cand_d = np.asarray(cand_d)
     cand_g = np.asarray(cand_g)
     out = np.empty_like(cand_d)
-    for node in quadtree_leaves(roots):
-        src = cand_d if node.mode == "d" else cand_g
-        block = np.s_[:, :, node.y:node.y + node.size, node.x:node.x + node.size]
+    for leaf in leaves:
+        src = cand_d if leaf.mode == "d" else cand_g
+        block = np.s_[:, :, leaf.y:leaf.y + leaf.size, leaf.x:leaf.x + leaf.size]
         out[block] = src[block]
     return out
 
 
-def serialize_quadtree(roots, min_block):
-    """Pre-order bit sequence: a split flag on every node above the minimum
-    size, then a mode bit (0 = d, 1 = g) on leaves, children in raster
-    order.  Roots follow in raster order."""
+def serialize_quadtree(levels):
+    """Pre-order bit sequence of the tree in the search's per-size
+    ``(split, mode_g)`` grids, block size -> rows of flags: a split flag on
+    every node above the minimum size, then a mode bit (0 = d, 1 = g) on
+    leaves, children in raster order.  Roots follow in raster order."""
+    min_block, b = min(levels), max(levels)
     bits = []
 
-    def walk(node):
-        if node.size > min_block:
-            bits.append(0 if node.is_leaf else 1)
-        if node.is_leaf:
-            bits.append(0 if node.mode == "d" else 1)
+    def walk(yi, xi, s):
+        split, mode_g = levels[s]
+        if s > min_block:
+            bits.append(int(split[yi][xi]))
+        if split[yi][xi]:
+            for dy in (0, 1):
+                for dx in (0, 1):
+                    walk(2 * yi + dy, 2 * xi + dx, s // 2)
         else:
-            for c in node.children:
-                walk(c)
+            bits.append(int(mode_g[yi][xi]))
 
-    for r in roots:
-        walk(r)
+    for yi in range(len(levels[b][0])):
+        for xi in range(len(levels[b][0][0])):
+            walk(yi, xi, b)
     return bits
 
 
 def parse_quadtree(bits, height, width, min_block, max_block=256):
-    """Inverse of serialize_quadtree for a height x width canvas.
-    Returns (roots, bits_consumed)."""
-    _check_blocks(min_block, max_block)
-    b = root_block(height, width, max_block)
-    if b < min_block:
-        raise ContractError(f"{height}x{width} canvas cannot be tiled at "
-                            f"block size >= {min_block}")
+    """Inverse of serialize_quadtree for a height x width canvas: the
+    leaves in pre-order.  Every bit must belong to the tree."""
+    b = root_block(height, width, min_block, max_block)
+    leaves = []
     pos = 0
 
     def take():
@@ -293,14 +263,17 @@ def parse_quadtree(bits, height, width, min_block, max_block=256):
         return v
 
     def read(y, x, s):
-        split = take() if s > min_block else 0
-        if split:
-            half = s // 2
-            kids = tuple(read(y + dy * half, x + dx * half, half)
-                         for dy in (0, 1) for dx in (0, 1))
-            return QTNode(y=y, x=x, size=s, children=kids)
-        return QTNode(y=y, x=x, size=s, mode="g" if take() else "d")
+        if s > min_block and take():
+            s //= 2
+            for dy in (0, s):
+                for dx in (0, s):
+                    read(y + dy, x + dx, s)
+        else:
+            leaves.append(QTLeaf(y, x, s, "g" if take() else "d"))
 
-    roots = tuple(read(yi * b, xi * b, b)
-                  for yi in range(height // b) for xi in range(width // b))
-    return roots, pos
+    for y in range(0, height, b):
+        for x in range(0, width, b):
+            read(y, x, b)
+    if pos != len(bits):
+        raise ContractError(f"quad-tree side info has {len(bits)} bits, tree used {pos}")
+    return tuple(leaves)

@@ -120,19 +120,14 @@ def load_checkpoint(path):
 # ---------------------------------------------------------------------------
 
 def pack_bits(bits):
-    """Pack an iterable of 0/1 into bytes, MSB first."""
-    bits = list(bits)
-    out = bytearray((len(bits) + 7) // 8)
-    for i, b in enumerate(bits):
-        if b:
-            out[i >> 3] |= 0x80 >> (i & 7)
-    return bytes(out)
+    """Pack a sequence of 0/1 into bytes, MSB first."""
+    return np.packbits(np.asarray(bits, dtype=bool)).tobytes()
 
 
 def unpack_bits(data, count):
     if len(data) != (count + 7) // 8:
         raise StreamError(f"bit block: {len(data)} bytes cannot hold {count} bits exactly")
-    return [(data[i >> 3] >> (7 - (i & 7))) & 1 for i in range(count)]
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=count).tolist()
 
 
 @dataclass

@@ -204,6 +204,8 @@ class ConvSpec:
             raise ContractError(f"kernel must be odd for symmetric padding: {self}")
         if self.activation not in ("none", "gdn", "igdn", "prelu"):
             raise ContractError(f"unknown activation {self.activation!r}")
+        if self.mask not in ("", "A", "B"):
+            raise ContractError(f"unknown mask {self.mask!r}")
         if self.mask and (self.transposed or self.stride != 1):
             raise ContractError("masked layers must be plain stride-1 convolutions")
 

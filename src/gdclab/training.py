@@ -46,8 +46,8 @@ class TrainConfig:
     patch: int = 32
 
     def __post_init__(self):
-        if self.lmbda <= 0 or self.lr <= 0:
-            raise ContractError("lambda and learning rate must be positive")
+        if not (0 < self.lmbda < math.inf and 0 < self.lr < math.inf):
+            raise ContractError("lambda and learning rate must be positive and finite")
         if self.patch % 16:
             raise ContractError(f"patch {self.patch} not divisible by 16")
         if self.steps < 0:

@@ -278,6 +278,14 @@ class TestQuadTreeSideInfo:
         assert dec_out.x_hat_merged is not None
         assert np.array_equal(enc_out.x_hat_merged.data, dec_out.x_hat_merged.data)
 
+    def test_trailing_side_bit_rejected(self):
+        coder = C.Coder.new(C.CoderConfig.desk("xgdc"), seed=9)
+        x, xt = frame_pair(np.random.default_rng(15), 32, 32)
+        container, _ = coder.encode(x, xt, qt_lambda=200.0, min_block=4, max_block=16)
+        container.qt_bits = container.qt_bits + [0]
+        with pytest.raises(ContractError):
+            coder.decode(xt, BitstreamContainer.from_bytes(container.to_bytes()))
+
     def test_no_side_info_without_lambda(self):
         coder = C.Coder.new(C.CoderConfig.desk("xgdc"), seed=10)
         x, xt = frame_pair(np.random.default_rng(16), 32, 32)

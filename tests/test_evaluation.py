@@ -151,14 +151,6 @@ def exhaustive_cost(x, d, g, lam, min_block, block):
     return total
 
 
-def _same_tree(a, b):
-    if (a.is_leaf, a.y, a.x, a.size) != (b.is_leaf, b.y, b.x, b.size):
-        return False
-    if a.is_leaf:
-        return a.mode == b.mode
-    return all(_same_tree(c1, c2) for c1, c2 in zip(a.children, b.children))
-
-
 class TestQuadTree:
     def _hand_case(self, rng):
         # candidate d is perfect only in the top-left quadrant, candidate g
@@ -174,25 +166,22 @@ class TestQuadTree:
     def test_hand_case(self):
         x, d, g = self._hand_case(np.random.default_rng(9))
         res = V.quadtree_search(x, d, g, lam=1.0, min_block=4, max_block=8)
-        root = res.roots[0]
-        assert not root.is_leaf
-        assert [c.mode for c in root.children] == ["d", "g", "g", "g"]
-        assert res.side_bits == 1 + 4  # one split flag, four mode bits
+        assert res.leaves == ((0, 0, 4, "d"), (0, 4, 4, "g"), (4, 0, 4, "g"), (4, 4, 4, "g"))
+        assert res.bits == [1, 0, 1, 1, 1]  # one split flag, four mode bits
         assert np.array_equal(res.merged, x)
         assert res.mode_d_fraction == 0.25
 
     def test_root_leaf_accounting(self):
         x, d, g = self._hand_case(np.random.default_rng(10))
         res = V.quadtree_search(x, d, g, lam=0.0, min_block=8, max_block=8)
-        assert res.roots[0].is_leaf
+        assert res.leaves == ((0, 0, 8, "g"),)
         assert res.side_bits == 1  # no flag at minimum size, one mode bit
 
     def test_ties_prefer_leaf_and_mode_d(self):
         x = np.random.default_rng(11).uniform(size=(1, 1, 8, 8))
         res = V.quadtree_search(x, x.copy(), x.copy(), lam=0.0,
                                 min_block=4, max_block=8)
-        assert res.roots[0].is_leaf
-        assert res.roots[0].mode == "d"
+        assert res.leaves == ((0, 0, 8, "d"),)
         assert res.mode_d_fraction == 1.0
 
     def test_exhaustive_agreement_8x8(self):
@@ -236,20 +225,13 @@ class TestQuadTree:
         d = x + rng.normal(scale=0.04, size=x.shape)
         g = x + rng.normal(scale=0.04, size=x.shape)
         res = V.quadtree_search(x, d, g, 50.0, min_block=4, max_block=16)
-
-        def check(node):
-            if node.is_leaf:
-                src = d if node.mode == "d" else g
-                sl = np.s_[:, :, node.y:node.y + node.size, node.x:node.x + node.size]
-                assert np.array_equal(res.merged[sl], src[sl])
-            else:
-                for c in node.children:
-                    check(c)
-
-        for r in res.roots:
-            check(r)
+        assert len(res.leaves) > 1
+        for leaf in res.leaves:
+            src = d if leaf.mode == "d" else g
+            sl = np.s_[:, :, leaf.y:leaf.y + leaf.size, leaf.x:leaf.x + leaf.size]
+            assert np.array_equal(res.merged[sl], src[sl])
         areas = res.mode_d_area + sum(
-            n.size * n.size for n in V.quadtree_leaves(res.roots) if n.mode == "g")
+            leaf.size * leaf.size for leaf in res.leaves if leaf.mode == "g")
         assert areas == res.area == 256
 
     def test_side_bits_equal_serialization_length(self):
@@ -260,18 +242,25 @@ class TestQuadTree:
             g = x + rng.normal(scale=0.03, size=x.shape)
             res = V.quadtree_search(x, d, g, float(rng.uniform(0, 300)),
                                     min_block=4, max_block=16)
-            assert len(V.serialize_quadtree(res.roots, 4)) == res.side_bits
+            # a mode bit per leaf, a split flag per leaf above the minimum
+            # size and one per split node; a split turns one leaf into four
+            n = len(res.leaves)
+            flags = sum(leaf.size > 4 for leaf in res.leaves) + (n - 1) // 3
+            assert res.side_bits == len(res.bits) == n + flags
 
     def test_serialize_parse_round_trip(self):
+        # the hand case's tree, as the search's per-size (split, mode_g)
+        levels = {4: ([[False, False], [False, False]], [[False, True], [True, True]]),
+                  8: ([[True]], [[True]])}
+        bits = V.serialize_quadtree(levels)
+        assert bits == [1, 0, 1, 1, 1]
         x, d, g = self._hand_case(np.random.default_rng(17))
         res = V.quadtree_search(x, d, g, 1.0, min_block=4, max_block=8)
-        bits = V.serialize_quadtree(res.roots, 4)
-        roots, used = V.parse_quadtree(bits, 8, 8, 4, 8)
-        assert used == len(bits) == res.side_bits
-        assert all(_same_tree(a, b) for a, b in zip(res.roots, roots))
-        # extra bits are simply left unconsumed at this layer
-        _, used2 = V.parse_quadtree(bits + [0, 1], 8, 8, 4, 8)
-        assert used2 == len(bits)
+        assert res.bits == bits
+        assert V.parse_quadtree(bits, 8, 8, 4, 8) == res.leaves
+        # every bit must belong to the tree
+        with pytest.raises(ContractError):
+            V.parse_quadtree(bits + [0, 1], 8, 8, 4, 8)
 
     def test_multiple_roots_raster_order(self):
         rng = np.random.default_rng(18)
@@ -279,11 +268,10 @@ class TestQuadTree:
         d = x + rng.normal(scale=0.03, size=x.shape)
         g = x + rng.normal(scale=0.03, size=x.shape)
         res = V.quadtree_search(x, d, g, 10.0, min_block=4, max_block=8)
-        assert [(r.y, r.x) for r in res.roots] == [(0, 0), (0, 8)]
-        bits = V.serialize_quadtree(res.roots, 4)
-        roots, used = V.parse_quadtree(bits, 8, 16, 4, 8)
-        assert used == len(bits)
-        assert all(_same_tree(a, b) for a, b in zip(res.roots, roots))
+        # every leaf of the left root comes before any leaf of the right one
+        right = [leaf.x >= 8 for leaf in res.leaves]
+        assert right == sorted(right) and right[0] is False and right[-1] is True
+        assert V.parse_quadtree(res.bits, 8, 16, 4, 8) == res.leaves
 
     def test_parse_contracts(self):
         with pytest.raises(ContractError):
@@ -292,10 +280,11 @@ class TestQuadTree:
             V.parse_quadtree([2, 0], 8, 8, 4, 8)  # non-binary bit
 
     def test_root_block_rule(self):
-        assert V.root_block(48, 32, 256) == 16
-        assert V.root_block(24, 36, 256) == 4
-        assert V.root_block(64, 64, 16) == 16
-        assert V.root_block(10, 6, 256) == 2
+        assert V.root_block(48, 32, 4, 256) == 16
+        assert V.root_block(24, 36, 4, 256) == 4
+        assert V.root_block(64, 64, 4, 16) == 16
+        with pytest.raises(ContractError):
+            V.root_block(10, 6, 4, 256)  # root tile 2 < min_block
 
     def test_search_contracts(self):
         x = np.zeros((1, 1, 8, 8))
@@ -305,8 +294,9 @@ class TestQuadTree:
             V.quadtree_search(x, x, x, 1.0, min_block=16, max_block=8)
         with pytest.raises(ContractError):
             V.quadtree_search(x, x, x, 1.0, min_block=4, max_block=512)
-        with pytest.raises(ContractError):
-            V.quadtree_search(x, x, x, -1.0)
+        for lam in (-1.0, math.nan, math.inf):
+            with pytest.raises(ContractError):
+                V.quadtree_search(x, x, x, lam)
         with pytest.raises(ShapeError):
             V.quadtree_search(np.zeros((2, 1, 8, 8)), x, x, 1.0)
         with pytest.raises(ShapeError):

@@ -370,6 +370,8 @@ class TestSpecs:
         with pytest.raises(ContractError):
             L.ConvSpec(2, 2, stride=2, mask="A").validate()
         with pytest.raises(ContractError):
+            L.ConvSpec(2, 4, 3, 1, False, "prelu", mask="C").validate()
+        with pytest.raises(ContractError):
             L.ConvSpec(2, 0).validate()
 
     def test_network_channel_chain(self):

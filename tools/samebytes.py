@@ -23,6 +23,10 @@ Cases:
             sizes, and masked_conv2d with masks A and B at k 1/3/5, in
             float32 and float64: the output and the input, weight and bias
             gradients of a seeded linear loss
+  quadtree  quadtree_search on one root (16x16) and several (8x16, 48x32),
+            min_block 4/8, max_block 8/16/256, lambda 0/1/50/300/2000, in
+            float32 and float64, with a quarter of the 4x4 blocks tied:
+            bits, merged, cost, side_bits and mode_d_fraction
   hd        (only with ``hd``) the diff fixture at 1088x1920
 Each coded case hashes the container bytes, x_hat_d, x_hat_g, x_hat_merged,
 both payloads' est_bits and the decoder's reconstructions.  A masked
@@ -213,6 +217,34 @@ def layers(d):
                             fold_zeros=True)
 
 
+def quadtree(d):
+    import numpy as np
+    from gdclab import evaluation as EV
+    for dtype in (np.float32, np.float64):
+        name = np.dtype(dtype).name
+        for h, w in ((16, 16), (8, 16), (48, 32)):
+            rng = np.random.default_rng(h * w)
+            x = rng.uniform(size=(1, 3, h, w))
+            # a noise level per 4x4 block, spread over two decades, so that
+            # the tree changes with lambda and each candidate wins somewhere
+            cd, cg = (x + rng.normal(size=x.shape)
+                      * (10 ** rng.uniform(-3, -1, size=(1, 1, h // 4, w // 4)))
+                      .repeat(4, 2).repeat(4, 3)
+                      for _ in range(2))
+            # a quarter of the blocks tie, to pin both tie rules
+            tie = (rng.uniform(size=(1, 1, h // 4, w // 4)) < 0.25).repeat(4, 2).repeat(4, 3)
+            cg = np.where(tie, cd, cg)
+            x, cd, cg = (a.astype(dtype) for a in (x, cd, cg))
+            for lo in (4, 8):
+                for hi in (8, 16, 256):
+                    for lam in (0.0, 1.0, 50.0, 300.0, 2000.0):
+                        res = EV.quadtree_search(x, cd, cg, lam, min_block=lo, max_block=hi)
+                        label = f"{name}/{h}x{w}/{lo}-{hi}/lam{lam:g}"
+                        for attr in ("bits", "merged", "cost", "side_bits",
+                                     "mode_d_fraction"):
+                            d.add(f"{label}/{attr}", getattr(res, attr))
+
+
 def main(argv):
     if not argv or len(argv) > 2 or (len(argv) == 2 and argv[1] != "hd"):
         raise SystemExit(__doc__.split("\n\n")[1])
@@ -220,7 +252,7 @@ def main(argv):
     _setup(root)
     groups = [("desk", desk), ("fixture", lambda d: fixture(d, root)),
               ("gdc", gdc), ("training", training), ("infolab", infolab),
-              ("layers", layers)]
+              ("layers", layers), ("quadtree", quadtree)]
     if len(argv) == 2:
         groups.append(("hd", lambda d: fixture(d, root, ((1088, 1920),), ("diff",))))
     total = Digest()

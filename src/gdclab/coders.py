@@ -279,8 +279,12 @@ class Coder:
             raise ShapeError(f"empty frame {xd_arr.shape}")
         true_h, true_w = xd_arr.shape[2], xd_arr.shape[3]
         sp = self.cfg.stride_product
+        xp = T.Tensor(pad_to_multiple(xd_arr, sp))
+        if qt_lambda is not None:
+            # reject a bad search before the forward pass and the range coders
+            V.check_lambda(qt_lambda)
+            V.root_block(xp.shape[2], xp.shape[3], min_block, max_block)
         with T.no_grad():
-            xp = T.Tensor(pad_to_multiple(xd_arr, sp))
             out = self.forward(xp, T.Tensor(pad_to_multiple(xt_arr, sp)), mode="round")
             lat = out.latents
             stream_z, sup_z = E.encode_context(lat["z_hat"], self.nets["ctx"])

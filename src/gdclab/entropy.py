@@ -60,11 +60,7 @@ def quantize(t, mode, rng=None):
         out = round_away(t.data)
     else:
         raise ContractError(f"unknown quantization mode {mode!r}")
-
-    def bwd(g):
-        t._accum(g)
-
-    return T._node(out, (t,), bwd, f"quantize-{mode}")
+    return T._node(out, f"quantize-{mode}", (t, lambda g: g))
 
 
 def gaussian_bits(values, mean, scale):

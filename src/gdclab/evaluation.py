@@ -145,6 +145,12 @@ def root_block(height, width, min_block, max_block):
     return b
 
 
+def check_lambda(lam):
+    """The quad-tree's rate weight must be finite and non-negative."""
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ContractError(f"lambda must be finite and non-negative, got {lam}")
+
+
 def _integral(err):
     out = np.zeros((err.shape[0] + 1, err.shape[1] + 1), dtype=np.float64)
     np.cumsum(err, axis=0, out=out[1:, 1:])
@@ -174,8 +180,7 @@ def quadtree_search(x, cand_d, cand_g, lam, min_block=4, max_block=256):
         raise ShapeError(f"expected a single (1, C, H, W) frame, got {x.shape}")
     if x.shape != np.asarray(cand_d).shape or x.shape != np.asarray(cand_g).shape:
         raise ShapeError("frame and candidates must share a shape")
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ContractError(f"lambda must be finite and non-negative, got {lam}")
+    check_lambda(lam)
     h, w = x.shape[2], x.shape[3]
     b = root_block(h, w, min_block, max_block)
 
@@ -210,14 +215,13 @@ def quadtree_search(x, cand_d, cand_g, lam, min_block=4, max_block=256):
 
 
 def merge_reconstructions(cand_d, cand_g, leaves):
+    """cand_g on the "g" leaves and cand_d elsewhere, in cand_d's dtype."""
     cand_d = np.asarray(cand_d)
-    cand_g = np.asarray(cand_g)
-    out = np.empty_like(cand_d)
+    mode_g = np.zeros(cand_d.shape[2:], dtype=bool)
     for leaf in leaves:
-        src = cand_d if leaf.mode == "d" else cand_g
-        block = np.s_[:, :, leaf.y:leaf.y + leaf.size, leaf.x:leaf.x + leaf.size]
-        out[block] = src[block]
-    return out
+        if leaf.mode == "g":
+            mode_g[leaf.y:leaf.y + leaf.size, leaf.x:leaf.x + leaf.size] = True
+    return np.where(mode_g, cand_g, cand_d).astype(cand_d.dtype, copy=False)
 
 
 def serialize_quadtree(levels):

@@ -104,22 +104,21 @@ def _conv(x, weight, bias, stride, transposed, op, mask=""):
             raise ShapeError(f"{op}: bias shape {bias.shape} != (1,{cout},1,1)")
         out += bias.data
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
+    # The VJPs read weight.data when they run, not at build time: a graph
+    # kept alive past an optimizer step must not pin the replaced weights.
+    def x_vjp(g):
+        if transposed:
+            return _gather(g, weight.data, stride, taps)
+        return _scatter(g, weight.data, stride, taps, x.shape)
 
-    def bwd(g):
-        # read weight.data here, not at build time: a graph kept alive past
-        # an optimizer step must not pin the replaced weight arrays
-        wd = weight.data
-        if x.requires_grad:
-            x._accum(_gather(g, wd, stride, taps) if transposed
-                     else _scatter(g, wd, stride, taps, x.shape))
-        if weight.requires_grad:
-            big, small = (g, x.data) if transposed else (x.data, g)
-            weight._accum(_weight_grad(big, small, stride, taps, wd.shape))
-        if bias is not None and bias.requires_grad:
-            bias._accum(g.sum(axis=(0, 2, 3)).reshape(bias.shape))
+    def weight_vjp(g):
+        big, small = (g, x.data) if transposed else (x.data, g)
+        return _weight_grad(big, small, stride, taps, weight.data.shape)
 
-    return T._node(out, parents, bwd, op)
+    edges = [(x, x_vjp), (weight, weight_vjp)]
+    if bias is not None:
+        edges.append((bias, lambda g: g.sum(axis=(0, 2, 3)).reshape(bias.shape)))
+    return T._node(out, op, *edges)
 
 
 def conv2d(x, weight, bias=None, stride=1):
@@ -142,14 +141,12 @@ def prelu(x, slope):
     pos = x.data >= 0
     out = np.where(pos, x.data, slope.data * x.data)
 
-    def bwd(g):
-        if x.requires_grad:
-            x._accum(np.where(pos, g, slope.data * g))
-        if slope.requires_grad:
-            contrib = np.where(pos, 0.0, x.data * g)
-            slope._accum(contrib.sum(axis=(0, 2, 3)).reshape(slope.shape))
+    def slope_vjp(g):
+        contrib = np.where(pos, 0.0, x.data * g)
+        return contrib.sum(axis=(0, 2, 3)).reshape(slope.shape)
 
-    return T._node(out, (x, slope), bwd, "prelu")
+    return T._node(out, "prelu", (x, lambda g: np.where(pos, g, slope.data * g)),
+                   (slope, slope_vjp))
 
 
 def gdn(x, beta_raw, gamma_raw, inverse=False):

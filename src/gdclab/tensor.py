@@ -1,11 +1,14 @@
 """Rank-4 tensors with reverse-mode automatic differentiation.
 
 Values are dense numpy arrays in (batch, channels, height, width) layout.
-The graph is define-by-run: each operation records a backward closure on its
-output node and ``backward(loss)`` replays the closures in reverse
-topological order, accumulating ``.grad`` on every reachable tensor that
-requires gradients.  float32 is the working precision for training; the
-verification tooling runs the same graphs in float64 (see ``using_dtype``).
+The graph is define-by-run: each operation hands ``_node`` one edge per
+input, the input plus its vector-Jacobian product (VJP), which maps the
+output's gradient to that input's share.  ``_node`` keeps only the edges
+into inputs that require gradients, and ``backward(loss)`` alone applies
+the chain rule: in reverse topological order it accumulates each edge's
+VJP of a node's ``.grad`` into the edge's input, in edge order.  float32
+is the working precision for training; the verification tooling runs the
+same graphs in float64 (see ``using_dtype``).
 
 Scalars (losses, rates) are represented as tensors of shape (1, 1, 1, 1);
 nothing in the engine supports other ranks, which keeps the shape algebra
@@ -63,9 +66,9 @@ def no_grad():
 class Tensor:
     """A rank-4 array plus the bookkeeping needed for backpropagation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_bwd")
+    __slots__ = ("data", "grad", "requires_grad", "op", "_edges")
 
-    def __init__(self, data, requires_grad=False, *, op="leaf", parents=(), bwd=None):
+    def __init__(self, data, requires_grad=False, *, op="leaf", edges=()):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(_default_dtype)
@@ -75,8 +78,7 @@ class Tensor:
         self.grad = None
         self.requires_grad = bool(requires_grad) and _grad_enabled
         self.op = op
-        self._parents = parents if self.requires_grad else ()
-        self._bwd = bwd if self.requires_grad else None
+        self._edges = edges if self.requires_grad else ()
 
     @property
     def shape(self):
@@ -117,77 +119,48 @@ def _check_same(a, b, opname):
         raise ContractError(f"{opname}: dtype mismatch {a.dtype} vs {b.dtype}")
 
 
-def _node(data, parents, bwd, op):
-    live = tuple(p for p in parents if p.requires_grad)
+def _node(data, op, *edges):
+    """The output of ``op``.  Each edge is ``(input, vjp)``, where ``vjp(g)``
+    maps the output's gradient to that input's share; only edges into
+    inputs that require gradients are kept, and ``backward`` alone applies
+    them."""
+    live = tuple(e for e in edges if e[0].requires_grad)
     if _grad_enabled and live:
-        return Tensor(data, requires_grad=True, op=op, parents=live, bwd=bwd)
+        return Tensor(data, requires_grad=True, op=op, edges=live)
     return Tensor(data, requires_grad=False, op=op)
 
 
 def add(a, b):
     _check_same(a, b, "add")
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(g)
-        if b.requires_grad:
-            b._accum(g)
-
-    return _node(a.data + b.data, (a, b), bwd, "add")
+    return _node(a.data + b.data, "add", (a, lambda g: g), (b, lambda g: g))
 
 
 def sub(a, b):
     _check_same(a, b, "sub")
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(g)
-        if b.requires_grad:
-            b._accum(-g)
-
-    return _node(a.data - b.data, (a, b), bwd, "sub")
+    return _node(a.data - b.data, "sub", (a, lambda g: g), (b, lambda g: -g))
 
 
 def mul(a, b):
     _check_same(a, b, "mul")
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(g * b.data)
-        if b.requires_grad:
-            b._accum(g * a.data)
-
-    return _node(a.data * b.data, (a, b), bwd, "mul")
+    return _node(a.data * b.data, "mul",
+                 (a, lambda g: g * b.data), (b, lambda g: g * a.data))
 
 
 def div(a, b):
     _check_same(a, b, "div")
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(g / b.data)
-        if b.requires_grad:
-            b._accum(-g * a.data / (b.data * b.data))
-
-    return _node(a.data / b.data, (a, b), bwd, "div")
+    return _node(a.data / b.data, "div",
+                 (a, lambda g: g / b.data),
+                 (b, lambda g: -g * a.data / (b.data * b.data)))
 
 
 def scale(a, s):
-    s = float(s)
-
-    def bwd(g):
-        a._accum(g * np.asarray(s, dtype=a.data.dtype))
-
-    return _node(a.data * np.asarray(s, dtype=a.data.dtype), (a,), bwd, "scale")
+    s = np.asarray(float(s), dtype=a.data.dtype)
+    return _node(a.data * s, "scale", (a, lambda g: g * s))
 
 
 def add_scalar(a, s):
     s = float(s)
-
-    def bwd(g):
-        a._accum(g)
-
-    return _node(a.data + np.asarray(s, dtype=a.data.dtype), (a,), bwd, "add_scalar")
+    return _node(a.data + np.asarray(s, dtype=a.data.dtype), "add_scalar", (a, lambda g: g))
 
 
 def concat_channels(tensors):
@@ -200,48 +173,38 @@ def concat_channels(tensors):
             raise ShapeError(f"concat_channels: incompatible shapes {first.shape} vs {t.shape}")
         if t.data.dtype != first.data.dtype:
             raise ContractError("concat_channels: dtype mismatch")
-    splits = np.cumsum([t.shape[1] for t in tensors])[:-1]
+    stops = np.cumsum([t.shape[1] for t in tensors]).tolist()
+    edges = [(t, lambda g, lo=stop - t.shape[1], hi=stop: g[:, lo:hi])
+             for t, stop in zip(tensors, stops)]
+    return _node(np.concatenate([t.data for t in tensors], axis=1), "concat", *edges)
 
-    def bwd(g):
-        parts = np.split(g, splits, axis=1)
-        for t, p in zip(tensors, parts):
-            if t.requires_grad:
-                t._accum(p)
 
-    return _node(np.concatenate([t.data for t in tensors], axis=1), tuple(tensors), bwd, "concat")
+def _window(a, index, op):
+    """a[index] as a node; its gradient scatters back into zeros of a's shape."""
+    def vjp(g):
+        full = np.zeros_like(a.data)
+        full[index] = g
+        return full
+
+    return _node(a.data[index].copy(), op, (a, vjp))
 
 
 def slice_channels(a, start, stop):
     if not (0 <= start < stop <= a.shape[1]):
         raise ShapeError(f"slice_channels: [{start}:{stop}] out of range for {a.shape[1]} channels")
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        full[:, start:stop] = g
-        a._accum(full)
-
-    return _node(a.data[:, start:stop].copy(), (a,), bwd, "slice_ch")
+    return _window(a, np.s_[:, start:stop], "slice_ch")
 
 
 def crop_spatial(a, h0, h1, w0, w1):
     n, c, h, w = a.shape
     if not (0 <= h0 < h1 <= h and 0 <= w0 < w1 <= w):
         raise ShapeError(f"crop_spatial: window [{h0}:{h1},{w0}:{w1}] out of range for {a.shape}")
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        full[:, :, h0:h1, w0:w1] = g
-        a._accum(full)
-
-    return _node(a.data[:, :, h0:h1, w0:w1].copy(), (a,), bwd, "crop")
+    return _window(a, np.s_[:, :, h0:h1, w0:w1], "crop")
 
 
 def sum_all(a):
-    def bwd(g):
-        a._accum(np.full_like(a.data, g.reshape(())))
-
     out = np.asarray(a.data.sum(), dtype=a.data.dtype).reshape(1, 1, 1, 1)
-    return _node(out, (a,), bwd, "sum")
+    return _node(out, "sum", (a, lambda g: np.full_like(a.data, g.reshape(()))))
 
 
 def mean_all(a):
@@ -252,52 +215,37 @@ def power(a, p):
     """Elementwise a**p for a constant exponent; a must stay positive when
     p is not a positive integer."""
     p = float(p)
-    out = np.power(a.data, p)
-
-    def bwd(g):
-        a._accum(g * p * np.power(a.data, p - 1.0))
-
-    return _node(out, (a,), bwd, "power")
+    return _node(np.power(a.data, p), "power",
+                 (a, lambda g: g * p * np.power(a.data, p - 1.0)))
 
 
 def log2(a):
-    def bwd(g):
-        a._accum(g / (a.data * a.data.dtype.type(_LN2)))
-
-    return _node(np.log2(a.data), (a,), bwd, "log2")
+    return _node(np.log2(a.data), "log2",
+                 (a, lambda g: g / (a.data * a.data.dtype.type(_LN2))))
 
 
 def softplus(a):
     """log(1 + e^x), evaluated stably; gradient is the logistic sigmoid."""
     out = np.logaddexp(0.0, a.data).astype(a.data.dtype)
-
-    def bwd(g):
-        sig = 0.5 * (1.0 + np.tanh(0.5 * a.data))
-        a._accum(g * sig)
-
-    return _node(out, (a,), bwd, "softplus")
+    return _node(out, "softplus", (a, lambda g: g * (0.5 * (1.0 + np.tanh(0.5 * a.data)))))
 
 
 def normal_cdf(a):
     """Standard normal CDF Phi(x); gradient is the normal pdf."""
     out = (0.5 * (1.0 + _erf(a.data * _INV_SQRT2))).astype(a.data.dtype)
 
-    def bwd(g):
+    def vjp(g):
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * a.data * a.data)
-        a._accum(g * pdf.astype(a.data.dtype))
+        return g * pdf.astype(a.data.dtype)
 
-    return _node(out, (a,), bwd, "normal_cdf")
+    return _node(out, "normal_cdf", (a, vjp))
 
 
 def clamp_min(a, floor):
     """max(a, floor); gradient flows only where a > floor."""
     floor = float(floor)
     out = np.maximum(a.data, a.data.dtype.type(floor))
-
-    def bwd(g):
-        a._accum(g * (a.data > floor))
-
-    return _node(out, (a,), bwd, "clamp_min")
+    return _node(out, "clamp_min", (a, lambda g: g * (a.data > floor)))
 
 
 def backward(loss):
@@ -329,14 +277,14 @@ def backward(loss):
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen:
-                stack.append((p, False))
+        for inp, _ in node._edges:
+            if id(inp) not in seen:
+                stack.append((inp, False))
 
     loss._accum(np.ones_like(loss.data))
     for node in reversed(topo):
-        if node._bwd is not None and node.grad is not None:
-            node._bwd(node.grad)
+        for inp, vjp in node._edges:
+            inp._accum(vjp(node.grad))
 
 
 def grad_check(f, inputs):

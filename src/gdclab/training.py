@@ -48,8 +48,6 @@ class TrainConfig:
     def __post_init__(self):
         if not (0 < self.lmbda < math.inf and 0 < self.lr < math.inf):
             raise ContractError("lambda and learning rate must be positive and finite")
-        if self.patch % 16:
-            raise ContractError(f"patch {self.patch} not divisible by 16")
         if self.steps < 0:
             raise ContractError("steps must be non-negative")
 

@@ -286,6 +286,26 @@ class TestQuadTreeSideInfo:
         with pytest.raises(ContractError):
             coder.decode(xt, BitstreamContainer.from_bytes(container.to_bytes()))
 
+    def test_bad_search_rejected_before_forward(self, monkeypatch):
+        coder = C.Coder.new(C.CoderConfig.desk("xgdc"), seed=9)
+
+        def forward(*args, **kwargs):
+            raise RuntimeError("forward ran")
+
+        monkeypatch.setattr(coder, "forward", forward)
+        x, xt = frame_pair(np.random.default_rng(15), 40, 32)
+        with pytest.raises(RuntimeError):
+            coder.encode(x, xt, qt_lambda=100.0)
+        bad = [{"qt_lambda": lam} for lam in (float("nan"), float("inf"), -1.0)]
+        bad += [{"qt_lambda": 100.0, "min_block": 3},
+                {"qt_lambda": 100.0, "min_block": 16, "max_block": 8},
+                {"qt_lambda": 100.0, "max_block": 512},
+                # pads to 48x32, whose root tile is 16
+                {"qt_lambda": 100.0, "min_block": 32, "max_block": 64}]
+        for kwargs in bad:
+            with pytest.raises(ContractError):
+                coder.encode(x, xt, **kwargs)
+
     def test_no_side_info_without_lambda(self):
         coder = C.Coder.new(C.CoderConfig.desk("xgdc"), seed=10)
         x, xt = frame_pair(np.random.default_rng(16), 32, 32)

@@ -230,6 +230,10 @@ class TestQuadTree:
             src = d if leaf.mode == "d" else g
             sl = np.s_[:, :, leaf.y:leaf.y + leaf.size, leaf.x:leaf.x + leaf.size]
             assert np.array_equal(res.merged[sl], src[sl])
+        # the merged frame is in cand_d's dtype
+        merged32 = V.merge_reconstructions(d.astype(np.float32), g, res.leaves)
+        assert merged32.dtype == np.float32
+        assert np.array_equal(merged32, res.merged.astype(np.float32))
         areas = res.mode_d_area + sum(
             leaf.size * leaf.size for leaf in res.leaves if leaf.mode == "g")
         assert areas == res.area == 256

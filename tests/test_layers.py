@@ -361,6 +361,45 @@ class TestGradients:
             assert T.grad_check(f, [x, w]) < self.TOL
 
 
+class TestConvEdges:
+    """The conv node hands the engine one VJP per input."""
+
+    def test_frozen_input_runs_no_input_vjp(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        calls = []
+        scatter = L._scatter
+
+        def counted(*args):
+            calls.append(1)
+            return scatter(*args)
+
+        monkeypatch.setattr(L, "_scatter", counted)
+        w = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+        for x_grad, want in ((False, 0), (True, 1)):
+            x = Tensor(rng.normal(size=(1, 2, 6, 6)), requires_grad=x_grad)
+            loss = T.sum_all(L.conv2d(x, w, stride=2))
+            calls.clear()
+            T.backward(loss)
+            assert len(calls) == want
+            assert (x.grad is not None) == x_grad
+
+    def test_vjps_read_weights_when_backward_runs(self):
+        rng = np.random.default_rng(27)
+        x_arr = rng.normal(size=(2, 2, 7, 6))
+        w_old, w_new = (rng.normal(size=(3, 2, 3, 3)) for _ in range(2))
+        b_arr = rng.normal(size=(1, 3, 1, 1))
+        r = Tensor(rng.normal(size=(2, 3, 4, 3)))
+        grads = []
+        for build_w in (w_old, w_new):
+            x, w, b = (Tensor(a.copy(), requires_grad=True) for a in (x_arr, build_w, b_arr))
+            loss = T.sum_all(T.mul(L.conv2d(x, w, bias=b, stride=2), r))
+            w.data = w_new.copy()   # an optimizer step between forward and backward
+            T.backward(loss)
+            grads.append((x.grad, w.grad, b.grad))
+        for kept, fresh in zip(*grads):
+            assert np.array_equal(kept, fresh)
+
+
 class TestSpecs:
     def test_convspec_contracts(self):
         with pytest.raises(ContractError):

@@ -120,7 +120,11 @@ class TestBackward:
         a = scalar(2.0, requires_grad=True)
         with T.no_grad():
             out = T.mul(a, a)
-        assert out._parents == () and not out.requires_grad
+        assert not out.requires_grad
+        # a graph built on it stays grad-free, so there is nothing to sweep
+        with pytest.raises(ContractError):
+            T.backward(T.sum_all(out))
+        assert a.grad is None
 
     def test_diamond_graph(self):
         # loss = (a+a) * (a+a) = 4 a^2 -> grad 8a

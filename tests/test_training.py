@@ -48,8 +48,6 @@ class TestTrainConfig:
 
     def test_other_contracts(self):
         with pytest.raises(ContractError):
-            TR.TrainConfig(patch=20)
-        with pytest.raises(ContractError):
             TR.TrainConfig(lr=0.0)
         with pytest.raises(ContractError):
             TR.TrainConfig(lmbda=-1.0)
@@ -59,6 +57,26 @@ class TestTrainConfig:
                     {"lr": math.inf}):
             with pytest.raises(ContractError):
                 TR.TrainConfig(**bad)
+
+
+class TestStrideRule:
+    """The coder's total stride, not the train config, decides which frame
+    sizes train."""
+
+    def _pairs(self, size):
+        rng = np.random.default_rng(4)
+        x = rng.uniform(0.2, 0.8, size=(2, 1, 3, size, size)).astype(np.float32)
+        return [(x[0], x[1])]
+
+    def test_stride_8_coder_trains_on_24(self):
+        coder = C.Coder.new(C.CoderConfig.desk("diff", enc_strides=(2, 2, 2)), seed=1)
+        stats, _ = TR.train_epoch(coder, self._pairs(24), TR.TrainConfig(steps=1, patch=24))
+        assert stats.steps == 1 and np.isfinite(stats.mean_loss)
+
+    def test_default_strides_reject_20(self):
+        coder = C.Coder.new(C.CoderConfig.desk("diff"), seed=1)
+        with pytest.raises(ContractError):
+            TR.train_epoch(coder, self._pairs(20), TR.TrainConfig(steps=1, patch=20))
 
 
 class TestRdLoss:

@@ -23,6 +23,10 @@ Cases:
             sizes, and masked_conv2d with masks A and B at k 1/3/5, in
             float32 and float64: the output and the input, weight and bias
             gradients of a seeded linear loss
+  tensor    every tensor op, prelu, gdn both ways, noise quantize and
+            gaussian_bits in float32 and float64: the output and the input
+            gradients of a seeded linear loss, with mul also on (x, x) and
+            concat on repeated inputs
   quadtree  quadtree_search on one root (16x16) and several (8x16, 48x32),
             min_block 4/8, max_block 8/16/256, lambda 0/1/50/300/2000, in
             float32 and float64, with a quarter of the 4x4 blocks tied:
@@ -179,15 +183,21 @@ def infolab(d):
         d.add(f"{case}/bottleneck", IL.bottleneck_report(j, f))
 
 
-def _layer_case(d, label, op, x, w, b, rng, fold_zeros=False):
-    """Hash op's output and the gradients of sum(out * r) for a seeded r."""
+def _grad_case(d, label, op, arrays, names, rng, fold_zeros=False):
+    """Hash op's output and the gradients of sum(out * r) for a seeded r,
+    one gradient per input array under the matching name."""
     from gdclab import tensor as T
-    xt, wt, bt = (T.Tensor(a, requires_grad=True) for a in (x, w, b))
-    out = op(xt, wt, bt)
-    r = T.Tensor(rng.normal(size=out.shape).astype(x.dtype))
+    leaves = [T.Tensor(a, requires_grad=True) for a in arrays]
+    out = op(*leaves)
+    r = T.Tensor(rng.normal(size=out.shape).astype(arrays[0].dtype))
     T.backward(T.sum_all(T.mul(out, r)))
-    for name, a in (("out", out.data), ("dx", xt.grad), ("dw", wt.grad), ("db", bt.grad)):
+    pairs = [("out", out.data)] + [(n, t.grad) for n, t in zip(names, leaves)]
+    for name, a in pairs:
         d.add(f"{label}/{name}", a + 0.0 if fold_zeros else a)
+
+
+def _layer_case(d, label, op, x, w, b, rng, fold_zeros=False):
+    _grad_case(d, label, op, (x, w, b), ("dx", "dw", "db"), rng, fold_zeros)
 
 
 def layers(d):
@@ -215,6 +225,53 @@ def layers(d):
                             lambda a, b, c, m=kind: L.masked_conv2d(a, b, bias=c, kind=m),
                             draw(2, 3, 7, 9), draw(4, 3, k, k), draw(1, 4, 1, 1), rng,
                             fold_zeros=True)
+
+
+def tensor(d):
+    import numpy as np
+    from gdclab import entropy as E
+    from gdclab import layers as L
+    from gdclab import tensor as T
+    shape = (2, 3, 5, 6)
+    ops = {
+        "add": (T.add, 2), "sub": (T.sub, 2), "mul": (T.mul, 2), "div": (T.div, 2),
+        "mul_xx": (lambda a: T.mul(a, a), 1),
+        "scale": (lambda a: T.scale(a, -0.7), 1),
+        "add_scalar": (lambda a: T.add_scalar(a, 0.3), 1),
+        "concat": (lambda a, b, c: T.concat_channels([a, b, c]), 3),
+        "concat_aba": (lambda a, b: T.concat_channels([a, b, a]), 2),
+        # three shares into one input pin the order of accumulation
+        "concat_aaa": (lambda a: T.concat_channels([a, a, a]), 1),
+        "slice": (lambda a: T.slice_channels(a, 1, 3), 1),
+        "crop": (lambda a: T.crop_spatial(a, 1, 4, 2, 6), 1),
+        "sum": (T.sum_all, 1), "mean": (T.mean_all, 1),
+        "power": (lambda a: T.power(a, -0.5), 1),
+        "log2": (T.log2, 1), "softplus": (T.softplus, 1), "normal_cdf": (T.normal_cdf, 1),
+        "clamp_min": (lambda a: T.clamp_min(a, 0.9), 1),
+        "prelu": (L.prelu, 2),
+        "gdn": (L.gdn, 3),
+        "igdn": (lambda a, b, g: L.gdn(a, b, g, inverse=True), 3),
+        "quantize": (lambda a: E.quantize(a, "noise", np.random.default_rng(4)), 1),
+        "gaussian_bits": (E.gaussian_bits, 3),
+    }
+    # per-op input shapes where the op needs its own
+    shapes = {"prelu": (shape, (1, 3, 1, 1)),
+              "gdn": (shape, (1, 3, 1, 1), (3, 3, 1, 1)),
+              "igdn": (shape, (1, 3, 1, 1), (3, 3, 1, 1))}
+    for dtype in (np.float32, np.float64):
+        rng = np.random.default_rng(13)
+        name = np.dtype(dtype).name
+        for op_name, (op, arity) in ops.items():
+            # positive inputs keep div, power, log2 and gdn defined, and
+            # gaussian_bits' scale above SCALE_MIN; ops defined for any sign
+            # get a first input that crosses zero
+            arrays = [rng.uniform(0.2, 2.0, size=s).astype(dtype)
+                      for s in shapes.get(op_name, (shape,) * arity)]
+            if op_name in ("sub", "mul", "prelu", "quantize", "softplus", "normal_cdf",
+                           "gaussian_bits"):
+                arrays[0] = (arrays[0] - 1.1).astype(dtype)
+            _grad_case(d, f"{name}/{op_name}", op, arrays,
+                       [f"d{i}" for i in range(len(arrays))], rng)
 
 
 def quadtree(d):
@@ -252,7 +309,7 @@ def main(argv):
     _setup(root)
     groups = [("desk", desk), ("fixture", lambda d: fixture(d, root)),
               ("gdc", gdc), ("training", training), ("infolab", infolab),
-              ("layers", layers), ("quadtree", quadtree)]
+              ("layers", layers), ("tensor", tensor), ("quadtree", quadtree)]
     if len(argv) == 2:
         groups.append(("hd", lambda d: fixture(d, root, ((1088, 1920),), ("diff",))))
     total = Digest()

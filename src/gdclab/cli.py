@@ -34,24 +34,13 @@ _CLI_ERRORS = (ContractError, FormatError, IdentityError, NumericError,
                ShapeError, StreamError, TrainingError, OSError)
 
 
-def _coder_config(ecfg):
-    return CD.CoderConfig(
-        kind=ecfg.coder, channels=ecfg.channels, core_width=ecfg.core_width,
-        latent=ecfg.latent, hyper_latent=ecfg.hyper_latent,
-        pred_width=ecfg.pred_width, features=ecfg.features,
-        ctx_width=ecfg.ctx_width, kernel=ecfg.kernel,
-        enc_strides=ecfg.stride_tuple())
-
-
 def _load_model(path, config=None):
     """Checkpoint plus its sidecar config -> ready Coder."""
     cfg_path = config if config else str(path) + ".cfg"
     if not Path(cfg_path).exists():
         raise ContractError(f"no config found at {cfg_path}; pass --config")
     ecfg = F.ExperimentConfig.from_file(cfg_path)
-    coder = CD.Coder.new(_coder_config(ecfg), seed=0)
-    coder.params.load_arrays(F.load_checkpoint(path))
-    return coder, ecfg
+    return CD.Coder.from_arrays(ecfg.coder_config(), F.load_checkpoint(path)), ecfg
 
 
 def _load_images(directory):
@@ -129,40 +118,35 @@ def _build_pairs(args, ecfg):
 
 
 def cmd_train(args):
-    ecfg = F.ExperimentConfig.from_file(args.config) if args.config \
+    base = F.ExperimentConfig.from_file(args.config) if args.config \
         else F.ExperimentConfig()
-    for name in ("coder", "lmbda", "steps", "seed", "patch", "pairs"):
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(ecfg, name, val)
+    overrides = {name: getattr(args, name)
+                 for name in ("coder", "lmbda", "steps", "seed", "patch", "pairs")
+                 if getattr(args, name) is not None}
     if args.preset == "desk":
-        for name, value in CD.DESK_DIMS.items():
-            setattr(ecfg, name, value)
-    ecfg.validate()
+        overrides.update(CD.DESK_DIMS)
+    ecfg = replace(base, **overrides)
     if args.init_from:
         if ecfg.coder != "gdc":
             raise ContractError("--init-from applies to the gdc kind only")
         diff_coder, diff_cfg = _load_model(args.init_from)
-        if diff_cfg.coder != "diff":
-            raise ContractError("--init-from checkpoint must be a diff model")
         coder = CD.gdc_from_diff(diff_coder)
-        for name in ("channels", "core_width", "latent", "hyper_latent",
-                     "pred_width", "ctx_width", "kernel", "strides"):
-            setattr(ecfg, name, getattr(diff_cfg, name))
-        ecfg.features = coder.cfg.features
+        ecfg = replace(ecfg, features=coder.cfg.features, **{
+            name: getattr(diff_cfg, name)
+            for name in ("channels", "core_width", "latent", "hyper_latent",
+                         "pred_width", "ctx_width", "kernel", "strides")})
     else:
-        coder = CD.Coder.new(_coder_config(ecfg), seed=ecfg.seed)
+        coder = CD.Coder.new(ecfg.coder_config(), seed=ecfg.seed)
 
     pairs = _build_pairs(args, ecfg)
-    tc = TR.TrainConfig(lmbda=ecfg.lmbda, lr=ecfg.lr, steps=ecfg.steps,
-                        seed=ecfg.seed, patch=ecfg.patch)
+    tc = ecfg.train_config()
     log_rows = []
     state = None
     done = 0
     epoch = 0
     while done < ecfg.steps:
-        chunk = pairs[:ecfg.steps - done] if ecfg.steps - done < len(pairs) else pairs
-        stats, state = TR.train_epoch(coder, chunk, replace(tc, seed=tc.seed + epoch), state)
+        stats, state = TR.train_epoch(coder, pairs[:ecfg.steps - done],
+                                      replace(tc, seed=tc.seed + epoch), state)
         done += stats.steps
         epoch += 1
         log_rows.append([epoch, done, stats.mean_loss, stats.mean_bpp,
@@ -283,6 +267,9 @@ def cmd_quadtree(args):
     g = F.load_image(args.cand_g).data
     if x.shape != d.shape or x.shape != g.shape:
         raise ShapeError("frame and candidates must share dimensions")
+    # a min_block square tiles whenever the block range is valid, so this
+    # checks the range alone, before min_block sets the padding multiple
+    EV.root_block(args.min_block, args.min_block, args.min_block, args.max_block)
     xp = CD.pad_to_multiple(x, args.min_block)
     dp = CD.pad_to_multiple(d, args.min_block)
     gp = CD.pad_to_multiple(g, args.min_block)

@@ -19,6 +19,10 @@ how the synthesis output is turned into a frame:
 The decode path takes only the prediction frame and the bitstream; it never
 sees the original.  Encoder-side reconstructions are computed from the same
 rounded latents the decoder will recover, so both ends agree bit for bit.
+
+A coder is built from a ``CoderConfig``.  That type, with its ``DESK_DIMS``
+preset, lives in ``fileio`` beside the experiment config that describes it,
+and is imported here so that ``coders.CoderConfig`` names it as well.
 """
 
 from __future__ import annotations
@@ -31,63 +35,13 @@ from . import entropy as E
 from . import evaluation as V
 from . import tensor as T
 from .errors import ContractError, ShapeError
-from .fileio import CODER_KINDS, BitstreamContainer, Payload
+from .fileio import (CODER_KINDS, DESK_DIMS, BitstreamContainer, CoderConfig,
+                     Payload)
 from .layers import (Network, ParamStore, context_spec, decoder_spec,
                      encoder_spec, feature_spec, hyper_decoder_spec,
                      hyper_encoder_spec, make_network, pred_branch_spec)
 
 KINDS = CODER_KINDS
-
-# Small dims for fast experiments and training at 32x32.
-DESK_DIMS = dict(core_width=32, latent=32, hyper_latent=16, pred_width=32, ctx_width=8)
-
-
-@dataclass(frozen=True)
-class CoderConfig:
-    kind: str
-    channels: int = 3
-    core_width: int = 64     # conv width of the analysis/synthesis stacks
-    latent: int = 96         # transmitted latent channels
-    hyper_latent: int = 32   # hyper-latent channels
-    pred_width: int = 64     # prediction-branch width (codecnet)
-    features: int = 0        # GD output channels; 0 picks the kind default
-    ctx_width: int = 16
-    kernel: int = 5
-    enc_strides: tuple = (2, 2, 2, 2)
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ContractError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.features == 0:
-            default = self.channels if self.kind == "gdc" else 16
-            object.__setattr__(self, "features", default)
-        for name in ("channels", "core_width", "latent", "hyper_latent",
-                     "pred_width", "features", "ctx_width", "kernel"):
-            if getattr(self, name) <= 0:
-                raise ContractError(f"{name} must be positive")
-        if self.kernel % 2 == 0:
-            raise ContractError("kernel must be odd")
-
-    @property
-    def stride_product(self):
-        p = 1
-        for s in self.enc_strides:
-            p *= s
-        return p
-
-    @classmethod
-    def desk(cls, kind, **over):
-        """DESK_DIMS, overridable per field."""
-        return cls(kind, **{**DESK_DIMS, **over})
-
-    @classmethod
-    def tiny(cls, kind, **over):
-        """Minimal dims for gradient checking whole coder graphs."""
-        base = dict(core_width=8, latent=8, hyper_latent=4, pred_width=8,
-                    ctx_width=4, features=0 if kind != "xgdc" else 4,
-                    enc_strides=(2, 2))
-        base.update(over)
-        return cls(kind, **base)
 
 
 def coder_specs(cfg):

@@ -1,5 +1,6 @@
 """Binary formats (checkpoints, bitstream containers), image I/O and the
-plain-text experiment config.
+config types: the coder config, and the plain-text experiment config that
+describes one coder config and one training config.
 
 Everything is little-endian and self-delimiting: total lengths are
 derivable from headers alone, and parsers reject bad magics, truncation
@@ -17,6 +18,7 @@ import numpy as np
 from .entropy import round_away
 from .errors import ContractError, FormatError, ShapeError, StreamError
 from .tensor import Tensor
+from .training import TrainConfig
 
 CHECKPOINT_MAGIC = b"GDCK"
 CONTAINER_MAGIC = b"GDCB"
@@ -337,12 +339,65 @@ def write_image(path, t):
 
 
 # ---------------------------------------------------------------------------
-# experiment config
+# config types
 # ---------------------------------------------------------------------------
 
-@dataclass
+# Small dims for fast experiments and training at 32x32.
+DESK_DIMS = dict(core_width=32, latent=32, hyper_latent=16, pred_width=32, ctx_width=8)
+
+
+@dataclass(frozen=True)
+class CoderConfig:
+    kind: str
+    channels: int = 3
+    core_width: int = 64     # conv width of the analysis/synthesis stacks
+    latent: int = 96         # transmitted latent channels
+    hyper_latent: int = 32   # hyper-latent channels
+    pred_width: int = 64     # prediction-branch width (codecnet)
+    features: int = 0        # GD output channels; 0 picks the kind default
+    ctx_width: int = 16
+    kernel: int = 5
+    enc_strides: tuple = (2, 2, 2, 2)
+
+    def __post_init__(self):
+        if self.kind not in CODER_KINDS:
+            raise ContractError(f"kind must be one of {CODER_KINDS}, got {self.kind!r}")
+        if self.features == 0:
+            default = self.channels if self.kind == "gdc" else 16
+            object.__setattr__(self, "features", default)
+        for name in ("channels", "core_width", "latent", "hyper_latent",
+                     "pred_width", "features", "ctx_width", "kernel"):
+            if getattr(self, name) <= 0:
+                raise ContractError(f"{name} must be positive")
+        if self.kernel % 2 == 0:
+            raise ContractError("kernel must be odd")
+        if not self.enc_strides or min(self.enc_strides) < 1:
+            raise ContractError(f"strides must be non-empty and each >= 1, "
+                                f"got {self.enc_strides}")
+
+    @property
+    def stride_product(self):
+        return math.prod(self.enc_strides)
+
+    @classmethod
+    def desk(cls, kind, **over):
+        """DESK_DIMS, overridable per field."""
+        return cls(kind, **{**DESK_DIMS, **over})
+
+    @classmethod
+    def tiny(cls, kind, **over):
+        """Minimal dims for gradient checking whole coder graphs."""
+        base = dict(core_width=8, latent=8, hyper_latent=4, pred_width=8,
+                    ctx_width=4, features=0 if kind != "xgdc" else 4,
+                    enc_strides=(2, 2))
+        base.update(over)
+        return cls(kind, **base)
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat key = value configuration for CLI runs."""
+    """Flat key = value configuration for CLI runs.  It describes one
+    CoderConfig and one TrainConfig, and checks itself by building both."""
     coder: str = "diff"
     channels: int = 3
     core_width: int = 64
@@ -360,10 +415,35 @@ class ExperimentConfig:
     patch: int = 32
     pairs: int = 200
 
+    def __post_init__(self):
+        for name in ("patch", "pairs"):
+            if getattr(self, name) <= 0:
+                raise ContractError(f"{name} must be positive")
+        self.coder_config()
+        self.train_config()
+
+    def coder_config(self):
+        return CoderConfig(
+            kind=self.coder, channels=self.channels, core_width=self.core_width,
+            latent=self.latent, hyper_latent=self.hyper_latent,
+            pred_width=self.pred_width, features=self.features,
+            ctx_width=self.ctx_width, kernel=self.kernel,
+            enc_strides=self.stride_tuple())
+
+    def train_config(self):
+        return TrainConfig(lmbda=self.lmbda, lr=self.lr, steps=self.steps,
+                           seed=self.seed, patch=self.patch)
+
+    def stride_tuple(self):
+        try:
+            return tuple(int(s) for s in self.strides.split(","))
+        except ValueError as e:
+            raise ContractError(f"bad strides {self.strides!r}") from e
+
     @classmethod
     def from_text(cls, text):
-        known = {f.name: f.type for f in dc_fields(cls)}
-        cfg = cls()
+        types = {f.name: type(f.default) for f in dc_fields(cls)}
+        values = {}
         for lineno, line in enumerate(text.splitlines(), 1):
             body = line.split("#", 1)[0].strip()
             if not body:
@@ -373,21 +453,13 @@ class ExperimentConfig:
             key, _, value = body.partition("=")
             key = key.strip().replace("-", "_")
             value = value.strip()
-            if key not in known:
+            if key not in types:
                 raise FormatError(f"config line {lineno}: unknown key {key!r}")
-            current = getattr(cfg, key)
             try:
-                if isinstance(current, int):
-                    parsed = int(value)
-                elif isinstance(current, float):
-                    parsed = float(value)
-                else:
-                    parsed = value
+                values[key] = types[key](value)
             except ValueError as e:
                 raise FormatError(f"config line {lineno}: bad value for {key!r}: {value!r}") from e
-            setattr(cfg, key, parsed)
-        cfg.validate()
-        return cfg
+        return cls(**values)
 
     @classmethod
     def from_file(cls, path):
@@ -395,33 +467,9 @@ class ExperimentConfig:
             return cls.from_text(f.read())
 
     def to_text(self):
-        self.validate()
         lines = [f"{f.name} = {getattr(self, f.name)}" for f in dc_fields(self)]
         return "\n".join(lines) + "\n"
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as f:
             f.write(self.to_text())
-
-    def validate(self):
-        if self.coder not in CODER_KINDS:
-            raise ContractError(f"coder must be one of {CODER_KINDS}, got {self.coder!r}")
-        if self.lmbda <= 0:
-            raise ContractError("lmbda must be positive")
-        if self.steps < 0 or self.seed < 0:
-            raise ContractError("steps and seed must be non-negative")
-        for name in ("channels", "core_width", "latent", "hyper_latent",
-                     "pred_width", "ctx_width", "kernel", "patch", "pairs"):
-            if getattr(self, name) <= 0:
-                raise ContractError(f"{name} must be positive")
-        if self.kernel % 2 == 0:
-            raise ContractError("kernel must be odd")
-        try:
-            strides = self.stride_tuple()
-        except ValueError as e:
-            raise ContractError(f"bad strides {self.strides!r}") from e
-        if any(s < 1 for s in strides):
-            raise ContractError("strides must be >= 1")
-
-    def stride_tuple(self):
-        return tuple(int(s) for s in self.strides.split(","))

@@ -194,7 +194,7 @@ class ConvSpec:
     activation: str = "none"  # none | gdn | igdn | prelu
     mask: str = ""            # "" | "A" | "B" (mask implies stride 1)
 
-    def validate(self):
+    def __post_init__(self):
         if min(self.in_ch, self.out_ch, self.kernel, self.stride) < 1:
             raise ContractError(f"non-positive field in {self}")
         if self.kernel % 2 == 0:
@@ -213,12 +213,10 @@ class NetworkSpec:
     layers: tuple
     role: str = ""
 
-    def validate(self):
+    def __post_init__(self):
         for a, b in zip(self.layers[:-1], self.layers[1:]):
             if a.out_ch != b.in_ch:
                 raise ContractError(f"channel mismatch {a.out_ch} -> {b.in_ch} in role {self.role!r}")
-        for lay in self.layers:
-            lay.validate()
 
     def param_count(self):
         total = 0
@@ -325,7 +323,6 @@ def make_network(spec, params, prefix, rng=None, init="random"):
     Identity inits require PReLU activations and every layer at least C
     channels wide.
     """
-    spec.validate()
     if init == "random" and rng is None:
         raise ContractError("random init needs an rng")
     if init not in ("random", "identity-difference", "identity-sum"):

@@ -48,8 +48,8 @@ class TrainConfig:
     def __post_init__(self):
         if not (0 < self.lmbda < math.inf and 0 < self.lr < math.inf):
             raise ContractError("lambda and learning rate must be positive and finite")
-        if self.steps < 0:
-            raise ContractError("steps must be non-negative")
+        if self.steps < 0 or self.seed < 0:
+            raise ContractError("steps and seed must be non-negative")
 
 
 def rd_loss(x, x_hat, rate_bits, lmbda, pixel_count):

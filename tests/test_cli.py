@@ -14,6 +14,7 @@ import gdclab.tensor as T
 from gdclab import cli
 from gdclab import coders as CD
 from gdclab import fileio as F
+from gdclab import training as TR
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +55,16 @@ def encoded(workdir, diff_model, frames):
                    "--recon", str(recon)])
     assert rc == 0
     return stream, recon
+
+
+@pytest.fixture(scope="module")
+def image_dir(workdir):
+    rng = np.random.default_rng(13)
+    d = workdir / "images"
+    d.mkdir()
+    for i in range(2):
+        F.write_image(d / f"img{i}.ppm", T.Tensor(TR.synthetic_image(rng, 64, 64)))
+    return d
 
 
 class TestParser:
@@ -125,6 +136,27 @@ class TestTrain:
         assert rc == 1
         assert "gdc" in capsys.readouterr().err
 
+    def test_staged_init_demands_diff_source(self, workdir, capsys):
+        src = workdir / "codecnet.ckpt"
+        coder = CD.Coder.new(CD.CoderConfig.desk("codecnet"), seed=0)
+        F.save_checkpoint(src, coder.params.arrays())
+        F.ExperimentConfig(coder="codecnet", **CD.DESK_DIMS).save(str(src) + ".cfg")
+        rc = cli.main(["train", "--coder", "gdc", "--init-from", str(src),
+                       "--steps", "1", "--pairs", "2",
+                       "--out", str(workdir / "bad_src.ckpt")])
+        assert rc == 1
+        assert "difference kind" in capsys.readouterr().err
+        assert not (workdir / "bad_src.ckpt").exists()
+
+    def test_data_directory(self, workdir, image_dir, capsys):
+        out = workdir / "data.ckpt"
+        rc = cli.main(["train", "--coder", "diff", "--preset", "desk",
+                       "--steps", "2", "--pairs", "2", "--data", str(image_dir),
+                       "--out", str(out)])
+        assert rc == 0
+        assert out.exists()
+        assert F.ExperimentConfig.from_file(str(out) + ".cfg").steps == 2
+        assert "degradation step" in capsys.readouterr().out
 
 class TestEncodeDecode:
     def test_encode_reports_rate(self, encoded, capsys):
@@ -201,6 +233,30 @@ class TestEval:
             assert row["mode_d_area"] == ""
         assert "mean" in capsys.readouterr().out
 
+    def test_data_directory(self, workdir, diff_model, image_dir):
+        out = workdir / "eval_data.csv"
+        rc = cli.main(["eval", "--model", str(diff_model), "--data", str(image_dir),
+                       "--frames", "2", "--out", str(out)])
+        assert rc == 0
+        with open(out, newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 2
+        assert all(float(row["bpp"]) > 0.0 for row in rows)
+
+    def test_bad_sidecar_value(self, workdir, diff_model, capsys):
+        # a sidecar is checked when it loads: lambda nan never reaches a row
+        bad = workdir / "nan_lambda.ckpt"
+        bad.write_bytes(diff_model.read_bytes())
+        text = (workdir / "diff.ckpt.cfg").read_text()
+        lines = ["lmbda = nan" if line.startswith("lmbda =") else line
+                 for line in text.splitlines()]
+        (workdir / "nan_lambda.ckpt.cfg").write_text("\n".join(lines) + "\n")
+        out = workdir / "nan_lambda.csv"
+        rc = cli.main(["eval", "--model", str(bad), "--frames", "1", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_entry_name_not_utf8(self, workdir, diff_model, capsys):
         # a checkpoint whose one entry is named b"\xff" is a domain error
         bad = workdir / "bad_name.ckpt"
@@ -263,6 +319,18 @@ class TestQuadtree:
             rows = list(csv.DictReader(f))
         assert all(r["mode"] == "d" for r in rows)
         assert merged.read_bytes() == fd.read_bytes()
+
+    @pytest.mark.parametrize("min_block", ["0", "-4"])
+    def test_bad_min_block(self, workdir, min_block, capsys):
+        # the block range is checked before min_block sets the padding of
+        # this 18x18 frame
+        fx = workdir / "qt_odd.ppm"
+        F.write_image(fx, T.Tensor(np.full((1, 3, 18, 18), 0.5, dtype=np.float32)))
+        rc = cli.main(["quadtree", "--frame", str(fx), "--cand-d", str(fx),
+                       "--cand-g", str(fx), "--lambda", "100",
+                       "--min-block", min_block])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestSelftest:

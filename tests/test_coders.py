@@ -32,6 +32,10 @@ class TestCoderConfig:
             C.CoderConfig("diff", latent=0)
         with pytest.raises(ContractError):
             C.CoderConfig("diff", kernel=4)
+        with pytest.raises(ContractError):
+            C.CoderConfig("diff", enc_strides=())
+        with pytest.raises(ContractError):
+            C.CoderConfig("diff", enc_strides=(0, 2))
 
     def test_stride_product(self):
         assert C.CoderConfig("diff").stride_product == 16

@@ -1,11 +1,14 @@
 """Binary format round trips and rejection of malformed inputs."""
 
+import dataclasses
+import math
 import struct
 
 import numpy as np
 import pytest
 
 from gdclab import fileio as F
+from gdclab import training as TR
 from gdclab.errors import ContractError, FormatError, ShapeError, StreamError
 from gdclab.tensor import Tensor
 
@@ -312,12 +315,32 @@ class TestExperimentConfig:
 
     def test_validation(self):
         with pytest.raises(ContractError):
-            F.ExperimentConfig(coder="h264").validate()
+            F.ExperimentConfig(coder="h264")
         with pytest.raises(ContractError):
-            F.ExperimentConfig(lmbda=0.0).validate()
+            F.ExperimentConfig(lmbda=0.0)
         with pytest.raises(ContractError):
-            F.ExperimentConfig(kernel=4).validate()
+            F.ExperimentConfig(kernel=4)
         with pytest.raises(ContractError):
-            F.ExperimentConfig(strides="2,x").validate()
+            F.ExperimentConfig(strides="2,x")
         with pytest.raises(ContractError):
-            F.ExperimentConfig(channels=0).validate()
+            F.ExperimentConfig(channels=0)
+
+    @pytest.mark.parametrize("key, value", [
+        ("lr", 0.0), ("lr", -1.0), ("lmbda", math.nan), ("lmbda", math.inf),
+        ("features", -1), ("seed", -1), ("strides", ""), ("strides", "0,2"),
+        ("patch", 0), ("pairs", 0)])
+    def test_every_field_checked(self, key, value):
+        # the coder and training fields meet the rules of the configs they
+        # describe, whether set by keyword or read from text
+        with pytest.raises(ContractError):
+            F.ExperimentConfig(**{key: value})
+        with pytest.raises(ContractError):
+            F.ExperimentConfig.from_text(f"{key} = {value}\n")
+
+    def test_describes_coder_and_train_configs(self):
+        cfg = F.ExperimentConfig(coder="gdc", latent=24, lmbda=256.0, strides="2,2",
+                                 seed=3, patch=16)
+        assert cfg.coder_config() == F.CoderConfig("gdc", latent=24, enc_strides=(2, 2))
+        assert cfg.train_config() == TR.TrainConfig(lmbda=256.0, seed=3, patch=16)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.lmbda = 1.0

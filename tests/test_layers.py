@@ -403,20 +403,19 @@ class TestConvEdges:
 class TestSpecs:
     def test_convspec_contracts(self):
         with pytest.raises(ContractError):
-            L.ConvSpec(2, 2, kernel=4).validate()
+            L.ConvSpec(2, 2, kernel=4)
         with pytest.raises(ContractError):
-            L.ConvSpec(2, 2, activation="relu").validate()
+            L.ConvSpec(2, 2, activation="relu")
         with pytest.raises(ContractError):
-            L.ConvSpec(2, 2, stride=2, mask="A").validate()
+            L.ConvSpec(2, 2, stride=2, mask="A")
         with pytest.raises(ContractError):
-            L.ConvSpec(2, 4, 3, 1, False, "prelu", mask="C").validate()
+            L.ConvSpec(2, 4, 3, 1, False, "prelu", mask="C")
         with pytest.raises(ContractError):
-            L.ConvSpec(2, 0).validate()
+            L.ConvSpec(2, 0)
 
     def test_network_channel_chain(self):
-        bad = L.NetworkSpec((L.ConvSpec(2, 4), L.ConvSpec(3, 2)), role="x")
         with pytest.raises(ContractError):
-            bad.validate()
+            L.NetworkSpec((L.ConvSpec(2, 4), L.ConvSpec(3, 2)), role="x")
 
     @pytest.mark.parametrize("spec", [
         L.encoder_spec(3, 8, 12),

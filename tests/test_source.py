@@ -19,6 +19,17 @@ def test_no_assert_statements():
     assert not found, f"assert statements in the package: {found}"
 
 
+def test_no_validate_methods():
+    # a config or spec checks itself in __post_init__, so any object that
+    # exists is valid and no caller has a validate() to forget
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "validate"]
+    assert not found, f"validate functions in the package: {found}"
+
+
 def test_rangecoder_does_not_import_numpy():
     # the coder loops run on plain ints; numpy scalars in them cost several
     # times the arithmetic they carry

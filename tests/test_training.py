@@ -53,6 +53,8 @@ class TestTrainConfig:
             TR.TrainConfig(lmbda=-1.0)
         with pytest.raises(ContractError):
             TR.TrainConfig(steps=-1)
+        with pytest.raises(ContractError):
+            TR.TrainConfig(seed=-1)
         for bad in ({"lmbda": math.nan}, {"lmbda": math.inf}, {"lr": math.nan},
                     {"lr": math.inf}):
             with pytest.raises(ContractError):

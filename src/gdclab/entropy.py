@@ -7,12 +7,12 @@ Rates are measured against the discretized Gaussian
 
 with p floored at 2^-16 so no element can cost more than 16 bits, and
 scales floored at SCALE_MIN.  The same mean/scale arrays drive the actual
-coder: they are turned into strictly increasing 2^16-grid CDF tables over
-an integer support, with one trailing escape bin, built a fixed number of
-cells at a time and streamed into the coder's integer loops.  Values
-outside the support are sent as the escape symbol followed by four raw
-bytes (zigzag), so the coder is total even when the model support is
-misjudged.
+coder: each value is coded as its offset from its rounded mean under one
+table of a fixed set, strictly increasing 2^16-grid CDFs over an integer
+support plus one trailing escape bin, one per (scale, mean fraction) point
+of a 64 x 8 grid.  Offsets outside the support are sent as the escape
+symbol followed by four raw bytes (zigzag), so the coder is total even
+when the model support is misjudged.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ SCALE_MIN = 0.11
 PROB_FLOOR = 2.0 ** -16
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
-# Tables of at most this many cells (rows x bins) are built at a time.
-CHUNK_CELLS = 1 << 17
 # A coder table has at most this many bins, escape included, so a decoder
 # rejects a wider (patched) support before building any table.
 MAX_TABLE_BINS = 1024
@@ -37,6 +35,11 @@ MAX_TABLE_BINS = 1024
 ESCAPE_LIMIT = 1 << 31
 _BYTE_FREQ = CDF_TOTAL // 256
 _BYTE_ROW = list(range(0, CDF_TOTAL + 1, _BYTE_FREQ))
+# The table set's grid: log-spaced scales, and the bucket centres of the
+# mean's fraction in (-0.5, 0.5).
+TABLE_SCALES = np.geomspace(SCALE_MIN, 256.0, 64)
+TABLE_MEANS = (np.arange(8) + 0.5) / 8 - 0.5
+_SCALE_EDGES = np.sqrt(TABLE_SCALES[1:] * TABLE_SCALES[:-1])
 
 
 def round_away(x):
@@ -121,9 +124,8 @@ def build_cdfs(mean, scale, lo, hi):
 
     Returns an int64 array of shape (n, hi-lo+3): n cumulative tables whose
     bins are all >= 1 and sum exactly to 2^16.  The final bin is the escape
-    symbol.  Each table is a deterministic function of its own (mean, scale)
-    and (lo, hi), which is what makes encoder and decoder agree bit for bit
-    however the elements are split into chunks.
+    symbol, which takes the whole budget of a row with no mass inside the
+    support.  Each table is a function of its own (mean, scale) and (lo, hi).
     """
     nbins = _table_bins(lo, hi)
     mean = np.asarray(mean, dtype=np.float64).reshape(-1)
@@ -132,9 +134,8 @@ def build_cdfs(mean, scale, lo, hi):
     budget = CDF_TOTAL - nbins  # every bin gets a guaranteed single count
     p = np.concatenate([probs, np.zeros((probs.shape[0], 1))], axis=1)
     p = np.clip(p, 0.0, None)
-    norm = p.sum(axis=1, keepdims=True)
-    norm[norm == 0.0] = 1.0
-    ideal = p / norm * budget
+    p[p.sum(axis=1) == 0.0, -1] = 1.0
+    ideal = p / p.sum(axis=1, keepdims=True) * budget
     base = np.floor(ideal).astype(np.int64)
     short = budget - base.sum(axis=1)
     # largest-remainder rounding, ties broken by bin index (deterministic)
@@ -148,17 +149,29 @@ def build_cdfs(mean, scale, lo, hi):
     return cdfs
 
 
-def _chunked(mean, scale, lo, hi):
-    """Flat float64 (mean, scale) and the number of elements per chunk.  A
-    chunk's tables hold at most CHUNK_CELLS cells, so its memory is bounded
-    whatever support the caller (or a hostile header) declares; the
-    support is checked before anything is allocated."""
-    step = max(1, CHUNK_CELLS // _table_bins(lo, hi))
+def _table_set(lo, hi):
+    """One payload's tables: row s * 8 + m for TABLE_SCALES[s] and
+    TABLE_MEANS[m].  The support is checked before build_cdfs is called."""
+    _table_bins(lo, hi)
+    return build_cdfs(np.tile(TABLE_MEANS, TABLE_SCALES.size),
+                      np.repeat(TABLE_SCALES, TABLE_MEANS.size), lo, hi)
+
+
+def _table_rows(mean, scale, count):
+    """Each element's rounded mean (int64) and table-set row: the nearest
+    grid scale on a log axis, and the bucket of the mean's fraction.  Means
+    are clipped first, so a value of 0 stays escapable and nothing wraps."""
     mean = np.asarray(mean, dtype=np.float64).reshape(-1)
     scale = np.asarray(scale, dtype=np.float64).reshape(-1)
-    if scale.size != mean.size:
-        raise ShapeError(f"{mean.size} means but {scale.size} scales")
-    return mean, scale, step
+    if mean.size != count or scale.size != count:
+        raise ShapeError(f"{count} values but {mean.size} means and {scale.size} scales")
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(scale))):
+        raise NumericError("non-finite entropy parameters")
+    mean = np.clip(mean, 1 - ESCAPE_LIMIT, ESCAPE_LIMIT - 1)
+    center = round_away(mean)
+    frac = ((mean - center + 0.5) * TABLE_MEANS.size).astype(np.int64)
+    rows = np.searchsorted(_SCALE_EDGES, scale) * TABLE_MEANS.size
+    return center.astype(np.int64), rows + np.minimum(frac, TABLE_MEANS.size - 1)
 
 
 def _unzigzag(u):
@@ -179,76 +192,63 @@ def _escape_intervals(starts, freqs, values, escaped):
     return starts, freqs
 
 
-def _encode_symbols(flat, mean, scale, support):
-    """Range-code the int64 array ``flat`` in order under per-element
-    Gaussians; ``support`` defaults to the observed value range, narrowed
-    to MAX_TABLE_BINS around the median value when wider (the rest is
-    escaped).  Returns (payload_bytes, (lo, hi))."""
-    if support is None:
-        lo = int(flat.min()) if flat.size else 0
-        hi = int(flat.max()) if flat.size else 0
-        if hi - lo + 2 > MAX_TABLE_BINS:
-            lo = int(np.median(flat)) - (MAX_TABLE_BINS - 2) // 2
-            hi = lo + MAX_TABLE_BINS - 2
-    else:
-        lo, hi = int(support[0]), int(support[1])
-    mean, scale, step = _chunked(mean, scale, lo, hi)
-    if mean.size != flat.size:
-        raise ShapeError(f"{flat.size} values but {mean.size} parameter sets")
-    outside = (flat < lo) | (flat > hi)
-    wide = flat[outside & ((flat < -ESCAPE_LIMIT) | (flat >= ESCAPE_LIMIT))]
+def _encode_symbols(flat, mean, scale):
+    """Range-code the int64 array ``flat`` in order, each value as its
+    offset from its rounded mean under its row of one table set.  The
+    support is the observed offset range, narrowed to MAX_TABLE_BINS around
+    the median offset when wider (the rest is escaped).  Returns
+    (payload_bytes, (lo, hi))."""
+    center, rows = _table_rows(mean, scale, flat.size)
+    offsets = flat - center
+    lo, hi = (int(offsets.min()), int(offsets.max())) if offsets.size else (0, 0)
+    if hi - lo + 2 > MAX_TABLE_BINS:
+        lo = int(np.median(offsets)) - (MAX_TABLE_BINS - 2) // 2
+        hi = lo + MAX_TABLE_BINS - 2
+    outside = (offsets < lo) | (offsets > hi)
+    wide = offsets[outside & ((offsets < -ESCAPE_LIMIT) | (offsets >= ESCAPE_LIMIT))]
     if wide.size:
-        raise ContractError(f"value {wide[0]} too large for escape coding")
-    escape = hi - lo + 1
+        raise ContractError(f"offset {wide[0]} too large for escape coding")
+    cdfs = _table_set(lo, hi)
+    symbols = np.where(outside, hi - lo + 1, offsets - lo)
+    starts = cdfs[rows, symbols]
+    freqs = cdfs[rows, symbols + 1] - starts
+    if outside.any():
+        starts, freqs = _escape_intervals(starts, freqs, offsets, outside)
     enc = RangeEncoder()
-    for a in range(0, flat.size, step):
-        part = slice(a, a + step)
-        cdfs = build_cdfs(mean[part], scale[part], lo, hi)
-        values, escaped = flat[part], outside[part]
-        symbols = np.where(escaped, escape, values - lo)[:, None]
-        starts = np.take_along_axis(cdfs, symbols, axis=1)[:, 0]
-        freqs = np.take_along_axis(cdfs, symbols + 1, axis=1)[:, 0] - starts
-        if escaped.any():
-            starts, freqs = _escape_intervals(starts, freqs, values, escaped)
-        enc.encode_intervals(starts.tolist(), freqs.tolist())
+    enc.encode_intervals(starts.tolist(), freqs.tolist())
     return enc.finish(), (lo, hi)
 
 
-def encode_gaussian(values, mean, scale, support=None):
-    """Range-code integer ``values`` under per-element Gaussians.
-
-    Arrays are flattened in C order.  Returns (payload_bytes, (lo, hi)).
-    ``support`` defaults to the observed value range and must be supplied
-    to the decoder (the container stores it next to the payload).
+def encode_gaussian(values, mean, scale):
+    """Range-code integer ``values`` under per-element Gaussians, arrays
+    flattened in C order.  Returns (payload_bytes, (lo, hi)); the decoder
+    needs the support (lo, hi), which the container stores.
     """
-    return _encode_symbols(np.asarray(values).reshape(-1).astype(np.int64),
-                           mean, scale, support)
+    return _encode_symbols(np.asarray(values).reshape(-1).astype(np.int64), mean, scale)
 
 
-def _decode_symbols(dec, mean, scale, lo, hi):
-    """Decode one symbol per (mean, scale) pair from ``dec``, in order;
-    returns a flat int64 array.  The inverse of ``_encode_symbols``."""
-    mean, scale, step = _chunked(mean, scale, lo, hi)
-    escape = hi - lo + 1
+def _decode_symbols(dec, table, mean, scale, count, lo):
+    """Decode ``count`` values from ``dec`` under rows of ``table`` (the
+    set over support [lo, ...] as lists); the inverse of _encode_symbols."""
+    center, rows = _table_rows(mean, scale, count)
+    escape = len(table[0]) - 2
     symbols, escapes = [], []
-    for a in range(0, mean.size, step):
-        rows = iter(build_cdfs(mean[a:a + step], scale[a:a + step], lo, hi).tolist())
-        while dec.decode_rows(rows, symbols, escape):
-            raw = []
-            dec.decode_rows((_BYTE_ROW,) * 4, raw)
-            escapes.append((len(symbols) - 1, _unzigzag(int.from_bytes(bytes(raw), "big"))))
+    rows = map(table.__getitem__, rows.tolist())
+    while dec.decode_rows(rows, symbols, escape):
+        raw = []
+        dec.decode_rows((_BYTE_ROW,) * 4, raw)
+        escapes.append((len(symbols) - 1, _unzigzag(int.from_bytes(bytes(raw), "big"))))
     out = np.array(symbols, dtype=np.int64) + lo
     for i, v in escapes:
         out[i] = v
-    return out
+    return out + center
 
 
 def decode_gaussian(payload, mean, scale, support, count):
     """Inverse of encode_gaussian; returns a flat int64 array."""
-    mean = np.asarray(mean, dtype=np.float64).reshape(-1)
-    if mean.size != count:
-        raise ShapeError(f"count {count} != {mean.size} parameter sets")
-    return _decode_symbols(RangeDecoder(payload), mean, scale, int(support[0]), int(support[1]))
+    lo, hi = int(support[0]), int(support[1])
+    table = _table_set(lo, hi).tolist()
+    return _decode_symbols(RangeDecoder(payload), table, mean, scale, count, lo)
 
 
 def context_params(ctx_net, z_hat_data):
@@ -261,7 +261,7 @@ def context_params(ctx_net, z_hat_data):
     return mean.data, scale.data
 
 
-def encode_context(z_hat, ctx_net, support=None):
+def encode_context(z_hat, ctx_net):
     """Encode an integer hyper-latent autoregressively.
 
     The context net sees the full tensor in one pass (its masks make each
@@ -274,7 +274,7 @@ def encode_context(z_hat, ctx_net, support=None):
     mean, scale = context_params(ctx_net, z)
     # reorder (c, h, w) -> (h, w, c) so the stream matches sequential decoding
     flat, mean_f, scale_f = (a[0].transpose(1, 2, 0).reshape(-1) for a in (z, mean, scale))
-    return _encode_symbols(flat.astype(np.int64), mean_f, scale_f, support)
+    return _encode_symbols(flat.astype(np.int64), mean_f, scale_f)
 
 
 def decode_context(payload, ctx_net, shape, support):
@@ -283,20 +283,20 @@ def decode_context(payload, ctx_net, shape, support):
 
     The partially decoded tensor holds zeros at future positions; the mask
     structure guarantees those zeros cannot influence the parameters of the
-    positions being decoded, so encoder and decoder compute bit-identical
-    CDFs.
+    positions being decoded, so encoder and decoder select bit-identical
+    rows of the one table set.
     """
-    n, _, h, w = shape
+    n, c, h, w = shape
     if n != 1:
         raise ContractError("context decoding runs on single-frame tensors")
     lo, hi = int(support[0]), int(support[1])
-    _table_bins(lo, hi)  # an empty map still checks its support
+    table = _table_set(lo, hi).tolist()
     z = np.zeros(shape, dtype=np.float64)
     dec = RangeDecoder(payload)
     for i in range(h):
         for j in range(w):
             mean, scale = context_params(ctx_net, z)
-            z[0, :, i, j] = _decode_symbols(dec, mean[0, :, i, j], scale[0, :, i, j], lo, hi)
+            z[0, :, i, j] = _decode_symbols(dec, table, mean[0, :, i, j], scale[0, :, i, j], c, lo)
     return z
 
 

@@ -22,7 +22,9 @@ from .training import TrainConfig
 
 CHECKPOINT_MAGIC = b"GDCK"
 CONTAINER_MAGIC = b"GDCB"
-FORMAT_VERSION = 1
+CHECKPOINT_VERSION = 1
+# 2: payloads code offsets from rounded means; quad-tree bit count is a u32.
+CONTAINER_VERSION = 2
 # The container header byte after the coder kind tag, unused: written as
 # this value and rejected as any other.
 RESERVED_BYTE = 0xFF
@@ -63,7 +65,7 @@ def checkpoint_bytes(arrays):
     float32/float64; values are stored raw little-endian."""
     out = bytearray()
     out += CHECKPOINT_MAGIC
-    out += struct.pack("<II", FORMAT_VERSION, len(arrays))
+    out += struct.pack("<II", CHECKPOINT_VERSION, len(arrays))
     for name, arr in arrays.items():
         arr = np.asarray(arr)
         if arr.dtype not in _DTYPE_TAGS:
@@ -83,7 +85,7 @@ def parse_checkpoint(data):
     if r.take(4) != CHECKPOINT_MAGIC:
         raise FormatError("not a checkpoint (bad magic)")
     version, count = r.unpack("II")
-    if version != FORMAT_VERSION:
+    if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
     arrays = {}
     for _ in range(count):
@@ -179,19 +181,17 @@ class BitstreamContainer:
         yb = self.payload_y.to_bytes()
         out = bytearray()
         out += CONTAINER_MAGIC
-        out += struct.pack("<I", FORMAT_VERSION)
+        out += struct.pack("<I", CONTAINER_VERSION)
         out += struct.pack("<BBHHB", CODER_KINDS.index(self.kind), RESERVED_BYTE,
                            self.width, self.height, flags)
         out += struct.pack("<I", len(zb)) + zb
         out += struct.pack("<I", len(yb)) + yb
         if self.qt_bits is not None:
-            if len(self.qt_bits) > 0xFFFF:
-                raise ContractError(f"{len(self.qt_bits)} side-info bits exceed u16")
             if not (0 < self.qt_min_block <= self.qt_max_block <= 0xFFFF):
                 raise ContractError(f"bad quad-tree block bounds "
                                     f"[{self.qt_min_block}, {self.qt_max_block}]")
             out += struct.pack("<HH", self.qt_min_block, self.qt_max_block)
-            out += struct.pack("<H", len(self.qt_bits)) + pack_bits(self.qt_bits)
+            out += struct.pack("<I", len(self.qt_bits)) + pack_bits(self.qt_bits)
         return bytes(out)
 
     @classmethod
@@ -200,7 +200,7 @@ class BitstreamContainer:
         if r.take(4) != CONTAINER_MAGIC:
             raise FormatError("not a bitstream container (bad magic)")
         (version,) = r.unpack("I")
-        if version != FORMAT_VERSION:
+        if version != CONTAINER_VERSION:
             raise FormatError(f"unsupported container version {version}")
         kind_idx, reserved, width, height, flags = r.unpack("BBHHB")
         if kind_idx >= len(CODER_KINDS):
@@ -219,7 +219,7 @@ class BitstreamContainer:
         qt_min = qt_max = 0
         if flags & 1:
             qt_min, qt_max = r.unpack("HH")
-            (nbits,) = r.unpack("H")
+            (nbits,) = r.unpack("I")
             qt = unpack_bits(r.take((nbits + 7) // 8), nbits)
         r.done()
         return cls(kind=CODER_KINDS[kind_idx], width=width, height=height,

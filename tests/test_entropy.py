@@ -167,6 +167,13 @@ class TestBuildCdfs:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
+    def test_row_without_mass_escapes_everything(self):
+        # a mean of -6.5e7 at scale 0.11 puts no mass on [0, 0]: the escape
+        # bin takes the whole budget and the row still sums to 2^16
+        cdfs = E.build_cdfs(np.array([-6.5e7, 0.0]), np.array([0.11, 0.11]), 0, 0)
+        assert cdfs[:, -1].tolist() == [CDF_TOTAL, CDF_TOTAL]
+        assert np.diff(cdfs[0]).tolist() == [1, CDF_TOTAL - 1]
+
     def test_rows_do_not_depend_on_their_neighbours(self):
         rng = np.random.default_rng(14)
         mean = rng.normal(scale=3.0, size=300)
@@ -203,23 +210,26 @@ class TestGaussianCoding:
         assert 8 * len(payload) <= est_total + 0.01 * n + 64
 
     def test_escape_path(self):
-        # values far outside the declared support survive the round trip
-        mean = np.zeros(4)
-        scale = np.ones(4)
-        values = np.array([0, -40, 1, 123456], dtype=np.int64)
-        payload, support = E.encode_gaussian(values, mean, scale, support=(-2, 2))
-        back = E.decode_gaussian(payload, mean, scale, (-2, 2), 4)
+        # values spanning more than MAX_TABLE_BINS survive the round trip:
+        # the support is narrowed around the median and the rest escaped
+        mean = np.zeros(6)
+        scale = np.ones(6)
+        values = np.array([0, -40, 1, 123456, -5000, (1 << 31) - 1], dtype=np.int64)
+        payload, (lo, hi) = E.encode_gaussian(values, mean, scale)
+        assert hi - lo + 2 == E.MAX_TABLE_BINS and not lo <= 123456 <= hi
+        back = E.decode_gaussian(payload, mean, scale, (lo, hi), 6)
         assert np.array_equal(back, values)
 
     def test_escape_value_too_large(self):
-        # the escape carries a 32-bit zigzag code: [-2^31, 2^31) fits
+        # the escape carries a 32-bit zigzag code: offsets in [-2^31, 2^31)
+        # fit
         mean, scale = np.zeros(2), np.ones(2)
         for v in (1 << 31, -(1 << 31) - 1, 1 << 62):
             with pytest.raises(ContractError):
-                E.encode_gaussian(np.array([0, v]), mean, scale, support=(-1, 1))
+                E.encode_gaussian(np.array([0, v]), mean, scale)
         values = np.array([(1 << 31) - 1, -(1 << 31)])
-        payload, _ = E.encode_gaussian(values, mean, scale, support=(-1, 1))
-        assert np.array_equal(E.decode_gaussian(payload, mean, scale, (-1, 1), 2), values)
+        payload, support = E.encode_gaussian(values, mean, scale)
+        assert np.array_equal(E.decode_gaussian(payload, mean, scale, support, 2), values)
 
     def test_count_mismatch(self):
         payload, support = E.encode_gaussian(np.zeros(3, dtype=np.int64),
@@ -236,14 +246,25 @@ class TestGaussianCoding:
         assert back.size == 0
 
 
-def _reference_stream(values, mean, scale, lo, hi):
-    """The coder's byte stream rebuilt one symbol at a time from a single
-    full-size table build: in-support values as symbols, every other value
-    as the escape bin plus four byte symbols of its zigzag code."""
-    cdfs = E.build_cdfs(mean, scale, lo, hi)
+def _reference_stream(values, mean, scale):
+    """The coder's byte stream rebuilt one symbol at a time: each value's
+    offset from its rounded mean, coded under the table-set row of the
+    nearest grid scale (on a log axis) and its mean's fraction bucket, and
+    every offset outside the support as the escape bin plus four byte
+    symbols of its zigzag code.  Returns (stream, (lo, hi))."""
+    center = E.round_away(mean)
+    offsets = (values - center).astype(np.int64)
+    lo, hi = (int(offsets.min()), int(offsets.max())) if offsets.size else (0, 0)
+    if hi - lo + 2 > E.MAX_TABLE_BINS:
+        lo = int(np.median(offsets)) - (E.MAX_TABLE_BINS - 2) // 2
+        hi = lo + E.MAX_TABLE_BINS - 2
+    scale_idx = np.abs(np.log(scale)[:, None] - np.log(E.TABLE_SCALES)[None, :]).argmin(axis=1)
+    mean_idx = np.minimum(np.floor((mean - center + 0.5) * 8), 7).astype(int)
+    table = E._table_set(lo, hi)
     byte_cdf = np.arange(257) * (CDF_TOTAL // 256)
     enc = RangeEncoder()
-    for v, cdf in zip(values.tolist(), cdfs):
+    for v, s, m in zip(offsets.tolist(), scale_idx, mean_idx):
+        cdf = table[8 * s + m]
         if lo <= v <= hi:
             enc.encode(v - lo, cdf)
             continue
@@ -251,29 +272,28 @@ def _reference_stream(values, mean, scale, lo, hi):
         u = 2 * v if v >= 0 else -2 * v - 1
         for shift in (24, 16, 8, 0):
             enc.encode((u >> shift) & 0xFF, byte_cdf)
-    return enc.finish()
+    return enc.finish(), (lo, hi)
 
 
-class TestChunkEdges:
-    """Tables are built CHUNK_CELLS cells at a time; the chunking must not
-    show in the bytes, whatever the length and wherever the escapes fall."""
+class TestReferenceStream:
+    """The vectorised coder must produce the one-symbol-at-a-time stream,
+    whatever the length and wherever the escapes fall."""
 
-    @pytest.mark.parametrize("lo, hi", [(-300, 300), (-2, 2)])
-    def test_lengths_around_the_chunk_size(self, lo, hi):
-        chunk = E.CHUNK_CELLS // (hi - lo + 2)
+    @pytest.mark.parametrize("spread", [2, 300])
+    def test_matches_one_symbol_reference(self, spread):
         rng = np.random.default_rng(15)
-        for n in (0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7):
-            mean = rng.normal(scale=2.0, size=n)
-            scale = rng.uniform(0.11, 3.0, size=n)
-            values = np.clip(np.round(mean + scale * rng.normal(size=n)), lo, hi).astype(np.int64)
-            escapes = [i for i in (chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, n - 1) if 0 <= i < n]
-            big = [hi + 1, lo - 1, (1 << 31) - 1, -(1 << 31), 12345]
-            for i, v in zip(escapes, big):
+        for n in (0, 1, 2, 3, 4, 57, 4000):
+            mean = rng.normal(scale=4.0, size=n)
+            scale = np.exp(rng.uniform(np.log(0.05), np.log(400.0), size=n))
+            noise = np.clip(np.round(scale * rng.normal(size=n)), -spread, spread)
+            values = (E.round_away(mean) + noise).astype(np.int64)
+            # escapes at the first, last and two adjacent positions
+            escapes = [i for i in (0, n - 1, n // 2, n // 2 + 1) if 0 <= i < n]
+            for i, v in zip(escapes, [1 << 30, -(1 << 30), 12345, -4000]):
                 values[i] = v
-            payload, support = E.encode_gaussian(values, mean, scale, support=(lo, hi))
-            assert support == (lo, hi)
-            assert payload == _reference_stream(values, mean, scale, lo, hi), n
-            back = E.decode_gaussian(payload, mean, scale, (lo, hi), n)
+            payload, support = E.encode_gaussian(values, mean, scale)
+            assert (payload, support) == _reference_stream(values, mean, scale), n
+            back = E.decode_gaussian(payload, mean, scale, support, n)
             assert back.dtype == np.int64 and np.array_equal(back, values), n
 
     def test_empty_payload_still_checks_its_support(self):
@@ -282,10 +302,99 @@ class TestChunkEdges:
             with pytest.raises(ContractError):
                 E.decode_gaussian(payload, np.zeros(0), np.ones(0), support, 0)
             with pytest.raises(ContractError):
-                E.encode_gaussian(np.zeros(0, dtype=np.int64), np.zeros(0), np.ones(0),
-                                  support=support)
-            with pytest.raises(ContractError):
                 E.decode_context(payload, _context_net(2, 4, 0), (1, 2, 0, 3), support)
+
+
+class TestTableSet:
+    def test_one_build_per_call(self, monkeypatch):
+        # each coding call builds one table set, decode_context included,
+        # however many positions its map has
+        rng = np.random.default_rng(26)
+        mean = rng.normal(size=300)
+        scale = rng.uniform(0.2, 2.0, size=300)
+        values = np.round(mean + scale * rng.normal(size=300)).astype(np.int64)
+        net = _context_net(2, 4, seed=27)
+        z = np.round(rng.normal(scale=2.0, size=(1, 2, 3, 4)))
+        calls = []
+        build = E.build_cdfs
+        monkeypatch.setattr(E, "build_cdfs", lambda *a: calls.append(a) or build(*a))
+        payload, support = E.encode_gaussian(values, mean, scale)
+        E.decode_gaussian(payload, mean, scale, support, 300)
+        z_payload, z_support = E.encode_context(z, net)
+        assert np.array_equal(E.decode_context(z_payload, net, z.shape, z_support), z)
+        assert len(calls) == 4
+        assert all(len(a[0]) == E.TABLE_SCALES.size * E.TABLE_MEANS.size for a in calls)
+
+    def test_rows_follow_the_grid(self):
+        # grid scales map to their own rows, scales beyond either end to the
+        # end rows, and the mean's fraction about its rounded value to one of
+        # eight buckets
+        s = E.TABLE_SCALES
+        scale = np.concatenate([s, [0.01, 1e6], np.full(6, s[5])])
+        mean = np.concatenate([np.full(66, 7.0), [-2.5, 2.5, 3.49, -3.49, 0.1, -0.1]])
+        center, rows = E._table_rows(mean, scale, scale.size)
+        assert center.dtype == np.int64
+        assert center.tolist() == [7] * 66 + [-3, 3, 3, -3, 0, 0]
+        assert (rows[:64] // 8).tolist() == list(range(64))
+        assert (rows[64:66] // 8).tolist() == [0, 63]
+        assert (rows[:66] % 8 == 4).all()
+        assert (rows[66:] // 8 == 5).all()
+        assert (rows[66:] % 8).tolist() == [7, 0, 7, 0, 4, 3]
+
+
+class TestHostileParameters:
+    def test_non_finite_parameters_rejected(self):
+        payload, support = E.encode_gaussian(np.zeros(3, dtype=np.int64),
+                                             np.zeros(3), np.ones(3))
+        for mean, scale in (([0.0, np.nan, 0.0], [1.0] * 3),
+                            ([0.0] * 3, [1.0, np.inf, 1.0]),
+                            ([-np.inf, 0.0, 0.0], [1.0] * 3)):
+            with pytest.raises(NumericError):
+                E.encode_gaussian(np.zeros(3, dtype=np.int64), np.array(mean), np.array(scale))
+            with pytest.raises(NumericError):
+                E.decode_gaussian(payload, np.array(mean), np.array(scale), support, 3)
+
+    def test_extreme_means_round_trip(self):
+        # means of +-3e38 are clipped before rounding, so a value of 0 has
+        # an escapable offset and nothing wraps
+        mean = np.array([3e38, -3e38, 0.3, 1.7])
+        scale = np.ones(4)
+        values = np.array([0, 0, 1, 2], dtype=np.int64)
+        payload, support = E.encode_gaussian(values, mean, scale)
+        assert np.array_equal(E.decode_gaussian(payload, mean, scale, support, 4), values)
+
+    def test_scale_above_the_grid_round_trips(self):
+        mean = np.array([0.2, -40.6, 1e3])
+        scale = np.array([1e4, 3e38, 257.0])
+        values = np.array([-700, 300, 1000], dtype=np.int64)
+        assert (E._table_rows(mean, scale, 3)[1] // 8 == 63).all()
+        payload, support = E.encode_gaussian(values, mean, scale)
+        assert np.array_equal(E.decode_gaussian(payload, mean, scale, support, 3), values)
+
+    def test_one_value_payload_without_grid_mass(self):
+        # the offset 5 has no mass under the narrowest grid rows; their
+        # tables still sum to 2^16, so the value round-trips and a garbage
+        # stream decodes or raises StreamError, never an IndexError
+        mean, scale = np.zeros(1), np.full(1, E.SCALE_MIN)
+        payload, support = E.encode_gaussian(np.array([5]), mean, scale)
+        assert support == (5, 5)
+        assert E.decode_gaussian(payload, mean, scale, support, 1).tolist() == [5]
+        try:
+            E.decode_gaussian(b"\xff" * 8, mean, scale, support, 1)
+        except StreamError:
+            pass
+
+    def test_garbage_stream_under_a_far_mean(self):
+        # a garbage hyper-latent can give a mean of -6.5e7 at scale 0.11: a
+        # garbage stream then decodes or raises StreamError, never an
+        # IndexError
+        mean, scale = np.array([-6.5e7]), np.array([0.11])
+        for payload in (b"\xff" * 8, b"\x00" * 8, bytes(range(8))):
+            for support in ((0, 0), (-3, 3)):
+                try:
+                    E.decode_gaussian(payload, mean, scale, support, 1)
+                except StreamError:
+                    pass
 
 
 class TestHostileHeader:
@@ -403,14 +512,18 @@ class TestContextCoding:
         assert 8 * len(payload) <= float(est.data.sum()) + 0.01 * n + 64
 
     def test_escape_path(self):
-        # values outside an explicit support are escaped position by position
+        # offsets outside a support narrowed to MAX_TABLE_BINS are escaped
+        # position by position
         rng = np.random.default_rng(22)
         net = _context_net(2, 4, seed=23)
         z = rng.integers(-3, 4, size=(1, 2, 4, 5)).astype(np.float64)
-        z[0, 1, 2, 3] = 40.0
-        payload, support = E.encode_context(z, net, support=(-1, 1))
-        assert support == (-1, 1)
-        back = E.decode_context(payload, net, z.shape, support)
+        z[0, 1, 2, 3] = 4000.0
+        z[0, 0, 3, 4] = -4000.0
+        payload, (lo, hi) = E.encode_context(z, net)
+        offsets = z - E.round_away(E.context_params(net, z)[0])
+        assert hi - lo + 2 <= E.MAX_TABLE_BINS
+        assert ((offsets < lo) | (offsets > hi)).any()
+        back = E.decode_context(payload, net, z.shape, (lo, hi))
         assert np.array_equal(back, z)
 
     def test_bits_come_from_the_coder_parameters(self):

@@ -162,8 +162,17 @@ class TestContainer:
             _container(qt_bits=[1], qt_min_block=0, qt_max_block=8).to_bytes()
         with pytest.raises(ContractError):
             _container(qt_bits=[1], qt_min_block=16, qt_max_block=8).to_bytes()
-        with pytest.raises(ContractError):
-            _container(qt_bits=[0] * 70000, qt_min_block=4, qt_max_block=8).to_bytes()
+        # the bit count is a u32: 70,000 side bits round-trip
+        c = _container(qt_bits=[0, 1] * 35000, qt_min_block=4, qt_max_block=8)
+        assert F.BitstreamContainer.from_bytes(c.to_bytes()).qt_bits == c.qt_bits
+
+    def test_version_one_rejected(self):
+        # version 1 coded values, not offsets from their rounded means: its
+        # payloads would decode wrong, so the header is refused
+        data = _container().to_bytes()
+        assert data[4:8] == struct.pack("<I", F.CONTAINER_VERSION) == struct.pack("<I", 2)
+        with pytest.raises(FormatError):
+            F.BitstreamContainer.from_bytes(data[:4] + struct.pack("<I", 1) + data[8:])
 
     def test_malformed_streams(self):
         data = _container().to_bytes()

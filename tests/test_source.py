@@ -41,15 +41,25 @@ def test_rangecoder_does_not_import_numpy():
     assert not {m for m in imported if m.split(".")[0] == "numpy"}, imported
 
 
+def test_build_cdfs_has_one_caller():
+    # coder tables come from one table set per payload; no coding path
+    # builds tables per element
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                callers += [fn.name for node in ast.walk(fn) if isinstance(node, ast.Call)
+                            and getattr(node.func, "id", getattr(node.func, "attr", None))
+                            == "build_cdfs"]
+    assert callers == ["_table_set"], callers
+
+
 # (function, parameter) pairs whose default no library, benchmark or gate
 # call overrides, each kept for a reason
 DEFAULTS_WITHOUT_CALLER = {
     # the in-process CLI entry point: tests pass argv, the console script none
     ("main", "argv"),
-    # the escape tests code with small explicit tables; the support rule is
-    # due to be redecided with shared Gaussian tables
-    ("encode_gaussian", "support"),
-    ("encode_context", "support"),
 }
 
 

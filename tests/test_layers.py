@@ -4,6 +4,9 @@ The reference convolutions below are deliberately naive (explicit loops,
 no shared code with the package) so that agreement is meaningful.
 """
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -56,6 +59,24 @@ def tconv_oracle(x, w, stride):
                                 if 0 <= oy < oh and 0 <= ox < ow:
                                     out[ni, co, oy, ox] += x[ni, ci, yy, xx] * w[ci, co, ki, kj]
     return out
+
+
+def scatter_reference(small, w, stride, taps, big_shape):
+    """The tap loop that ``layers._scatter`` replaced: each of the first
+    ``taps`` taps in raster order adds its product into a strided,
+    channels-first window of a zero padded big grid.  The phase kernel must
+    match it byte for byte, not just to rounding."""
+    n, c, h, width = big_shape
+    k = w.shape[2]
+    pad = (k - 1) // 2
+    _, _, oh, ow = small.shape
+    bp = np.zeros((n, c, h + 2 * pad, width + 2 * pad), dtype=small.dtype)
+    for t in range(taps):
+        ki, kj = divmod(t, k)
+        win = (slice(None), slice(None), slice(ki, ki + (oh - 1) * stride + 1, stride),
+               slice(kj, kj + (ow - 1) * stride + 1, stride))
+        bp[win] += np.tensordot(small, w[:, :, ki, kj], axes=([1], [0])).transpose(0, 3, 1, 2)
+    return bp[:, :, pad:pad + h, pad:pad + width]
 
 
 def gdn_oracle(x, beta_raw, gamma_raw, inverse):
@@ -126,7 +147,7 @@ class TestConv:
 
 
 class TestTconv:
-    @pytest.mark.parametrize("stride,k", [(1, 3), (2, 3), (2, 5)])
+    @pytest.mark.parametrize("stride,k", [(1, 3), (2, 3), (2, 5), (3, 3), (2, 1), (3, 5)])
     def test_matches_loop_oracle(self, stride, k):
         rng = np.random.default_rng(stride * 10 + k)
         x = rng.normal(size=(2, 3, 4, 5))
@@ -153,6 +174,69 @@ class TestTconv:
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             L.tconv2d(t64(np.zeros((1, 3, 4, 4))), t64(np.zeros((2, 3, 3, 3))))
+
+
+def same_bytes(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and \
+        np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+class TestScatterBytes:
+    """The scatter kernel (tconv2d forward, every conv input gradient)
+    gives the very bytes of the tap loop it replaced."""
+
+    DTYPES = (np.float32, np.float64)
+
+    @pytest.mark.parametrize("stride,k,n,dtype,small", itertools.product(
+        (1, 2, 3, 4), (1, 3, 5, 7), (1, 2), DTYPES, ((1, 1), (3, 5))))
+    def test_tconv_forward(self, stride, k, n, dtype, small):
+        rng = np.random.default_rng(stride * 100 + k * 10 + n)
+        x = rng.normal(size=(n, 4, *small)).astype(dtype)
+        w = rng.normal(size=(4, 3, k, k)).astype(dtype)
+        got = L.tconv2d(Tensor(x), Tensor(w), stride=stride).data
+        big = (n, 3, small[0] * stride, small[1] * stride)
+        assert same_bytes(got, scatter_reference(x, w, stride, k * k, big))
+
+    @staticmethod
+    def _input_grad(layer, x, w, rng):
+        xt = Tensor(x, requires_grad=True)
+        y = layer(xt, Tensor(w))
+        r = rng.normal(size=y.shape).astype(x.dtype)
+        T.backward(T.sum_all(T.mul(y, Tensor(r))))
+        return xt.grad, r
+
+    @pytest.mark.parametrize("stride,k,n,dtype,big", itertools.product(
+        (1, 2, 3, 4), (1, 3, 5, 7), (1, 2), DTYPES, ((1, 1), (7, 11))))
+    def test_conv_input_grad(self, stride, k, n, dtype, big):
+        rng = np.random.default_rng(stride * 100 + k * 10 + n)
+        x = rng.normal(size=(n, 3, *big)).astype(dtype)
+        w = rng.normal(size=(4, 3, k, k)).astype(dtype)
+        got, r = self._input_grad(lambda a, b: L.conv2d(a, b, stride=stride), x, w, rng)
+        assert same_bytes(got, scatter_reference(r, w, stride, k * k, x.shape))
+
+    @pytest.mark.parametrize("kind,k,n,dtype", itertools.product(
+        ("A", "B"), (1, 3, 5, 7), (1, 2), DTYPES))
+    def test_masked_conv_input_grad(self, kind, k, n, dtype):
+        rng = np.random.default_rng(k * 10 + n)
+        x = rng.normal(size=(n, 3, 6, 9)).astype(dtype)
+        w = rng.normal(size=(4, 3, k, k)).astype(dtype)
+        got, r = self._input_grad(lambda a, b: L.masked_conv2d(a, b, kind=kind), x, w, rng)
+        taps = k * k // 2 + (kind == "B")
+        assert same_bytes(got, scatter_reference(r, w, 1, taps, x.shape))
+
+    def test_hd_tconv_peak_memory(self):
+        # one stride-2 32->32 synthesis layer of a 1088x1920 frame: the
+        # call holds its output plus one phase buffer and one tap product
+        rng = np.random.default_rng(31)
+        x = Tensor(rng.normal(size=(1, 32, 136, 240)).astype(np.float32))
+        w = Tensor(rng.normal(scale=0.1, size=(32, 32, 5, 5)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            out = L.tconv2d(x, w, stride=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * out.data.nbytes
 
 
 class TestGDN:

@@ -19,10 +19,11 @@ Cases:
   training  a make_corpus corpus, train_epoch and evaluate_pairs figures
   infolab   random joints of the three generators and their identity and
             bottleneck reports
-  layers    conv2d and tconv2d at k 1/3/5, stride 1/2, batch 2 and odd
-            sizes, and masked_conv2d with masks A and B at k 1/3/5, in
-            float32 and float64: the output and the input, weight and bias
-            gradients of a seeded linear loss
+  layers    conv2d and tconv2d at k 1/3/5, stride 1/2/3, batch 2 and odd
+            sizes, tconv2d at the HD synthesis widths (32->32 and 32->3,
+            k 5, stride 2, from a 17x23 grid), and masked_conv2d with masks
+            A and B at k 1/3/5, in float32 and float64: the output and the
+            input, weight and bias gradients of a seeded linear loss
   tensor    every tensor op, prelu, gdn both ways, noise quantize and
             gaussian_bits in float32 and float64: the output and the input
             gradients of a seeded linear loss, with mul also on (x, x) and
@@ -211,7 +212,7 @@ def layers(d):
             return rng.normal(size=shape).astype(dtype)
 
         for k in (1, 3, 5):
-            for stride in (1, 2):
+            for stride in (1, 2, 3):
                 for h, w in ((7, 9), (4, 5)):
                     x = draw(2, 3, h, w)
                     _layer_case(d, f"{name}/conv/k{k}/s{stride}/{h}x{w}",
@@ -225,6 +226,10 @@ def layers(d):
                             lambda a, b, c, m=kind: L.masked_conv2d(a, b, bias=c, kind=m),
                             draw(2, 3, 7, 9), draw(4, 3, k, k), draw(1, 4, 1, 1), rng,
                             fold_zeros=True)
+        for cout in (32, 3):
+            _layer_case(d, f"{name}/tconv/hd32to{cout}",
+                        lambda a, b, c: L.tconv2d(a, b, bias=c, stride=2),
+                        draw(1, 32, 17, 23), draw(32, cout, 5, 5), draw(1, cout, 1, 1), rng)
 
 
 def tensor(d):

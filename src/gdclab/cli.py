@@ -27,11 +27,9 @@ from . import fileio as F
 from . import infolab as IL
 from . import training as TR
 from . import tensor as T
-from .errors import (ContractError, FormatError, IdentityError, NumericError,
-                     ShapeError, StreamError, TrainingError)
+from .errors import ContractError, FormatError, GdclabError, ShapeError
 
-_CLI_ERRORS = (ContractError, FormatError, IdentityError, NumericError,
-               ShapeError, StreamError, TrainingError, OSError)
+_CLI_ERRORS = (GdclabError, OSError)
 
 
 def _load_model(path, config=None):
@@ -224,7 +222,7 @@ def cmd_eval(args):
     else:
         pairs = TR.make_corpus(rng, args.frames, patch=ecfg.patch)
     header = ["frame", "coder", "lambda", "bpp", "psnr", "psnr_d", "psnr_g",
-              "mode_d_area"]
+              "mode_d_fraction"]
     rows = []
     for i, (x, xt) in enumerate(pairs):
         qt = lam if coder.cfg.kind == "xgdc" else None
@@ -309,10 +307,10 @@ def cmd_selftest(args):
         cdf = np.concatenate([[0], np.cumsum((pmf * (1 << 16)).astype(np.int64))])
         cdf[-1] = 1 << 16
         enc = RC.RangeEncoder()
-        for sym in syms:
-            enc.encode(int(sym), cdf)
-        dec = RC.RangeDecoder(enc.finish())
-        return [dec.decode(cdf) for _ in syms] == list(syms)
+        enc.encode_intervals(cdf[syms].tolist(), (cdf[syms + 1] - cdf[syms]).tolist())
+        dec, out = RC.RangeDecoder(enc.finish()), []
+        dec.decode_rows([cdf.tolist()] * syms.size, out)
+        return out == syms.tolist()
 
     def entropy():
         vals = rng.integers(-20, 20, size=(1, 2, 6, 6)).astype(np.float64)

@@ -181,15 +181,11 @@ def _unzigzag(u):
 def _escape_intervals(starts, freqs, values, escaped):
     """Follow each escape interval with the four byte intervals of its
     value's zigzag code, most significant byte first."""
-    reps = np.where(escaped, 5, 1)
-    slots = (np.cumsum(reps) - reps)[escaped]
-    starts, freqs = np.repeat(starts, reps), np.repeat(freqs, reps)
     v = values[escaped]
     u = np.where(v < 0, -2 * v - 1, 2 * v)
-    for k, shift in enumerate((24, 16, 8, 0), 1):
-        starts[slots + k] = ((u >> shift) & 0xFF) * _BYTE_FREQ
-        freqs[slots + k] = _BYTE_FREQ
-    return starts, freqs
+    after = np.repeat(np.flatnonzero(escaped) + 1, 4)
+    code = (u[:, None] >> np.array([24, 16, 8, 0])) & 0xFF
+    return np.insert(starts, after, code.ravel() * _BYTE_FREQ), np.insert(freqs, after, _BYTE_FREQ)
 
 
 def _encode_symbols(flat, mean, scale):
@@ -232,15 +228,14 @@ def _decode_symbols(dec, table, mean, scale, count, lo):
     set over support [lo, ...] as lists); the inverse of _encode_symbols."""
     center, rows = _table_rows(mean, scale, count)
     escape = len(table[0]) - 2
-    symbols, escapes = [], []
+    symbols, raw = [], []
     rows = map(table.__getitem__, rows.tolist())
     while dec.decode_rows(rows, symbols, escape):
-        raw = []
         dec.decode_rows((_BYTE_ROW,) * 4, raw)
-        escapes.append((len(symbols) - 1, _unzigzag(int.from_bytes(bytes(raw), "big"))))
-    out = np.array(symbols, dtype=np.int64) + lo
-    for i, v in escapes:
-        out[i] = v
+    out = np.array(symbols, dtype=np.int64)
+    escaped = out == escape
+    out += lo
+    out[escaped] = _unzigzag(np.frombuffer(bytes(raw), ">u4").astype(np.int64))
     return out + center
 
 

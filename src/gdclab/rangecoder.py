@@ -13,15 +13,14 @@ context-model coding path does).
 
 The arithmetic runs on plain Python ints held in locals: the encoder codes
 a run of (start, freq) intervals per call and the decoder a run of tables
-(lists of ints).  ``encode(symbol, cdf)`` and ``decode(cdf)`` are one-symbol
-entries into the same two loops.
+(lists of ints).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 
-from .errors import ContractError, StreamError
+from .errors import StreamError
 
 CDF_BITS = 16
 CDF_TOTAL = 1 << CDF_BITS
@@ -36,12 +35,6 @@ class RangeEncoder:
         self.low = 0
         self.range = _MASK
         self.out = bytearray()
-
-    def encode(self, symbol, cdf):
-        if not 0 <= symbol < len(cdf) - 1:
-            raise ContractError(f"symbol {symbol} outside cdf with {len(cdf) - 1} bins")
-        start = int(cdf[symbol])
-        self.encode_intervals((start,), (int(cdf[symbol + 1]) - start,))
 
     def encode_intervals(self, starts, freqs):
         """Code each (start, freq) interval of the 2^16 grid in order; both
@@ -77,11 +70,6 @@ class RangeDecoder:
         self.low = 0
         self.range = _MASK
         self.code = int.from_bytes(data[:4], "big")
-
-    def decode(self, cdf):
-        out = []
-        self.decode_rows(([int(c) for c in cdf],), out)
-        return out[0]
 
     def decode_rows(self, rows, out, stop=-1):
         """Decode one symbol per table drawn from ``rows`` (each a list of

@@ -217,17 +217,18 @@ def calibrate_quant_step(images, gen, seed=0):
         return float(np.mean(vals))
 
     lo, hi = 0.25, 96.0
-    if mean_db(lo) < target_db:
+    achieved = mean_db(lo)
+    if achieved < target_db:
         raise ContractError("even the finest step misses the quality target")
     for _ in range(CALIBRATION_ITERS):
         mid = 0.5 * (lo + hi)
-        if mean_db(mid) >= target_db:
-            lo = mid
+        mid_db = mean_db(mid)
+        if mid_db >= target_db:
+            lo, achieved = mid, mid_db
         else:
             hi = mid
-        if abs(mean_db(lo) - target_db) <= tol * 0.25:
+        if abs(achieved - target_db) <= tol * 0.25:
             break
-    achieved = mean_db(lo)
     if abs(achieved - target_db) > tol:
         raise ContractError(f"calibration landed at {achieved:.2f} dB, "
                             f"outside {target_db} +- {tol}")

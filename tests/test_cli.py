@@ -230,8 +230,22 @@ class TestEval:
             assert row["coder"] == "diff"
             assert float(row["bpp"]) > 0.0
             assert row["psnr_d"] != "" and row["psnr_g"] == ""
-            assert row["mode_d_area"] == ""
+            assert row["mode_d_fraction"] == ""
         assert "mean" in capsys.readouterr().out
+
+    def test_xgdc_mode_d_fraction(self, workdir):
+        # the quad-tree column holds the fraction of the frame coded in mode d
+        model = workdir / "xgdc.ckpt"
+        assert cli.main(["train", "--coder", "xgdc", "--preset", "desk", "--steps", "1",
+                         "--pairs", "1", "--patch", "32", "--seed", "1",
+                         "--out", str(model)]) == 0
+        out = workdir / "eval_xgdc.csv"
+        assert cli.main(["eval", "--model", str(model), "--frames", "2",
+                         "--out", str(out)]) == 0
+        with open(out, newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 2
+        assert all(0.0 <= float(row["mode_d_fraction"]) <= 1.0 for row in rows)
 
     def test_data_directory(self, workdir, diff_model, image_dir):
         out = workdir / "eval_data.csv"

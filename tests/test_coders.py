@@ -203,6 +203,18 @@ class TestEncodeDecode:
             assert actual <= pl.est_bits + 0.01 * pl.symbol_count + 64
             assert pl.symbol_count > 0
 
+    @pytest.mark.parametrize("h, w", [(16, 0xFFFF), (0xFFFF, 16)])
+    def test_header_size_limits(self, h, w):
+        # each u16 size field at its maximum; 65535x65535 would be 51 GB
+        coder = C.Coder.new(C.CoderConfig.desk("diff"), seed=5)
+        x, xt = frame_pair(np.random.default_rng(16), h, w)
+        container, enc_out = coder.encode(x, xt)
+        parsed = BitstreamContainer.from_bytes(container.to_bytes())
+        assert (parsed.height, parsed.width) == (h, w)
+        dec_out = coder.decode(xt, parsed)
+        assert dec_out.x_hat_d.shape == (1, 3, h, w)
+        assert np.array_equal(enc_out.x_hat_d.data, dec_out.x_hat_d.data)
+
     def test_padding_path(self):
         coder = C.Coder.new(C.CoderConfig.desk("diff"), seed=5)
         x, xt = frame_pair(np.random.default_rng(9), 37, 53)

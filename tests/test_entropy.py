@@ -263,15 +263,19 @@ def _reference_stream(values, mean, scale):
     table = E._table_set(lo, hi)
     byte_cdf = np.arange(257) * (CDF_TOTAL // 256)
     enc = RangeEncoder()
+
+    def put(symbol, cdf):
+        enc.encode_intervals((int(cdf[symbol]),), (int(cdf[symbol + 1] - cdf[symbol]),))
+
     for v, s, m in zip(offsets.tolist(), scale_idx, mean_idx):
         cdf = table[8 * s + m]
         if lo <= v <= hi:
-            enc.encode(v - lo, cdf)
+            put(v - lo, cdf)
             continue
-        enc.encode(len(cdf) - 2, cdf)
+        put(len(cdf) - 2, cdf)
         u = 2 * v if v >= 0 else -2 * v - 1
         for shift in (24, 16, 8, 0):
-            enc.encode((u >> shift) & 0xFF, byte_cdf)
+            put((u >> shift) & 0xFF, byte_cdf)
     return enc.finish(), (lo, hi)
 
 

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import gdclab
+from gdclab import errors, rangecoder
 
 PACKAGE = Path(gdclab.__file__).parent
 
@@ -39,6 +40,26 @@ def test_rangecoder_does_not_import_numpy():
     imported |= {node.module for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom) and node.module}
     assert not {m for m in imported if m.split(".")[0] == "numpy"}, imported
+
+
+def test_range_coder_has_one_entry_per_direction():
+    # every symbol goes through the run loops that real payloads use
+    public = {cls.__name__: sorted(n for n in vars(cls) if not n.startswith("_"))
+              for cls in (rangecoder.RangeEncoder, rangecoder.RangeDecoder)}
+    assert public == {"RangeEncoder": ["encode_intervals", "finish"],
+                      "RangeDecoder": ["decode_rows"]}
+
+
+def test_every_error_is_a_package_error():
+    # one except clause catches whatever the package raises, and each error
+    # keeps a builtin base for callers that catch ValueError and the like
+    classes = [v for v in vars(errors).values()
+               if isinstance(v, type) and v.__module__ == errors.__name__]
+    base = getattr(errors, "GdclabError", None)
+    assert base is not None
+    for cls in classes:
+        assert issubclass(cls, base), cls.__name__
+        assert cls is base or any(b is not base for b in cls.__bases__), cls.__name__
 
 
 def test_build_cdfs_has_one_caller():

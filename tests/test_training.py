@@ -329,6 +329,17 @@ class TestCalibration:
         assert step > 0.0
         assert 34.0 <= achieved <= 36.0
 
+    def test_each_step_is_measured_once(self, monkeypatch):
+        # every bisection step is evaluated on the whole corpus exactly once
+        imgs = [TR.synthetic_image(np.random.default_rng(i), 64, 64) for i in range(4)]
+        steps = []
+        quantize = TR.quantize_intensities
+        monkeypatch.setattr(TR, "quantize_intensities",
+                            lambda arr, step: steps.append(step) or quantize(arr, step))
+        TR.calibrate_quant_step(imgs, TR.GenConfig(patch=32, max_shift=1), seed=0)
+        per_eval = len(imgs) * TR.CALIBRATION_PAIRS
+        assert len(steps) == per_eval * len(set(steps))
+
     def test_unreachable_target(self, monkeypatch):
         monkeypatch.setattr(TR, "CALIBRATION_TARGET_DB", 200.0)
         monkeypatch.setattr(TR, "CALIBRATION_PAIRS", 1)

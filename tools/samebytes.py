@@ -112,12 +112,7 @@ def _fixture(root, kind):
     from gdclab import coders as CD
     from gdclab import fileio as F
     path = os.path.join(root, "bench", "fixtures", f"{kind}.ckpt")
-    e = F.ExperimentConfig.from_file(path + ".cfg")
-    cfg = CD.CoderConfig(kind=e.coder, channels=e.channels, core_width=e.core_width,
-                         latent=e.latent, hyper_latent=e.hyper_latent,
-                         pred_width=e.pred_width, features=e.features,
-                         ctx_width=e.ctx_width, kernel=e.kernel,
-                         enc_strides=e.stride_tuple())
+    cfg = F.ExperimentConfig.from_file(path + ".cfg").coder_config()
     return CD.Coder.from_arrays(cfg, F.load_checkpoint(path))
 
 

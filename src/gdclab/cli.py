@@ -209,6 +209,8 @@ def cmd_decode(args):
 # -- eval / bdrate / quadtree ----------------------------------------------
 
 def cmd_eval(args):
+    if args.frames < 1:
+        raise ContractError(f"--frames must be at least 1, got {args.frames}")
     coder, ecfg = _load_model(args.model, args.config)
     lam = args.lmbda if args.lmbda is not None else ecfg.lmbda
     rng = np.random.default_rng(args.seed)

@@ -34,12 +34,12 @@ import numpy as np
 from . import entropy as E
 from . import evaluation as V
 from . import tensor as T
-from .errors import ContractError, ShapeError
+from .errors import ContractError, ShapeError, StreamError
 from .fileio import (CODER_KINDS, DESK_DIMS, BitstreamContainer, CoderConfig,
                      Payload)
-from .layers import (Network, ParamStore, context_spec, decoder_spec,
-                     encoder_spec, feature_spec, hyper_decoder_spec,
-                     hyper_encoder_spec, make_network, pred_branch_spec)
+from .layers import (Network, ParamStore, check_shapes, context_spec, decoder_spec,
+                     encoder_spec, feature_spec, hyper_decoder_spec, hyper_encoder_spec,
+                     make_network, pred_branch_spec)
 
 KINDS = CODER_KINDS
 
@@ -67,10 +67,8 @@ def coder_specs(cfg):
     return specs
 
 
-def _down(h, strides):
-    for s in strides:
-        h = (h - 1) // s + 1
-    return h
+def _param_shapes(specs):
+    return {n: s for p, spec in specs.items() for n, s in spec.param_shapes(p).items()}
 
 
 def pad_to_multiple(arr, m):
@@ -116,11 +114,7 @@ class Coder:
         self.cfg = cfg
         self.params = params
         self.specs = coder_specs(cfg)
-        for prefix, spec in self.specs.items():
-            for i, lay in enumerate(spec.layers):
-                name = f"{prefix}.{i}.w"
-                if name not in params:
-                    raise ContractError(f"parameters missing {name!r} for kind {cfg.kind!r}")
+        check_shapes(_param_shapes(self.specs), params.arrays())
         self.nets = {p: Network(s, params, p) for p, s in self.specs.items()}
 
     # -- construction -------------------------------------------------------
@@ -135,9 +129,13 @@ class Coder:
 
     @classmethod
     def from_arrays(cls, cfg, arrays):
-        coder = cls.new(cfg, seed=0)
-        coder.params.load_arrays(arrays)
-        return coder
+        """A float32 coder holding copies of ``arrays``, stored in spec order."""
+        shapes = _param_shapes(coder_specs(cfg))
+        check_shapes(shapes, arrays)
+        params = ParamStore()
+        for name in shapes:
+            params.add(name, arrays[name])
+        return cls(cfg, params)
 
     # -- forward ------------------------------------------------------------
 
@@ -163,12 +161,7 @@ class Coder:
         return T.concat_channels([g, T.sub(x, xt)])
 
     def _entropy_params(self, z_hat, y_shape):
-        h = self.nets["hyp_dec"](z_hat)
-        _, _, yh, yw = y_shape
-        if h.shape[2] < yh or h.shape[3] < yw:
-            raise ShapeError(f"hyper decoder produced {h.shape}, smaller than latent {y_shape}")
-        if h.shape[2] != yh or h.shape[3] != yw:
-            h = T.crop_spatial(h, 0, yh, 0, yw)
+        h = self._crop(self.nets["hyp_dec"](z_hat), y_shape[2], y_shape[3])
         return E.gaussian_head(h, self.cfg.latent)
 
     def _reconstruct(self, y_hat, xt):
@@ -287,9 +280,8 @@ class Coder:
         with T.no_grad():
             xtp = T.Tensor(pad_to_multiple(xt_arr, sp))
             ph, pw = xtp.shape[2], xtp.shape[3]
-            yh, yw = ph // sp, pw // sp
-            hyper_strides = [lay.stride for lay in self.specs["hyp_enc"].layers]
-            zh, zw = _down(yh, hyper_strides), _down(yw, hyper_strides)
+            yh, yw = (self.specs["enc"].out_size(n) for n in (ph, pw))
+            zh, zw = (self.specs["hyp_enc"].out_size(n) for n in (yh, yw))
             z_shape = (1, self.cfg.hyper_latent, zh, zw)
             z_arr = E.decode_context(container.payload_z.stream, self.nets["ctx"],
                                      z_shape, (container.payload_z.lo, container.payload_z.hi))
@@ -300,7 +292,12 @@ class Coder:
                                        (container.payload_y.lo, container.payload_y.hi),
                                        int(np.prod(y_shape)))
             y_hat = T.Tensor(y_flat.reshape(y_shape).astype(self.params.dtype))
-            x_hat_d, x_hat_g = self._reconstruct(y_hat, xtp)
+            # an escape can put any value in y_hat, enough to overflow synthesis
+            with np.errstate(over="ignore", invalid="ignore"):
+                x_hat_d, x_hat_g = self._reconstruct(y_hat, xtp)
+            for t in (x_hat_d, x_hat_g):
+                if t is not None and not np.isfinite(t.data).all():
+                    raise StreamError("stream decodes to a non-finite reconstruction")
             out = CoderOutput(
                 kind=self.cfg.kind,
                 x_hat_d=self._crop(x_hat_d, container.height, container.width),
@@ -326,6 +323,6 @@ def gdc_from_diff(diff_coder):
     specs = coder_specs(cfg)
     make_network(specs["gd"], params, "gd", init="identity-difference")
     for name, t in diff_coder.params.items():
-        params.add(name, t.data.copy())
+        params.add(name, t.data)
     make_network(specs["gs"], params, "gs", init="identity-sum")
     return Coder(cfg, params)

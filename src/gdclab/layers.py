@@ -234,6 +234,16 @@ class ConvSpec:
         if self.mask and (self.transposed or self.stride != 1):
             raise ContractError("masked layers must be plain stride-1 convolutions")
 
+    def param_shapes(self):
+        """leaf -> shape of each learnable array, in store order."""
+        i, o, k = self.in_ch, self.out_ch, self.kernel
+        shapes = {"w": (i, o, k, k) if self.transposed else (o, i, k, k), "b": (1, o, 1, 1)}
+        if self.activation == "prelu":
+            shapes["slope"] = (1, o, 1, 1)
+        elif self.activation in ("gdn", "igdn"):
+            shapes.update(beta=(1, o, 1, 1), gamma=(o, o, 1, 1))
+        return shapes
+
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -246,15 +256,29 @@ class NetworkSpec:
             if a.out_ch != b.in_ch:
                 raise ContractError(f"channel mismatch {a.out_ch} -> {b.in_ch} in role {self.role!r}")
 
+    def param_shapes(self, prefix):
+        """Full parameter name -> shape, in store order."""
+        return {f"{prefix}.{i}.{leaf}": shape for i, lay in enumerate(self.layers)
+                for leaf, shape in lay.param_shapes().items()}
+
     def param_count(self):
-        total = 0
+        return sum(int(np.prod(s)) for s in self.param_shapes("").values())
+
+    def out_size(self, h):
+        """Output size for input size h: ceil(h/s) per conv, h*s per transposed conv."""
         for lay in self.layers:
-            total += lay.in_ch * lay.out_ch * lay.kernel * lay.kernel + lay.out_ch
-            if lay.activation == "prelu":
-                total += lay.out_ch
-            elif lay.activation in ("gdn", "igdn"):
-                total += lay.out_ch + lay.out_ch * lay.out_ch
-        return total
+            h = h * lay.stride if lay.transposed else -(-h // lay.stride)
+        return h
+
+
+def check_shapes(want, arrays):
+    """Raise unless ``arrays`` holds exactly the names of ``want``, each at its shape."""
+    missing, extra = sorted(set(want) - set(arrays)), sorted(set(arrays) - set(want))
+    if missing or extra:
+        raise ContractError(f"missing parameters {missing!r}, unexpected {extra!r}")
+    for name, shape in want.items():
+        if np.shape(arrays[name]) != shape:
+            raise ShapeError(f"parameter {name!r}: shape {np.shape(arrays[name])} != {shape}")
 
 
 class ParamStore:
@@ -267,15 +291,12 @@ class ParamStore:
     def add(self, name, array):
         if name in self._params:
             raise ContractError(f"duplicate parameter {name!r}")
-        t = Tensor(np.asarray(array, dtype=self.dtype), requires_grad=True)
+        t = Tensor(np.array(array, dtype=self.dtype), requires_grad=True)
         self._params[name] = t
         return t
 
     def __getitem__(self, name):
         return self._params[name]
-
-    def __contains__(self, name):
-        return name in self._params
 
     def items(self):
         return self._params.items()
@@ -292,16 +313,9 @@ class ParamStore:
         return {n: t.data for n, t in self._params.items()}
 
     def load_arrays(self, arrays):
+        check_shapes({n: t.shape for n, t in self._params.items()}, arrays)
         for n, t in self._params.items():
-            if n not in arrays:
-                raise ContractError(f"missing parameter {n!r}")
-            a = np.asarray(arrays[n])
-            if a.shape != t.shape:
-                raise ShapeError(f"parameter {n!r}: shape {a.shape} != {t.shape}")
-            t.data = a.astype(t.data.dtype, copy=True)
-        extra = set(arrays) - set(self._params)
-        if extra:
-            raise ContractError(f"unexpected parameters {sorted(extra)!r}")
+            t.data = np.asarray(arrays[n]).astype(t.data.dtype, copy=True)
 
 
 def _init_weight(rng, shape, fan_in):
@@ -356,12 +370,10 @@ def make_network(spec, params, prefix, rng=None, init="random"):
     if init not in ("random", "identity-difference", "identity-sum"):
         raise ContractError(f"unknown init {init!r}")
     for i, lay in enumerate(spec.layers):
-        wshape = ((lay.in_ch, lay.out_ch, lay.kernel, lay.kernel) if lay.transposed
-                  else (lay.out_ch, lay.in_ch, lay.kernel, lay.kernel))
-        b = np.zeros((1, lay.out_ch, 1, 1))
+        shapes = lay.param_shapes()
         if init == "random":
-            w = _init_weight(rng, wshape, lay.in_ch * lay.kernel * lay.kernel)
-            slope_val = 0.25
+            w = _init_weight(rng, shapes["w"], lay.in_ch * lay.kernel * lay.kernel)
+            slope = 0.25
         else:
             if lay.activation != "prelu":
                 raise ContractError("identity inits require prelu activations")
@@ -369,23 +381,17 @@ def make_network(spec, params, prefix, rng=None, init="random"):
             if lay.out_ch < carried:
                 raise ContractError(f"layer {i} of {prefix!r} has {lay.out_ch} channels, "
                                     f"the identity init carries {carried}")
-            w = np.zeros(wshape)
+            w = np.zeros(shapes["w"])
             mid = lay.kernel // 2
             for c in range(carried):
                 w[c, c, mid, mid] = 1.0
                 if i == 0:
                     w[c, carried + c, mid, mid] = 1.0 if init == "identity-sum" else -1.0
-            slope_val = 1.0
-        params.add(f"{prefix}.{i}.w", w)
-        params.add(f"{prefix}.{i}.b", b)
-        if lay.activation == "prelu":
-            params.add(f"{prefix}.{i}.slope", np.full((1, lay.out_ch, 1, 1), slope_val))
-        elif lay.activation in ("gdn", "igdn"):
-            beta = np.full((1, lay.out_ch, 1, 1), np.sqrt(1.0 - GDN_BETA_MIN))
-            gamma = np.zeros((lay.out_ch, lay.out_ch, 1, 1))
-            np.fill_diagonal(gamma[:, :, 0, 0], np.sqrt(0.1))
-            params.add(f"{prefix}.{i}.beta", beta)
-            params.add(f"{prefix}.{i}.gamma", gamma)
+            slope = 1.0
+        value = {"w": w, "b": 0.0, "slope": slope, "beta": np.sqrt(1.0 - GDN_BETA_MIN),
+                 "gamma": np.sqrt(0.1) * np.eye(lay.out_ch)[:, :, None, None]}
+        for leaf, shape in shapes.items():
+            params.add(f"{prefix}.{i}.{leaf}", np.broadcast_to(value[leaf], shape))
     return Network(spec, params, prefix)
 
 

@@ -233,6 +233,14 @@ class TestEval:
             assert row["mode_d_fraction"] == ""
         assert "mean" in capsys.readouterr().out
 
+    def test_no_frames_is_an_error(self, workdir, diff_model, capsys):
+        # a mean over no frames is nan; the command says so instead
+        out = workdir / "eval_none.csv"
+        rc = cli.main(["eval", "--model", str(diff_model), "--frames", "0", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_xgdc_mode_d_fraction(self, workdir):
         # the quad-tree column holds the fraction of the frame coded in mode d
         model = workdir / "xgdc.ckpt"

@@ -2,12 +2,17 @@
 rate bookkeeping, and the identity-initialized equivalence between the
 generalized coder and the plain difference coder."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
 import gdclab.tensor as T
 from gdclab import coders as C
-from gdclab.errors import ContractError, ShapeError
+from gdclab import entropy as E
+from gdclab import layers as L
+from gdclab.errors import ContractError, ShapeError, StreamError
 from gdclab.fileio import BitstreamContainer
 
 
@@ -77,6 +82,27 @@ class TestCoderSpecs:
         assert specs["gd"].layers[-1].out_ch == 16
         # synthesis sees the prediction next to the decoded features
         assert specs["gs"].layers[0].in_ch == 3 + 19
+
+
+    @pytest.mark.parametrize("kind", C.KINDS)
+    def test_out_size_matches_forward(self, kind):
+        # the decoder takes its latent sizes from out_size, never from a pass
+        coder = C.Coder.new(C.CoderConfig.desk(kind), seed=0)
+        with T.no_grad():
+            for prefix, net in coder.nets.items():
+                for h in range(1, 41):
+                    w = 41 - h
+                    x = T.Tensor(np.zeros((1, net.spec.layers[0].in_ch, h, w), np.float32))
+                    want = (net.spec.out_size(h), net.spec.out_size(w))
+                    assert net(x).shape[2:] == want, (prefix, h, w)
+
+    @pytest.mark.parametrize("cfg", [C.CoderConfig.desk("diff"), C.CoderConfig("diff")])
+    def test_hyper_round_trip_covers_latent(self, cfg):
+        # the hyper decoder's map always covers the latent it is cropped to
+        specs = C.coder_specs(cfg)
+        short = [h for h in range(1, 5001)
+                 if specs["hyp_dec"].out_size(specs["hyp_enc"].out_size(h)) < h]
+        assert not short
 
 
 class TestPadToMultiple:
@@ -279,6 +305,59 @@ class TestEncodeDecode:
         from gdclab.layers import ParamStore
         with pytest.raises(ContractError):
             C.Coder(C.CoderConfig.desk("diff"), ParamStore())
+
+    def test_parameters_checked_against_specs(self):
+        cfg = C.CoderConfig.desk("diff")
+        assert cfg.kernel == 5
+        arrays = C.Coder.new(cfg, seed=0).params.arrays()
+        extra = {**arrays, "gd.0.w": np.zeros((16, 6, 5, 5))}
+        narrow = {**arrays, "enc.0.w": arrays["enc.0.w"][:, :, 1:4, 1:4]}
+        for bad, error in ((extra, ContractError), (narrow, ShapeError)):
+            store = L.ParamStore()
+            for name, a in bad.items():
+                store.add(name, a)
+            with pytest.raises(error):
+                C.Coder(cfg, store)
+            with pytest.raises(error):
+                C.Coder.from_arrays(cfg, bad)
+
+    def test_from_arrays_draws_no_init(self, monkeypatch):
+        # a loaded store is built from the arrays in spec order, whatever
+        # order they come in, and owns copies of them
+        cfg = C.CoderConfig.desk("xgdc")
+        source = C.Coder.new(cfg, seed=4).params.arrays()
+
+        def no_draw(*args):
+            raise RuntimeError("random init drawn")
+
+        monkeypatch.setattr(L, "_init_weight", no_draw)
+        clone = C.Coder.from_arrays(cfg, dict(reversed(source.items())))
+        loaded = clone.params.arrays()
+        assert list(loaded) == list(source)
+        for name, a in loaded.items():
+            assert a.dtype == np.float32
+            assert np.array_equal(a, source[name]) and not np.shares_memory(a, source[name])
+
+    @pytest.mark.parametrize("kind", C.KINDS)
+    def test_non_finite_reconstruction_rejected(self, kind):
+        # an escape can carry any value; 2^20 in every 7th y_hat overflows
+        # the synthesis transform, and decode says so instead of returning
+        # non-finite pixels
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0.1, 0.9, size=(1, 3, 64, 64)).astype(np.float32)
+        xt = np.clip(x + rng.normal(scale=0.05, size=x.shape), 0, 1).astype(np.float32)
+        coder = C.Coder.new(C.CoderConfig.desk(kind), seed=1)
+        container, out = coder.encode(x, xt)
+        lat = out.latents
+        y_hat = lat["y_hat"].copy()
+        y_hat.reshape(-1)[::7] = 2.0 ** 20
+        stream, (lo, hi) = E.encode_gaussian(y_hat, lat["mean"], lat["scale"])
+        payload = dataclasses.replace(container.payload_y, stream=stream, lo=lo, hi=hi)
+        hostile = dataclasses.replace(container, payload_y=payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StreamError):
+                coder.decode(xt, BitstreamContainer.from_bytes(hostile.to_bytes()))
 
 
 class TestQuadTreeSideInfo:

@@ -94,8 +94,14 @@ def test_hostile_containers(traced, kind, qt_lambda):
     coder = CD.Coder.from_arrays(cfg, with_gain(CD.Coder.new(cfg, seed=1).params.arrays(), GAIN))
     container, _ = coder.encode(x, xt, qt_lambda=qt_lambda)
     assert (container.qt_bits is not None) == (qt_lambda is not None)
-    outcomes = fuzz(container.to_bytes(), CONTAINER_HEADER, 1, CONTAINER_CASES,
-                    lambda data: coder.decode(xt, F.BitstreamContainer.from_bytes(data)))
+
+    def decode(data):
+        # a container that decodes without error decodes to finite pixels
+        out = coder.decode(xt, F.BitstreamContainer.from_bytes(data))
+        for t in (out.x_hat_d, out.x_hat_g, out.x_hat_merged):
+            assert t is None or np.isfinite(t.data).all()
+
+    outcomes = fuzz(container.to_bytes(), CONTAINER_HEADER, 1, CONTAINER_CASES, decode)
     assert len(outcomes) > 1, outcomes
 
 

@@ -515,6 +515,21 @@ class TestSpecs:
         params = L.ParamStore(np.float64)
         L.make_network(spec, params, "n", rng=np.random.default_rng(0))
         assert params.total_params() == spec.param_count()
+        assert [(n, t.shape) for n, t in params.items()] == list(spec.param_shapes("n").items())
+
+    def test_param_shapes_in_store_order(self):
+        assert list(L.ConvSpec(2, 4, 3, 2, True, "igdn").param_shapes().items()) == [
+            ("w", (2, 4, 3, 3)), ("b", (1, 4, 1, 1)), ("beta", (1, 4, 1, 1)),
+            ("gamma", (4, 4, 1, 1))]
+        assert list(L.ConvSpec(2, 4, 5, 1, False, "prelu").param_shapes().items()) == [
+            ("w", (4, 2, 5, 5)), ("b", (1, 4, 1, 1)), ("slope", (1, 4, 1, 1))]
+        assert list(L.ConvSpec(2, 4, 1).param_shapes()) == ["w", "b"]
+
+    def test_out_size(self):
+        # a conv gives ceil(h/s), a transposed conv h*s
+        spec = L.NetworkSpec((L.ConvSpec(1, 1, 3, 3), L.ConvSpec(1, 1, 3, 2, True),
+                              L.ConvSpec(1, 1, 3, 2)))
+        assert [spec.out_size(h) for h in (1, 2, 3, 4, 7)] == [1, 1, 1, 2, 3]
 
     def test_difference_transform_pair_count(self):
         # three 5x5 prelu layers 6->16->16->3 hold 10070 parameters each way

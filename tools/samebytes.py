@@ -16,6 +16,10 @@ Cases:
   fixture   the benchmark's diff and xgdc coders at 128x128 and 72x120,
             xgdc with and without quad-tree lambda 300
   gdc       gdc_from_diff against its source diff coder
+  load      checkpoint_bytes -> parse_checkpoint -> Coder.from_arrays for
+            each desk kind at seed 7 and for gdc_from_diff of the diff one,
+            whose stored order starts with gd: the checkpoint bytes and the
+            names, order and bytes of the loaded parameters
   training  a make_corpus corpus, train_epoch and evaluate_pairs figures
   infolab   random joints of the three generators and their identity and
             bottleneck reports
@@ -140,6 +144,19 @@ def gdc(d):
     code_case(d, "gdc", coder, x, xt)
     for name, t in coder.params.items():
         d.add("param/" + name, t.data)
+
+
+def load(d):
+    from gdclab import coders as CD
+    from gdclab import fileio as F
+    coders = {kind: CD.Coder.new(CD.CoderConfig.desk(kind), seed=7) for kind in CD.KINDS}
+    coders["gdc_from_diff"] = CD.gdc_from_diff(coders["diff"])
+    for label, coder in coders.items():
+        blob = F.checkpoint_bytes(coder.params.arrays())
+        d.add(label + "/checkpoint", blob)
+        loaded = CD.Coder.from_arrays(coder.cfg, F.parse_checkpoint(blob))
+        for name, a in loaded.params.arrays().items():
+            d.add(f"{label}/{name}", a)
 
 
 def training(d):
@@ -308,7 +325,7 @@ def main(argv):
     root = os.path.abspath(argv[0])
     _setup(root)
     groups = [("desk", desk), ("fixture", lambda d: fixture(d, root)),
-              ("gdc", gdc), ("training", training), ("infolab", infolab),
+              ("gdc", gdc), ("load", load), ("training", training), ("infolab", infolab),
               ("layers", layers), ("tensor", tensor), ("quadtree", quadtree)]
     if len(argv) == 2:
         groups.append(("hd", lambda d: fixture(d, root, ((1088, 1920),), ("diff",))))

@@ -61,6 +61,36 @@ def tconv_oracle(x, w, stride):
     return out
 
 
+def weight_grad_oracle(big, small, stride, k):
+    """Plain-loop weight gradient of a conv from ``big`` to ``small`` (or of
+    the tconv from ``small`` to ``big``): dw[o, c, ki, kj] sums
+    small[n, o, i, j] * big[n, c, i*stride + ki - pad, j*stride + kj - pad]."""
+    n, c, h, width = big.shape
+    _, o, oh, ow = small.shape
+    pad = (k - 1) // 2
+    dw = np.zeros((o, c, k, k), dtype=np.float64)
+    for ni in range(n):
+        for oi in range(o):
+            for ci in range(c):
+                for ki in range(k):
+                    for kj in range(k):
+                        for yy in range(oh):
+                            for xx in range(ow):
+                                iy = yy * stride + ki - pad
+                                ix = xx * stride + kj - pad
+                                if 0 <= iy < h and 0 <= ix < width:
+                                    dw[oi, ci, ki, kj] += small[ni, oi, yy, xx] * big[ni, ci, iy, ix]
+    return dw
+
+
+def causal_mask(k, kind):
+    """0/1 [k, k] mask: the taps before the centre in raster order (A),
+    and the centre as well (B)."""
+    mask = np.zeros(k * k)
+    mask[:k * k // 2 + (kind == "B")] = 1.0
+    return mask.reshape(k, k)
+
+
 def scatter_reference(small, w, stride, taps, big_shape):
     """The tap loop that ``layers._scatter`` replaced: each of the first
     ``taps`` taps in raster order adds its product into a strided,
@@ -482,6 +512,145 @@ class TestConvEdges:
             grads.append((x.grad, w.grad, b.grad))
         for kept, fresh in zip(*grads):
             assert np.array_equal(kept, fresh)
+
+
+class TestConvContracts:
+    """Each entry point rejects a kernel or stride that the padding rule
+    cannot serve, before it allocates anything for the input."""
+
+    X = np.zeros((1, 4, 256, 256))
+
+    @staticmethod
+    def _peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        return peak
+
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("op", ["conv2d", "tconv2d", "masked_conv2d"])
+    def test_even_kernel(self, op, k):
+        call = {"conv2d": lambda x, w: L.conv2d(x, w, stride=2),
+                "tconv2d": lambda x, w: L.tconv2d(x, w, stride=2),
+                "masked_conv2d": lambda x, w: L.masked_conv2d(x, w, kind="B")}[op]
+        x, w = t64(self.X), t64(np.zeros((4, 4, k, k)))
+
+        def run():
+            with pytest.raises(ShapeError, match="odd"):
+                call(x, w)
+
+        assert self._peak(run) < self.X.nbytes // 8
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    @pytest.mark.parametrize("op", [L.conv2d, L.tconv2d])
+    def test_stride_below_one(self, op, stride):
+        x, w = t64(self.X), t64(np.zeros((4, 4, 3, 3)))
+
+        def run():
+            with pytest.raises(ContractError, match="stride"):
+                op(x, w, stride=stride)
+
+        assert self._peak(run) < self.X.nbytes // 8
+
+
+class TestColumnBands:
+    """Gather and the weight gradient walk the small grid in bands of rows;
+    with the cell budget cut to three rows a layer of seven small-grid rows
+    spans bands of 3, 3 and 1 rows, and every pass still matches the loop
+    oracles."""
+
+    ROWS = 3
+
+    @classmethod
+    def _three_rows(cls, monkeypatch, c, k, n, ow):
+        monkeypatch.setattr(L, "BAND_CELLS", cls.ROWS * c * k * k * n * ow)
+
+    @staticmethod
+    def _grads(layer, x, w, b, r):
+        ts = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+        out = layer(*ts)
+        T.backward(T.sum_all(T.mul(out, Tensor(r))))
+        return out.data, ts[1].grad
+
+    def test_bands_cover_rows(self, monkeypatch):
+        self._three_rows(monkeypatch, 2, 3, 1, 5)
+        big = np.zeros((1, 2, 13, 9))
+        bands = [(i0, i1, cols.shape) for i0, i1, cols in L._columns(big, 3, 2, 7, 5)]
+        assert bands == [(0, 3, (18, 15)), (3, 6, (18, 15)), (6, 7, (18, 5))]
+
+    @pytest.mark.parametrize("stride,k,n", itertools.product((1, 2), (1, 3, 5), (1, 2)))
+    def test_conv(self, monkeypatch, stride, k, n):
+        rng = np.random.default_rng(stride * 100 + k * 10 + n)
+        h = 7 if stride == 1 else 13
+        x = rng.normal(size=(n, 3, h, 6))
+        w, b = rng.normal(size=(4, 3, k, k)), rng.normal(size=(1, 4, 1, 1))
+        r = rng.normal(size=(n, 4, 7, -(-6 // stride)))
+        self._three_rows(monkeypatch, 3, k, n, r.shape[3])
+        out, dw = self._grads(lambda *a: L.conv2d(*a, stride=stride), x, w, b, r)
+        assert out == pytest.approx(conv_oracle(x, w, stride) + b, abs=1e-12)
+        assert dw == pytest.approx(weight_grad_oracle(x, r, stride, k), abs=1e-12)
+
+    @pytest.mark.parametrize("stride,k,n", itertools.product((1, 2), (1, 3, 5), (1, 2)))
+    def test_tconv(self, monkeypatch, stride, k, n):
+        # the tconv runs gather as its input gradient and takes its weight
+        # gradient over columns of the big output grid
+        rng = np.random.default_rng(stride * 100 + k * 10 + n + 1)
+        x = rng.normal(size=(n, 3, 7, 5))
+        w, b = rng.normal(size=(3, 4, k, k)), rng.normal(size=(1, 4, 1, 1))
+        r = rng.normal(size=(n, 4, 7 * stride, 5 * stride))
+        self._three_rows(monkeypatch, 4, k, n, 5)
+        xt = Tensor(x, requires_grad=True)
+        wt = Tensor(w, requires_grad=True)
+        T.backward(T.sum_all(T.mul(L.tconv2d(xt, wt, bias=Tensor(b), stride=stride), Tensor(r))))
+        assert xt.grad == pytest.approx(conv_oracle(r, w, stride), abs=1e-12)
+        assert wt.grad == pytest.approx(weight_grad_oracle(r, x, stride, k), abs=1e-12)
+
+    @pytest.mark.parametrize("kind,k,n", itertools.product(("A", "B"), (1, 3, 5), (1, 2)))
+    def test_masked(self, monkeypatch, kind, k, n):
+        rng = np.random.default_rng(k * 10 + n + (kind == "B"))
+        x = rng.normal(size=(n, 3, 7, 6))
+        w, b = rng.normal(size=(4, 3, k, k)), rng.normal(size=(1, 4, 1, 1))
+        r = rng.normal(size=(n, 4, 7, 6))
+        self._three_rows(monkeypatch, 3, k, n, 6)
+        mask = causal_mask(k, kind)
+        out, dw = self._grads(lambda *a: L.masked_conv2d(*a, kind=kind), x, w, b, r)
+        assert out == pytest.approx(conv_oracle(x, w * mask, 1) + b, abs=1e-12)
+        assert dw == pytest.approx(weight_grad_oracle(x, r, 1, k) * mask, abs=1e-12)
+        assert np.all(dw[:, :, mask == 0] == 0.0)
+
+    @pytest.mark.parametrize("kind,k", itertools.product(("A", "B"), (3, 5)))
+    def test_float32_masked_equals_conv_with_masked_weight(self, monkeypatch, kind, k):
+        rng = np.random.default_rng(40 + k)
+        x, w, b, r = (rng.normal(size=s).astype(np.float32) for s in
+                      ((2, 3, 7, 6), (4, 3, k, k), (1, 4, 1, 1), (2, 4, 7, 6)))
+        self._three_rows(monkeypatch, 3, k, 2, 6)
+        mask = causal_mask(k, kind).astype(np.float32)
+        out, dw = self._grads(lambda *a: L.masked_conv2d(*a, kind=kind), x, w, b, r)
+        want, want_dw = self._grads(L.conv2d, x, w * mask, b, r)
+        assert out.dtype == np.float32 and np.array_equal(out, want)
+        assert np.array_equal(dw, want_dw * mask)
+
+    def test_hd_gather_peak_memory(self):
+        # the 3->32 k5 stride-2 first encoder layer of a 1088x1920 frame: the
+        # call holds its output, the padded input, one band of columns and
+        # one band product, never the 157 MB column matrix of the whole map
+        rng = np.random.default_rng(32)
+        x = Tensor(rng.normal(size=(1, 3, 1088, 1920)).astype(np.float32))
+        w = Tensor(rng.normal(scale=0.1, size=(32, 3, 5, 5)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            out = L.conv2d(x, w, stride=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        padded = 3 * 1092 * 1924 * 4
+        rows = L.BAND_CELLS // (75 * 960)
+        band, product = 75 * rows * 960 * 4, 32 * rows * 960 * 4
+        assert out.shape == (1, 32, 544, 960)
+        assert peak <= out.data.nbytes + padded + band + product + 65536
 
 
 class TestSpecs:

@@ -25,9 +25,11 @@ Cases:
             bottleneck reports
   layers    conv2d and tconv2d at k 1/3/5, stride 1/2/3, batch 2 and odd
             sizes, tconv2d at the HD synthesis widths (32->32 and 32->3,
-            k 5, stride 2, from a 17x23 grid), and masked_conv2d with masks
-            A and B at k 1/3/5, in float32 and float64: the output and the
-            input, weight and bias gradients of a seeded linear loss
+            k 5, stride 2, from a 17x23 grid), conv2d 32->32 k 5 stride 1
+            from 136x240 (its gather and weight gradient span many bands
+            of columns), and masked_conv2d with masks A and B at k 1/3/5,
+            in float32 and float64: the output and the input, weight and
+            bias gradients of a seeded linear loss
   tensor    every tensor op, prelu, gdn both ways, noise quantize and
             gaussian_bits in float32 and float64: the output and the input
             gradients of a seeded linear loss, with mul also on (x, x) and
@@ -242,6 +244,9 @@ def layers(d):
             _layer_case(d, f"{name}/tconv/hd32to{cout}",
                         lambda a, b, c: L.tconv2d(a, b, bias=c, stride=2),
                         draw(1, 32, 17, 23), draw(32, cout, 5, 5), draw(1, cout, 1, 1), rng)
+        _layer_case(d, f"{name}/conv/bands32to32",
+                    lambda a, b, c: L.conv2d(a, b, bias=c, stride=1),
+                    draw(1, 32, 136, 240), draw(32, 32, 5, 5), draw(1, 32, 1, 1), rng)
 
 
 def tensor(d):

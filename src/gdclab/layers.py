@@ -11,6 +11,7 @@ the same array describes a map and its adjoint.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,32 +26,27 @@ FEATURE_HIDDEN = 16
 
 
 # ---------------------------------------------------------------------------
-# convolution: one autodiff node over the kernel taps in raster order
+# convolution: one column builder, one GEMM per band of rows
 # ---------------------------------------------------------------------------
 #
 # A stride-s layer links a big grid (the conv input, the tconv output) to a
-# small grid of ceil(H/s) x ceil(W/s) positions.  Three kernels serve every
-# pass of both layers: gather (big -> small), its adjoint scatter (small ->
-# big) and the weight gradient.  A causal mask keeps the first ``taps``
-# kernel taps in raster order.
+# small grid of ceil(H/s) x ceil(W/s) positions.  Every pass runs through
+# one column builder (Chellapilla, Puri & Simard 2006): for a band of output
+# rows it copies the padded input into columns[(c, t), (n, i, j)], every
+# tap t of every channel c, and the band is one GEMM with the weight matrix.
 #
-# Gather and the weight gradient share one column builder (Chellapilla,
-# Puri & Simard 2006): for a band of small-grid rows it copies the padded
-# big grid into columns[(c, t), (n, i, j)], every k x k tap t of every
-# channel c in the weight's own [out, in, k, k] order.  The gather is then
-# one GEMM of the [out, in*k*k] weight matrix per band and the weight
-# gradient the sum over bands of one GEMM each.  A band holds at most
-# BAND_CELLS column cells whatever the shape.  A mask zeroes the weight
-# matrix's taps past the first ``taps`` and the same taps of the weight
-# gradient; the columns keep all k*k taps, so a masked conv is bit for bit
-# the conv with the masked weight.
-#
-# Scatter splits the padded big grid into its s x s stride phases: tap
-# (ki, kj) lands in phase (ki % s, kj % s) as one contiguous shifted block,
-# so each phase sums its taps in a dense channels-last buffer and is then
-# copied out once.  Every element gets 0 + its tap products in raster
-# order, each product the 2-D np.dot that np.tensordot would form, so the
-# bytes do not depend on how the grid is split.
+# The gather (conv forward, tconv input gradient) correlates the big grid
+# with the [out, in*k*k] weight at stride s; the weight gradient sums over
+# the bands a GEMM of the same columns with the small grid.  The transposed
+# pass (tconv forward, conv input gradient) is a sub-pixel gather (Shi et
+# al. 2016): output phase (ry, rx) of the big grid is a stride-1 correlation
+# of the small grid with the flipped sub-kernel w[:, :, ry::s, rx::s],
+# zero-filled to m = ceil(k/s) taps per axis.  The s*s sub-kernels are
+# stacked into one [s*s*c, o*m*m] matrix, so one GEMM per band serves all
+# phases and writes straight into the phase-strided view of the output.
+# A causal mask zeroes the weight's taps past the first ``taps`` in raster
+# order, and the same taps of the weight gradient; the columns keep all
+# taps, so a masked conv is bit for bit the conv with the masked weight.
 
 # Cells of one band of the column buffer: 1 MB in float32, so the GEMM
 # reads the columns from cache right after they are written.  Bands of
@@ -59,28 +55,43 @@ FEATURE_HIDDEN = 16
 BAND_CELLS = 1 << 18
 
 
-def _pad(a, pad):
-    if pad == 0:
-        return a
-    return np.pad(a, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+def _pad(a, before, rows, cols):
+    """``a`` behind ``before`` zero rows and columns, cut or zero-filled to
+    rows x cols; a view of ``a`` when that adds nothing."""
+    n, c, h, w = a.shape
+    if before == 0 and h >= rows and w >= cols:
+        return a[:, :, :rows, :cols]
+    out = np.zeros((n, c, rows, cols), dtype=a.dtype)
+    out[:, :, before:before + h, before:before + w] = a[:, :, :rows - before, :cols - before]
+    return out
 
 
-def _columns(big, k, stride, oh, ow):
-    """Yield (i0, i1, cols) for each band of small-grid rows i0:i1, with
-    cols the [c*k*k, n*(i1-i0)*ow] columns of ``big``: row (ch, ki*k + kj)
-    holds the padded input that tap (ki, kj) of channel ch meets at small
-    position (n, i, j).  Every band reuses one buffer."""
-    n, c = big.shape[:2]
+def _columns(a, before, k, stride, oh, ow):
+    """Yield (i0, i1, cols) for each band of output rows i0:i1, with cols
+    the [c*k*k, n*(i1-i0)*ow] columns of ``a`` padded by ``before``: row
+    (ch, ki*k + kj) holds the input that tap (ki, kj) of channel ch meets
+    at output position (n, i, j).  Every band reuses one buffer."""
+    n, c = a.shape[:2]
+    padded = _pad(a, before, (oh - 1) * stride + k, (ow - 1) * stride + k)
     # [n, c, oh', ow', k, k] windows of the padded grid, every s-th per axis
-    win = np.lib.stride_tricks.sliding_window_view(_pad(big, (k - 1) // 2), (k, k), axis=(2, 3))
+    win = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(2, 3))
     win = win[:, :, ::stride, ::stride].transpose(1, 4, 5, 0, 2, 3)
     rows = min(oh, max(1, BAND_CELLS // (c * k * k * n * ow)))
-    buf = np.empty(c * k * k * n * rows * ow, dtype=big.dtype)
+    buf = np.empty(c * k * k * n * rows * ow, dtype=a.dtype)
     for i0 in range(0, oh, rows):
         i1 = min(i0 + rows, oh)
         cols = buf[:c * k * k * n * (i1 - i0) * ow].reshape(c, k, k, n, i1 - i0, ow)
         cols[...] = win[..., i0:i1, :]
         yield i0, i1, cols.reshape(c * k * k, -1)
+
+
+def _gemm(a, before, wm, k, stride, out):
+    """Fill ``out``, viewed [n, c, oh, s, ow, s], band by band: element
+    (n, c, i, ry, j, rx) is row (ry, rx, c) of ``wm`` times column (n, i, j)."""
+    n, c, oh, s, ow, _ = out.shape
+    for i0, i1, cols in _columns(a, before, k, stride, oh, ow):
+        out[:, :, i0:i1] = np.dot(wm, cols).reshape(s, s, c, n, i1 - i0, ow) \
+            .transpose(3, 2, 4, 0, 5, 1)
 
 
 def _gather(big, w, stride, taps):
@@ -91,53 +102,40 @@ def _gather(big, w, stride, taps):
     if taps < k * k:
         wm = wm.copy()
         wm[:, :, taps:] = 0
-    wm = wm.reshape(o, c * k * k)
     out = np.empty((n, o, oh, ow), dtype=big.dtype)
-    for i0, i1, cols in _columns(big, k, stride, oh, ow):
-        # [o,c*k*k] x [c*k*k,n*rows*ow] -> [o,n,rows,ow]
-        out[:, :, i0:i1] = np.dot(wm, cols).reshape(o, n, i1 - i0, ow).transpose(1, 0, 2, 3)
+    _gemm(big, (k - 1) // 2, wm.reshape(o, c * k * k), k, stride, out.reshape(n, o, oh, 1, ow, 1))
     return out
 
 
-def _scatter(small, w, stride, taps, big_shape):
-    n, c, h, ww = big_shape
-    k = w.shape[2]
-    s = stride
-    pad = (k - 1) // 2
-    _, o, oh, ow = small.shape
-    sl = small.transpose(0, 2, 3, 1).reshape(n * oh * ow, o)
-    # The result stays a view into the padded grid, as with the tap loop that
-    # added into it in place: the same strides downstream and the same
-    # allocation sizes (with an exact-size result, glibc's heap fragmented
-    # and a 1088x1920 round trip of the benchmark peaked 8 MB higher).
-    bp = np.zeros((n, c, h + 2 * pad, ww + 2 * pad), dtype=small.dtype)
-    # One allocation holds the phase buffer, channels last and reused by
-    # every phase, and the tap product.
-    rows, cols = -(-bp.shape[2] // s), -(-bp.shape[3] // s)
-    flat = np.empty(n * (rows * cols + oh * ow) * c, dtype=small.dtype)
-    acc = flat[:n * rows * cols * c].reshape(n, rows, cols, c)
-    prod = flat[n * rows * cols * c:].reshape(n * oh * ow, c)
-    for py in range(s):
-        for px in range(s):
-            # acc[:, i, j] is padded position (py + s*i, px + s*j)
-            acc.fill(0)
-            for ki in range(py, k, s):
-                for kj in range(px, k, s):
-                    if ki * k + kj < taps:
-                        # [n*oh*ow,o] x [o,c]
-                        np.dot(sl, w[:, :, ki, kj], out=prod)
-                        di, dj = ki // s, kj // s
-                        acc[:, di:di + oh, dj:dj + ow] += prod.reshape(n, oh, ow, c)
-            dst = bp[:, :, py::s, px::s]
-            dst[...] = acc[:, :dst.shape[2], :dst.shape[3]].transpose(0, 3, 1, 2)
-    return bp[:, :, pad:pad + h, pad:pad + ww]
+@functools.lru_cache(maxsize=None)
+def _phase_taps(k, s):
+    """[s, s, m, m] raster tap index of the flipped sub-kernels: phase
+    (ry, rx) meets at (u, v) tap (ry + s*(m-1-u), rx + s*(m-1-v)), or the
+    zero tap k*k past the kernel's edge."""
+    t = np.arange(s)[:, None] + s * np.arange(-(-k // s) - 1, -1, -1)
+    ki, kj = t[:, None, :, None], t[None, :, None, :]
+    return np.where((ki < k) & (kj < k), ki * k + kj, k * k)
+
+
+def _transposed(small, w, stride, taps, h, ww):
+    o, c, k, _ = w.shape
+    s, p, m = stride, (k - 1) // 2, -(-k // stride)
+    # big row y is row q = (y + p)//s - p//s < qh of phase (y + p) % s, and
+    # meets small rows q + p//s - m + 1 .. q + p//s
+    qh, qw = (p + h - 1) // s - p // s + 1, (p + ww - 1) // s - p // s + 1
+    wz = np.zeros((k * k + 1, c, o), dtype=w.dtype)
+    wz[:taps] = w.reshape(o, c, k * k)[:, :, :taps].T
+    wm = wz[_phase_taps(k, s)].transpose(0, 1, 4, 5, 2, 3).reshape(s * s * c, o * m * m)
+    full = np.empty((small.shape[0], c, qh * s, qw * s), dtype=small.dtype)
+    _gemm(small, m - 1 - p // s, wm, m, 1, full.reshape(-1, c, qh, s, qw, s))
+    return full[:, :, p % s:p % s + h, p % s:p % s + ww]
 
 
 def _weight_grad(big, small, stride, taps, w_shape):
     o, c, k, _ = w_shape
     n, _, oh, ow = small.shape
     dw = np.zeros((c * k * k, o), dtype=small.dtype)
-    for i0, i1, cols in _columns(big, k, stride, oh, ow):
+    for i0, i1, cols in _columns(big, (k - 1) // 2, k, stride, oh, ow):
         # [c*k*k,n*rows*ow] x [n*rows*ow,o]: with the small grid channels
         # last, this product ran faster than its transpose [o,.] x [.,c*k*k]
         dw += np.dot(cols, small[:, :, i0:i1].transpose(0, 2, 3, 1).reshape(-1, o))
@@ -163,8 +161,7 @@ def _conv(x, weight, bias, stride, transposed, op, mask=""):
     k = w.shape[2]
     taps = k * k // 2 + (mask == "B") if mask else k * k
     if transposed:
-        n, _, h, ww = x.shape
-        out = _scatter(x.data, w, stride, taps, (n, cout, h * stride, ww * stride))
+        out = _transposed(x.data, w, stride, taps, x.shape[2] * stride, x.shape[3] * stride)
     else:
         out = _gather(x.data, w, stride, taps)
     if bias is not None:
@@ -177,7 +174,7 @@ def _conv(x, weight, bias, stride, transposed, op, mask=""):
     def x_vjp(g):
         if transposed:
             return _gather(g, weight.data, stride, taps)
-        return _scatter(g, weight.data, stride, taps, x.shape)
+        return _transposed(g, weight.data, stride, taps, *x.shape[2:])
 
     def weight_vjp(g):
         big, small = (g, x.data) if transposed else (x.data, g)

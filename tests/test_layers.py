@@ -92,10 +92,9 @@ def causal_mask(k, kind):
 
 
 def scatter_reference(small, w, stride, taps, big_shape):
-    """The tap loop that ``layers._scatter`` replaced: each of the first
+    """The tap loop that the transposed pass replaced: each of the first
     ``taps`` taps in raster order adds its product into a strided,
-    channels-first window of a zero padded big grid.  The phase kernel must
-    match it byte for byte, not just to rounding."""
+    channels-first window of a zero padded big grid."""
     n, c, h, width = big_shape
     k = w.shape[2]
     pad = (k - 1) // 2
@@ -212,26 +211,33 @@ def same_bytes(got, want):
 
 
 class TestScatterBytes:
-    """The scatter kernel (tconv2d forward, every conv input gradient)
-    gives the very bytes of the tap loop it replaced."""
+    """The transposed pass (tconv2d forward, every conv input gradient)
+    gives the very bytes of the tap loop it replaced on small integers:
+    every product and partial sum of -8..8 inputs is exact in both dtypes,
+    so any wrong tap, phase, pad, crop or mask changes a byte, whatever
+    order the sums run in."""
 
     DTYPES = (np.float32, np.float64)
+
+    @staticmethod
+    def _ints(rng, *shape, dtype):
+        return rng.integers(-8, 9, size=shape).astype(dtype)
 
     @pytest.mark.parametrize("stride,k,n,dtype,small", itertools.product(
         (1, 2, 3, 4), (1, 3, 5, 7), (1, 2), DTYPES, ((1, 1), (3, 5))))
     def test_tconv_forward(self, stride, k, n, dtype, small):
         rng = np.random.default_rng(stride * 100 + k * 10 + n)
-        x = rng.normal(size=(n, 4, *small)).astype(dtype)
-        w = rng.normal(size=(4, 3, k, k)).astype(dtype)
+        x = self._ints(rng, n, 4, *small, dtype=dtype)
+        w = self._ints(rng, 4, 3, k, k, dtype=dtype)
         got = L.tconv2d(Tensor(x), Tensor(w), stride=stride).data
         big = (n, 3, small[0] * stride, small[1] * stride)
         assert same_bytes(got, scatter_reference(x, w, stride, k * k, big))
 
-    @staticmethod
-    def _input_grad(layer, x, w, rng):
+    @classmethod
+    def _input_grad(cls, layer, x, w, rng):
         xt = Tensor(x, requires_grad=True)
         y = layer(xt, Tensor(w))
-        r = rng.normal(size=y.shape).astype(x.dtype)
+        r = cls._ints(rng, *y.shape, dtype=x.dtype)
         T.backward(T.sum_all(T.mul(y, Tensor(r))))
         return xt.grad, r
 
@@ -239,8 +245,8 @@ class TestScatterBytes:
         (1, 2, 3, 4), (1, 3, 5, 7), (1, 2), DTYPES, ((1, 1), (7, 11))))
     def test_conv_input_grad(self, stride, k, n, dtype, big):
         rng = np.random.default_rng(stride * 100 + k * 10 + n)
-        x = rng.normal(size=(n, 3, *big)).astype(dtype)
-        w = rng.normal(size=(4, 3, k, k)).astype(dtype)
+        x = self._ints(rng, n, 3, *big, dtype=dtype)
+        w = self._ints(rng, 4, 3, k, k, dtype=dtype)
         got, r = self._input_grad(lambda a, b: L.conv2d(a, b, stride=stride), x, w, rng)
         assert same_bytes(got, scatter_reference(r, w, stride, k * k, x.shape))
 
@@ -248,15 +254,16 @@ class TestScatterBytes:
         ("A", "B"), (1, 3, 5, 7), (1, 2), DTYPES))
     def test_masked_conv_input_grad(self, kind, k, n, dtype):
         rng = np.random.default_rng(k * 10 + n)
-        x = rng.normal(size=(n, 3, 6, 9)).astype(dtype)
-        w = rng.normal(size=(4, 3, k, k)).astype(dtype)
+        x = self._ints(rng, n, 3, 6, 9, dtype=dtype)
+        w = self._ints(rng, 4, 3, k, k, dtype=dtype)
         got, r = self._input_grad(lambda a, b: L.masked_conv2d(a, b, kind=kind), x, w, rng)
         taps = k * k // 2 + (kind == "B")
         assert same_bytes(got, scatter_reference(r, w, 1, taps, x.shape))
 
     def test_hd_tconv_peak_memory(self):
         # one stride-2 32->32 synthesis layer of a 1088x1920 frame: the
-        # call holds its output plus one phase buffer and one tap product
+        # call holds its output, the padded small grid, one band of columns
+        # and one band product
         rng = np.random.default_rng(31)
         x = Tensor(rng.normal(size=(1, 32, 136, 240)).astype(np.float32))
         w = Tensor(rng.normal(scale=0.1, size=(32, 32, 5, 5)).astype(np.float32))
@@ -267,6 +274,47 @@ class TestScatterBytes:
         finally:
             tracemalloc.stop()
         assert peak <= 1.6 * out.data.nbytes
+
+
+class TestTransposedFloat32:
+    """The transposed pass in float32 stays within 2e-5 of float64 on the
+    same float32 inputs, at outputs of magnitude 8 to 9.  One GEMM sums all
+    o*m*m products of a phase, where the tap loop it replaced summed o per
+    tap: these cases read 4.8e-6 to 7.6e-6, against 1.0e-6 to 2.0e-6 for
+    the loop, and the stride-1 16->16 conv forward on the same 128x128
+    input reads 7.3e-6."""
+
+    BOUND = 2e-5
+
+    @staticmethod
+    def _both(fn, *arrays):
+        got = fn(*arrays)
+        with T.using_dtype(np.float64):
+            want = fn(*(a.astype(np.float64) for a in arrays))
+        assert got.dtype == np.float32 and want.dtype == np.float64
+        return got, want
+
+    @pytest.mark.parametrize("cout", [32, 3])
+    def test_hd_synthesis_tconv(self, cout):
+        rng = np.random.default_rng(33 + cout)
+        x = rng.normal(size=(1, 32, 34, 60)).astype(np.float32)
+        w = rng.normal(scale=0.1, size=(32, cout, 5, 5)).astype(np.float32)
+        got, want = self._both(lambda a, b: L.tconv2d(Tensor(a), Tensor(b), stride=2).data, x, w)
+        assert np.abs(got - want).max() <= self.BOUND
+
+    def test_stride1_input_grad(self):
+        rng = np.random.default_rng(35)
+        x = rng.normal(size=(1, 16, 128, 128)).astype(np.float32)
+        w = rng.normal(scale=0.1, size=(16, 16, 5, 5)).astype(np.float32)
+        r = rng.normal(size=(1, 16, 128, 128)).astype(np.float32)
+
+        def input_grad(a, b, c):
+            xt = Tensor(a, requires_grad=True)
+            T.backward(T.sum_all(T.mul(L.conv2d(xt, Tensor(b)), Tensor(c))))
+            return xt.grad
+
+        got, want = self._both(input_grad, x, w, r)
+        assert np.abs(got - want).max() <= self.BOUND
 
 
 class TestGDN:
@@ -481,13 +529,13 @@ class TestConvEdges:
     def test_frozen_input_runs_no_input_vjp(self, monkeypatch):
         rng = np.random.default_rng(26)
         calls = []
-        scatter = L._scatter
+        transposed = L._transposed
 
         def counted(*args):
             calls.append(1)
-            return scatter(*args)
+            return transposed(*args)
 
-        monkeypatch.setattr(L, "_scatter", counted)
+        monkeypatch.setattr(L, "_transposed", counted)
         w = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
         for x_grad, want in ((False, 0), (True, 1)):
             x = Tensor(rng.normal(size=(1, 2, 6, 6)), requires_grad=x_grad)
@@ -557,56 +605,78 @@ class TestConvContracts:
 
 
 class TestColumnBands:
-    """Gather and the weight gradient walk the small grid in bands of rows;
-    with the cell budget cut to three rows a layer of seven small-grid rows
-    spans bands of 3, 3 and 1 rows, and every pass still matches the loop
-    oracles."""
+    """Every pass walks its output grid in bands of rows; with the cell
+    budget of each pass cut to three rows of its own columns, each pass
+    spans several bands (3, 3 and 1 rows for seven output rows), and every
+    pass still matches the loop oracles."""
 
     ROWS = 3
 
     @classmethod
-    def _three_rows(cls, monkeypatch, c, k, n, ow):
-        monkeypatch.setattr(L, "BAND_CELLS", cls.ROWS * c * k * k * n * ow)
+    def _three_rows(cls, monkeypatch):
+        """Give every call of the column builder a budget of ROWS rows of
+        its own columns; return the band heights of each call."""
+        columns, passes = L._columns, []
+
+        def banded(a, before, k, stride, oh, ow):
+            n, c = a.shape[:2]
+            monkeypatch.setattr(L, "BAND_CELLS", cls.ROWS * c * k * k * n * ow)
+            passes.append([])
+            for i0, i1, cols in columns(a, before, k, stride, oh, ow):
+                passes[-1].append(i1 - i0)
+                yield i0, i1, cols
+
+        monkeypatch.setattr(L, "_columns", banded)
+        return passes
 
     @staticmethod
     def _grads(layer, x, w, b, r):
         ts = [Tensor(a, requires_grad=True) for a in (x, w, b)]
         out = layer(*ts)
         T.backward(T.sum_all(T.mul(out, Tensor(r))))
-        return out.data, ts[1].grad
+        return out.data, ts[1].grad, ts[0].grad
+
+    @classmethod
+    def _spans_bands(cls, passes):
+        # forward, input gradient and weight gradient each run in bands
+        return len(passes) == 3 and all(len(p) > 1 and max(p) == cls.ROWS for p in passes)
 
     def test_bands_cover_rows(self, monkeypatch):
-        self._three_rows(monkeypatch, 2, 3, 1, 5)
+        passes = self._three_rows(monkeypatch)
         big = np.zeros((1, 2, 13, 9))
-        bands = [(i0, i1, cols.shape) for i0, i1, cols in L._columns(big, 3, 2, 7, 5)]
+        bands = [(i0, i1, cols.shape) for i0, i1, cols in L._columns(big, 1, 3, 2, 7, 5)]
         assert bands == [(0, 3, (18, 15)), (3, 6, (18, 15)), (6, 7, (18, 5))]
+        assert passes == [[3, 3, 1]]
 
-    @pytest.mark.parametrize("stride,k,n", itertools.product((1, 2), (1, 3, 5), (1, 2)))
+    @pytest.mark.parametrize("stride,k,n", itertools.product((1, 2, 3), (1, 3, 5), (1, 2)))
     def test_conv(self, monkeypatch, stride, k, n):
+        # the conv runs the transposed pass as its input gradient
         rng = np.random.default_rng(stride * 100 + k * 10 + n)
-        h = 7 if stride == 1 else 13
-        x = rng.normal(size=(n, 3, h, 6))
+        x = rng.normal(size=(n, 3, 6 * stride + 1, 6))
         w, b = rng.normal(size=(4, 3, k, k)), rng.normal(size=(1, 4, 1, 1))
         r = rng.normal(size=(n, 4, 7, -(-6 // stride)))
-        self._three_rows(monkeypatch, 3, k, n, r.shape[3])
-        out, dw = self._grads(lambda *a: L.conv2d(*a, stride=stride), x, w, b, r)
+        passes = self._three_rows(monkeypatch)
+        out, dw, dx = self._grads(lambda *a: L.conv2d(*a, stride=stride), x, w, b, r)
         assert out == pytest.approx(conv_oracle(x, w, stride) + b, abs=1e-12)
         assert dw == pytest.approx(weight_grad_oracle(x, r, stride, k), abs=1e-12)
+        assert dx == pytest.approx(scatter_reference(r, w, stride, k * k, x.shape), abs=1e-12)
+        assert self._spans_bands(passes)
 
-    @pytest.mark.parametrize("stride,k,n", itertools.product((1, 2), (1, 3, 5), (1, 2)))
+    @pytest.mark.parametrize("stride,k,n", itertools.product((1, 2, 3), (1, 3, 5), (1, 2)))
     def test_tconv(self, monkeypatch, stride, k, n):
-        # the tconv runs gather as its input gradient and takes its weight
-        # gradient over columns of the big output grid
+        # the tconv runs the transposed pass forward, gather as its input
+        # gradient and takes its weight gradient over columns of the big
+        # output grid
         rng = np.random.default_rng(stride * 100 + k * 10 + n + 1)
         x = rng.normal(size=(n, 3, 7, 5))
         w, b = rng.normal(size=(3, 4, k, k)), rng.normal(size=(1, 4, 1, 1))
         r = rng.normal(size=(n, 4, 7 * stride, 5 * stride))
-        self._three_rows(monkeypatch, 4, k, n, 5)
-        xt = Tensor(x, requires_grad=True)
-        wt = Tensor(w, requires_grad=True)
-        T.backward(T.sum_all(T.mul(L.tconv2d(xt, wt, bias=Tensor(b), stride=stride), Tensor(r))))
-        assert xt.grad == pytest.approx(conv_oracle(r, w, stride), abs=1e-12)
-        assert wt.grad == pytest.approx(weight_grad_oracle(r, x, stride, k), abs=1e-12)
+        passes = self._three_rows(monkeypatch)
+        out, dw, dx = self._grads(lambda *a: L.tconv2d(*a, stride=stride), x, w, b, r)
+        assert out == pytest.approx(tconv_oracle(x, w, stride) + b, abs=1e-12)
+        assert dx == pytest.approx(conv_oracle(r, w, stride), abs=1e-12)
+        assert dw == pytest.approx(weight_grad_oracle(r, x, stride, k), abs=1e-12)
+        assert self._spans_bands(passes)
 
     @pytest.mark.parametrize("kind,k,n", itertools.product(("A", "B"), (1, 3, 5), (1, 2)))
     def test_masked(self, monkeypatch, kind, k, n):
@@ -614,22 +684,25 @@ class TestColumnBands:
         x = rng.normal(size=(n, 3, 7, 6))
         w, b = rng.normal(size=(4, 3, k, k)), rng.normal(size=(1, 4, 1, 1))
         r = rng.normal(size=(n, 4, 7, 6))
-        self._three_rows(monkeypatch, 3, k, n, 6)
+        passes = self._three_rows(monkeypatch)
         mask = causal_mask(k, kind)
-        out, dw = self._grads(lambda *a: L.masked_conv2d(*a, kind=kind), x, w, b, r)
+        out, dw, dx = self._grads(lambda *a: L.masked_conv2d(*a, kind=kind), x, w, b, r)
+        taps = k * k // 2 + (kind == "B")
         assert out == pytest.approx(conv_oracle(x, w * mask, 1) + b, abs=1e-12)
         assert dw == pytest.approx(weight_grad_oracle(x, r, 1, k) * mask, abs=1e-12)
         assert np.all(dw[:, :, mask == 0] == 0.0)
+        assert dx == pytest.approx(scatter_reference(r, w, 1, taps, x.shape), abs=1e-12)
+        assert self._spans_bands(passes)
 
     @pytest.mark.parametrize("kind,k", itertools.product(("A", "B"), (3, 5)))
     def test_float32_masked_equals_conv_with_masked_weight(self, monkeypatch, kind, k):
         rng = np.random.default_rng(40 + k)
         x, w, b, r = (rng.normal(size=s).astype(np.float32) for s in
                       ((2, 3, 7, 6), (4, 3, k, k), (1, 4, 1, 1), (2, 4, 7, 6)))
-        self._three_rows(monkeypatch, 3, k, 2, 6)
+        self._three_rows(monkeypatch)
         mask = causal_mask(k, kind).astype(np.float32)
-        out, dw = self._grads(lambda *a: L.masked_conv2d(*a, kind=kind), x, w, b, r)
-        want, want_dw = self._grads(L.conv2d, x, w * mask, b, r)
+        out, dw, _ = self._grads(lambda *a: L.masked_conv2d(*a, kind=kind), x, w, b, r)
+        want, want_dw, _ = self._grads(L.conv2d, x, w * mask, b, r)
         assert out.dtype == np.float32 and np.array_equal(out, want)
         assert np.array_equal(dw, want_dw * mask)
 

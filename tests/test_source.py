@@ -136,3 +136,16 @@ def test_every_default_has_a_caller():
                 if not passed and (fn.name, param) not in DEFAULTS_WITHOUT_CALLER:
                     unset.append(f"{path.name}:{fn.lineno} {fn.name}({param})")
     assert not unset, f"defaults no call sets: {unset}"
+
+
+def test_one_convolution_kernel():
+    # every pass of every convolution reads its input through one column
+    # builder; the transposed pass has no kernel of its own
+    tree = ast.parse((PACKAGE / "layers.py").read_text(encoding="utf-8"))
+    functions = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+    windowing = sorted(fn.name for fn in functions for node in ast.walk(fn)
+                       if isinstance(node, ast.Call)
+                       and getattr(node.func, "id", getattr(node.func, "attr", None))
+                       == "sliding_window_view")
+    assert windowing == ["_columns"], windowing
+    assert "_scatter" not in {fn.name for fn in functions}

@@ -25,11 +25,13 @@ Cases:
             bottleneck reports
   layers    conv2d and tconv2d at k 1/3/5, stride 1/2/3, batch 2 and odd
             sizes, tconv2d at the HD synthesis widths (32->32 and 32->3,
-            k 5, stride 2, from a 17x23 grid), conv2d 32->32 k 5 stride 1
-            from 136x240 (its gather and weight gradient span many bands
-            of columns), and masked_conv2d with masks A and B at k 1/3/5,
-            in float32 and float64: the output and the input, weight and
-            bias gradients of a seeded linear loss
+            k 5, stride 2, from a 17x23 grid), tconv2d 32->32 k 5 stride
+            2 from 136x240 and conv2d 32->32 k 5 stride 1 from 136x240
+            (each of their passes spans many bands of columns), tconv2d
+            k 7 stride 4 (16 phases of 2 x 2 taps, zero-filled past the
+            kernel's edge), and masked_conv2d with masks A and B at k
+            1/3/5, in float32 and float64: the output and the input,
+            weight and bias gradients of a seeded linear loss
   tensor    every tensor op, prelu, gdn both ways, noise quantize and
             gaussian_bits in float32 and float64: the output and the input
             gradients of a seeded linear loss, with mul also on (x, x) and
@@ -247,6 +249,12 @@ def layers(d):
         _layer_case(d, f"{name}/conv/bands32to32",
                     lambda a, b, c: L.conv2d(a, b, bias=c, stride=1),
                     draw(1, 32, 136, 240), draw(32, 32, 5, 5), draw(1, 32, 1, 1), rng)
+        _layer_case(d, f"{name}/tconv/bands32to32",
+                    lambda a, b, c: L.tconv2d(a, b, bias=c, stride=2),
+                    draw(1, 32, 136, 240), draw(32, 32, 5, 5), draw(1, 32, 1, 1), rng)
+        _layer_case(d, f"{name}/tconv/k7/s4",
+                    lambda a, b, c: L.tconv2d(a, b, bias=c, stride=4),
+                    draw(2, 3, 5, 6), draw(3, 4, 7, 7), draw(1, 4, 1, 1), rng)
 
 
 def tensor(d):

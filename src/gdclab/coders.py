@@ -206,7 +206,13 @@ class Coder:
         """A frame or prediction (array or Tensor) in the coder's dtype."""
         return np.asarray(a.data if isinstance(a, T.Tensor) else a, dtype=self.params.dtype)
 
-    def encode(self, x, xt, qt_lambda=None, min_block=4, max_block=256):
+    def _check_quadtree(self):
+        """Quad-tree side information picks between two reconstructions,
+        so only the two-reconstruction kind codes or decodes it."""
+        if self.cfg.kind != "xgdc":
+            raise ContractError("quad-tree hybrid coding needs the two-reconstruction kind")
+
+    def encode(self, x, xt, qt_lambda=None, min_block=V.MIN_BLOCK, max_block=V.MAX_BLOCK):
         """Code a frame against its prediction; returns (container, output).
 
         This is the round-mode forward pass plus the range coder: the
@@ -217,8 +223,8 @@ class Coder:
         two-reconstruction kind, passing ``qt_lambda`` also runs the
         quad-tree mode search and embeds its side information.
         """
-        if qt_lambda is not None and self.cfg.kind != "xgdc":
-            raise ContractError("quad-tree hybrid coding needs the two-reconstruction kind")
+        if qt_lambda is not None:
+            self._check_quadtree()
         xd_arr, xt_arr = self._frame(x), self._frame(xt)
         if xd_arr.shape != xt_arr.shape:
             raise ShapeError(f"frame/prediction shape mismatch {xd_arr.shape} vs {xt_arr.shape}")
@@ -272,6 +278,8 @@ class Coder:
         enters in the coder's dtype."""
         if container.kind != self.cfg.kind:
             raise ContractError(f"container is {container.kind!r}, coder is {self.cfg.kind!r}")
+        if container.qt_bits is not None:
+            self._check_quadtree()
         xt_arr = self._frame(xt)
         if xt_arr.shape[2] != container.height or xt_arr.shape[3] != container.width:
             raise ShapeError(f"prediction is {xt_arr.shape[2]}x{xt_arr.shape[3]}, "

@@ -25,6 +25,7 @@ from .errors import ContractError, ShapeError
 
 PSNR_CAP = 99.0
 MIN_CURVE_POINTS = 4
+MIN_BLOCK, MAX_BLOCK = 4, 256     # the quad-tree block range's outer bounds
 
 
 def psnr(a, b):
@@ -55,10 +56,13 @@ class RDPoint:
 
 
 def check_curve(points):
-    """A usable curve has at least MIN_CURVE_POINTS samples with strictly
-    increasing rate and strictly increasing quality."""
+    """A usable curve has at least MIN_CURVE_POINTS finite samples with
+    positive, strictly increasing rate and strictly increasing quality."""
     if len(points) < MIN_CURVE_POINTS:
         raise ContractError(f"need at least {MIN_CURVE_POINTS} points, got {len(points)}")
+    for p in points:
+        if not (math.isfinite(p.bpp) and math.isfinite(p.psnr)):
+            raise ContractError(f"curve point ({p.bpp}, {p.psnr}) is not finite")
     for prev, cur in zip(points, points[1:]):
         if not (cur.bpp > prev.bpp):
             raise ContractError(f"bpp not strictly increasing at {cur.bpp}")
@@ -134,9 +138,9 @@ def root_block(height, width, min_block, max_block):
     if not (_is_pow2(min_block) and _is_pow2(max_block)):
         raise ContractError(f"block sizes must be powers of two, "
                             f"got {min_block}, {max_block}")
-    if not (4 <= min_block <= max_block <= 256):
-        raise ContractError(f"block range must satisfy 4 <= min <= max <= 256, "
-                            f"got [{min_block}, {max_block}]")
+    if not (MIN_BLOCK <= min_block <= max_block <= MAX_BLOCK):
+        raise ContractError(f"block range must satisfy {MIN_BLOCK} <= min <= max <= "
+                            f"{MAX_BLOCK}, got [{min_block}, {max_block}]")
     g = math.gcd(height, width)
     b = min(max_block, g & (-g))
     if b < min_block:
@@ -168,7 +172,7 @@ def _sse_map(x, ref):
     return np.sum(d * d, axis=(0, 1))
 
 
-def quadtree_search(x, cand_d, cand_g, lam, min_block=4, max_block=256):
+def quadtree_search(x, cand_d, cand_g, lam, min_block=MIN_BLOCK, max_block=MAX_BLOCK):
     """Optimal quad-tree over two candidate reconstructions of ``x``.
 
     All frames are (1, C, H, W) with H and W divisible by the root tile.
@@ -249,7 +253,7 @@ def serialize_quadtree(levels):
     return bits
 
 
-def parse_quadtree(bits, height, width, min_block, max_block=256):
+def parse_quadtree(bits, height, width, min_block, max_block=MAX_BLOCK):
     """Inverse of serialize_quadtree for a height x width canvas: the
     leaves in pre-order.  Every bit must belong to the tree."""
     b = root_block(height, width, min_block, max_block)

@@ -464,7 +464,11 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path):
         with open(path, "r", encoding="utf-8") as f:
-            return cls.from_text(f.read())
+            try:
+                text = f.read()
+            except UnicodeDecodeError:
+                raise FormatError(f"config {path} is not UTF-8 text") from None
+        return cls.from_text(text)
 
     def to_text(self):
         lines = [f"{f.name} = {getattr(self, f.name)}" for f in dc_fields(self)]

@@ -3,6 +3,7 @@ inputs, writes its artifacts, and returns the documented exit codes (0 for
 success, 1 for domain errors, 2 for argparse rejections)."""
 
 import csv
+import dataclasses
 import struct
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from gdclab import cli
 from gdclab import coders as CD
 from gdclab import fileio as F
 from gdclab import training as TR
+from gdclab.errors import StreamError
 
 
 @pytest.fixture(scope="module")
@@ -365,3 +367,62 @@ class TestSelftest:
         assert cli.main(["selftest"]) == 1
         out = capsys.readouterr().out
         assert "selftest failed: bdrate" in out and "selftest passed" not in out
+
+    def test_reports_a_raising_suite(self, capsys, monkeypatch):
+        # a package error inside a suite fails that suite by name
+        def decode_gaussian(*args, **kwargs):
+            raise StreamError("stream ended early")
+
+        monkeypatch.setattr("gdclab.entropy.decode_gaussian", decode_gaussian)
+        assert cli.main(["selftest"]) == 1
+        out = capsys.readouterr().out
+        assert "selftest failed: entropy" in out and "selftest passed" not in out
+
+
+def _curve_argv(name, tail):
+    """bdrate on a curve file of three good rows and then ``tail``."""
+    def build(workdir, **_):
+        path = workdir / f"{name}.csv"
+        path.write_bytes(b"bpp,psnr\n0.1,30\n0.2,33\n0.4,36\n" + tail)
+        return ["bdrate", str(path), str(path)]
+    return build
+
+
+def _side_bits_argv(workdir, diff_model, frames, encoded):
+    # the 24x24 frame pads to 32x32 at stride product 16: sixteen unsplit
+    # 8x8 roots, each a split flag and a mode bit, fit that tree exactly
+    stream = workdir / "side_bits.gdc"
+    container = dataclasses.replace(F.load_container(encoded[0]), qt_bits=[0, 0] * 16,
+                                    qt_min_block=4, qt_max_block=8)
+    F.save_container(stream, container)
+    return ["decode", "--model", str(diff_model), "--pred", str(frames[1]),
+            "--stream", str(stream), "--out", str(workdir / "side_bits.ppm")]
+
+
+def _sidecar_argv(workdir, diff_model, **_):
+    model = workdir / "latin1.ckpt"
+    model.write_bytes(diff_model.read_bytes())
+    sidecar = (workdir / "diff.ckpt.cfg").read_bytes()
+    (workdir / "latin1.ckpt.cfg").write_bytes(sidecar + b"# caf\xe9\n")
+    return ["eval", "--model", str(model), "--frames", "1",
+            "--out", str(workdir / "latin1.csv")]
+
+
+@pytest.mark.parametrize("build", [
+    _side_bits_argv,
+    _curve_argv("text_cell", b"0.8,high\n"),
+    _curve_argv("short_row", b"0.8\n"),
+    _curve_argv("latin1", b"0.8,39 # caf\xe9\n"),
+    _curve_argv("inf_point", b"0.8,inf\n"),
+    _sidecar_argv,
+], ids=["side_bits", "text_cell", "short_row", "csv_not_utf8", "inf_point",
+        "sidecar_not_utf8"])
+def test_malformed_input_is_an_error_line(build, workdir, diff_model, frames, encoded):
+    argv = build(workdir, diff_model=diff_model, frames=frames, encoded=encoded)
+    proc = subprocess.run([sys.executable, "-m", "gdclab", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert "Traceback" not in proc.stderr
+    assert lines and lines[-1].startswith("error:")
+    assert sum(line.startswith("error:") for line in lines) == 1

@@ -381,6 +381,23 @@ class TestQuadTreeSideInfo:
         with pytest.raises(ContractError):
             coder.decode(xt, BitstreamContainer.from_bytes(container.to_bytes()))
 
+    @pytest.mark.parametrize("kind", ["diff", "gdc", "codecnet"])
+    def test_side_bits_need_two_reconstructions(self, kind, monkeypatch):
+        # bits that fit the 32x32 tree still name a reconstruction these
+        # kinds lack, so decode refuses them before any entropy decoding
+        coder = C.Coder.new(C.CoderConfig.desk(kind), seed=4)
+        x, xt = frame_pair(np.random.default_rng(15), 32, 32)
+        container, _ = coder.encode(x, xt)
+        hostile = dataclasses.replace(container, qt_bits=[0, 0] * 16,
+                                      qt_min_block=4, qt_max_block=8)
+
+        def decode_context(*args, **kwargs):
+            raise RuntimeError("entropy decoding ran")
+
+        monkeypatch.setattr(C.E, "decode_context", decode_context)
+        with pytest.raises(ContractError, match="two-reconstruction"):
+            coder.decode(xt, BitstreamContainer.from_bytes(hostile.to_bytes()))
+
     def test_bad_search_rejected_before_forward(self, monkeypatch):
         coder = C.Coder.new(C.CoderConfig.desk("xgdc"), seed=9)
 

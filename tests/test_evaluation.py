@@ -61,6 +61,14 @@ class TestCurves:
         with pytest.raises(ContractError):
             V.check_curve(neg)
 
+    @pytest.mark.parametrize("bad", [(0.8, float("inf")), (float("inf"), 39.0),
+                                     (0.8, float("nan")), (float("nan"), 39.0)])
+    def test_check_curve_rejects_non_finite(self, bad):
+        # an infinite psnr once reached np.polyfit, which raised LinAlgError
+        pts = [V.RDPoint(b, p) for b, p in [(0.1, 30), (0.2, 33), (0.4, 36), bad]]
+        with pytest.raises(ContractError, match="not finite"):
+            V.check_curve(pts)
+
 
 def _bd_oracle(reference, test, samples=20001):
     """Independent route: Vandermonde interpolation plus trapezoid

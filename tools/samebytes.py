@@ -40,6 +40,13 @@ Cases:
             min_block 4/8, max_block 8/16/256, lambda 0/1/50/300/2000, in
             float32 and float64, with a quarter of the 4x4 blocks tied:
             bits, merged, cost, side_bits and mode_d_fraction
+  cli       the command line run in a temporary directory: the infolab CSV
+            at seed 0, the --help text of the parser and of every
+            subcommand, and for a desk coder of each kind at seed 5 saved
+            with its sidecar, the container and PPM bytes of ``encode
+            --recon`` on a 32x32 pair (xgdc also with --qt-lambda 50), of
+            ``decode`` in every mode the container holds, and the eval CSV
+            of the diff coder, with each command's printed line
   hd        (only with ``hd``) the diff fixture at 1088x1920
 Each coded case hashes the container bytes, x_hat_d, x_hat_g, x_hat_merged,
 both payloads' est_bits and the decoder's reconstructions.  A masked
@@ -332,6 +339,76 @@ def quadtree(d):
                             d.add(f"{label}/{attr}", getattr(res, attr))
 
 
+def _run_cli(d, label, argv, tmp=None):
+    """Hash cli.main's exit status and printed text, with the temporary
+    directory ``tmp`` written as <tmp>."""
+    import contextlib
+    import io
+    from gdclab import cli
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as e:
+            rc = e.code
+    text = out.getvalue()
+    d.add(label, (rc, text.replace(tmp, "<tmp>") if tmp else text))
+
+
+def cli_group(d):
+    import tempfile
+    import numpy as np
+    from gdclab import coders as CD
+    from gdclab import fileio as F
+    from gdclab import tensor as T
+    os.environ["COLUMNS"] = "80"     # argparse wraps --help to the terminal
+    for cmd in ("infolab", "train", "encode", "decode", "eval", "bdrate", "quadtree",
+                "selftest"):
+        _run_cli(d, f"help/{cmd}", [cmd, "--help"])
+    _run_cli(d, "help", ["--help"])
+    with tempfile.TemporaryDirectory() as tmp:
+        def path(name):
+            return os.path.join(tmp, name)
+
+        def read(name):
+            with open(path(name), "rb") as f:
+                return f.read()
+
+        _run_cli(d, "infolab", ["infolab", "--seed", "0", "--cases", "12", "--maps", "3",
+                                "--out", path("infolab.csv")], tmp)
+        d.add("infolab.csv", read("infolab.csv"))
+        rng = np.random.default_rng(32)
+        x = rng.uniform(0.1, 0.9, size=(1, 3, 32, 32)).astype(np.float32)
+        xt = np.clip(x + rng.normal(scale=0.04, size=x.shape), 0, 1).astype(np.float32)
+        F.write_image(path("x.ppm"), T.Tensor(x))
+        F.write_image(path("xt.ppm"), T.Tensor(xt))
+        for kind in CD.KINDS:
+            ecfg = F.ExperimentConfig(coder=kind, seed=5, **CD.DESK_DIMS)
+            coder = CD.Coder.new(ecfg.coder_config(), seed=5)
+            model = path(f"{kind}.ckpt")
+            F.save_checkpoint(model, coder.params.arrays())
+            ecfg.save(model + ".cfg")
+            for qt in ([], ["--qt-lambda", "50"]) if kind == "xgdc" else ([],):
+                label = kind + ("/qt50" if qt else "")
+                _run_cli(d, label + "/encode",
+                         ["encode", "--model", model, "--frame", path("x.ppm"),
+                          "--pred", path("xt.ppm"), "--out", path("s.gdc"),
+                          "--recon", path("enc.ppm")] + qt, tmp)
+                d.add(label + "/stream", read("s.gdc"))
+                d.add(label + "/enc.ppm", read("enc.ppm"))
+                for mode in ("auto", "d", "g", "merged"):
+                    _run_cli(d, f"{label}/decode/{mode}",
+                             ["decode", "--model", model, "--pred", path("xt.ppm"),
+                              "--stream", path("s.gdc"), "--out", path(mode + ".ppm"),
+                              "--mode", mode], tmp)
+                    if os.path.exists(path(mode + ".ppm")):
+                        d.add(f"{label}/decode/{mode}.ppm", read(mode + ".ppm"))
+                        os.remove(path(mode + ".ppm"))
+        _run_cli(d, "eval", ["eval", "--model", path("diff.ckpt"), "--frames", "2",
+                             "--out", path("eval.csv")], tmp)
+        d.add("eval.csv", read("eval.csv"))
+
+
 def main(argv):
     if not argv or len(argv) > 2 or (len(argv) == 2 and argv[1] != "hd"):
         raise SystemExit(__doc__.split("\n\n")[1])
@@ -339,7 +416,8 @@ def main(argv):
     _setup(root)
     groups = [("desk", desk), ("fixture", lambda d: fixture(d, root)),
               ("gdc", gdc), ("load", load), ("training", training), ("infolab", infolab),
-              ("layers", layers), ("tensor", tensor), ("quadtree", quadtree)]
+              ("layers", layers), ("tensor", tensor), ("quadtree", quadtree),
+              ("cli", cli_group)]
     if len(argv) == 2:
         groups.append(("hd", lambda d: fixture(d, root, ((1088, 1920),), ("diff",))))
     total = Digest()

@@ -47,6 +47,11 @@ def _load_images(directory):
     return [F.load_image(p).data for p in paths]
 
 
+def _at_least(flag, value, least):
+    if value < least:
+        raise ContractError(f"{flag} must be at least {least}, got {value}")
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
@@ -57,6 +62,9 @@ def _write_csv(path, header, rows):
 # -- infolab ----------------------------------------------------------------
 
 def cmd_infolab(args):
+    _at_least("--cases", args.cases, 1)
+    _at_least("--maps", args.maps, 0)
+    _at_least("--seed", args.seed, 0)
     rng = np.random.default_rng(args.seed)
     header = ["case", "generator", "map", "nx", "nxt", "H_x", "H_xt", "H_R",
               "H_x_given_xt", "I_xt_R", "residual_abs", "H_y", "H_x_given_y",
@@ -199,8 +207,8 @@ def cmd_decode(args):
 # -- eval / bdrate / quadtree ----------------------------------------------
 
 def cmd_eval(args):
-    if args.frames < 1:
-        raise ContractError(f"--frames must be at least 1, got {args.frames}")
+    _at_least("--frames", args.frames, 1)
+    _at_least("--seed", args.seed, 0)
     coder, ecfg = _load_model(args.model, args.config)
     lam = args.lmbda if args.lmbda is not None else ecfg.lmbda
     rng = np.random.default_rng(args.seed)
@@ -296,9 +304,9 @@ def cmd_selftest(args):
     def entropy():
         vals = rng.integers(-20, 20, size=(1, 2, 6, 6)).astype(np.float64)
         mean = rng.normal(size=vals.shape)
-        scale = 0.11 + np.abs(rng.normal(size=vals.shape)) + 0.1
-        stream, support = EN.encode_gaussian(vals, mean, scale)
-        back = EN.decode_gaussian(stream, mean, scale, support, vals.size)
+        raw = rng.normal(size=vals.shape)
+        stream, support = EN.encode_gaussian(vals, mean, raw)
+        back = EN.decode_gaussian(stream, mean, raw, support, vals.size)
         return np.array_equal(back, vals.ravel().astype(np.int64))
 
     def gradients():

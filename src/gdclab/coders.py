@@ -160,9 +160,16 @@ class Coder:
             return g
         return T.concat_channels([g, T.sub(x, xt)])
 
-    def _entropy_params(self, z_hat, y_shape):
-        h = self._crop(self.nets["hyp_dec"](z_hat), y_shape[2], y_shape[3])
-        return E.gaussian_head(h, self.cfg.latent)
+    def _hyper(self, z_hat, y_shape, grid):
+        """The hyper decoder's output over z_hat, cropped to the latent's
+        size: mean, then raw scale.  With ``grid`` it runs on the exact grid
+        over z_hat clamped to +-Z_CLAMP, as coding needs, and is cast to the
+        coder's dtype with no graph."""
+        if grid:
+            h = T.Tensor(E.on_grid(self.nets["hyp_dec"], z_hat.data).astype(self.params.dtype))
+        else:
+            h = self.nets["hyp_dec"](z_hat)
+        return self._crop(h, y_shape[2], y_shape[3])
 
     def _reconstruct(self, y_hat, xt):
         kind = self.cfg.kind
@@ -184,21 +191,26 @@ class Coder:
     def forward(self, x, xt, mode="noise", rng=None):
         """Run the full train-time graph.  ``mode`` is 'noise' (additive
         U[-1/2,1/2), needs ``rng``) or 'round'.  The hyper-latent is
-        quantized before the main latent, which fixes the rng draw order."""
+        quantized before the main latent, which fixes the rng draw order.
+        In round mode the entropy parameters are the coder's, from the exact
+        grid, and pass no gradient to the hyper decoder or context net."""
         self._check_pair(x, xt)
         y = self.nets["enc"](self._core_input(x, xt))
         z = self.nets["hyp_enc"](y)
         z_hat = E.quantize(z, mode, rng)
         y_hat = E.quantize(y, mode, rng)
-        mean, scale = self._entropy_params(z_hat, y.shape)
+        grid = mode == "round"
+        h = self._hyper(z_hat, y.shape, grid)
+        mean, scale = E.gaussian_head(h, self.cfg.latent)
         rate_y = T.sum_all(E.gaussian_bits(y_hat, mean, scale))
-        rate_z = T.sum_all(E.context_bits(z_hat, self.nets["ctx"]))
+        rate_z = T.sum_all(E.context_bits(z_hat, self.nets["ctx"], grid))
         x_hat_d, x_hat_g = self._reconstruct(y_hat, xt)
         return CoderOutput(
             kind=self.cfg.kind, x_hat_d=x_hat_d, x_hat_g=x_hat_g,
             rate_y=rate_y, rate_z=rate_z,
             latents={"y": y.data, "y_hat": y_hat.data, "z": z.data,
-                     "z_hat": z_hat.data, "mean": mean.data, "scale": scale.data})
+                     "z_hat": z_hat.data, "mean": mean.data,
+                     "raw_scale": h.data[:, self.cfg.latent:]})
 
     # -- real coding --------------------------------------------------------
 
@@ -241,7 +253,7 @@ class Coder:
             out = self.forward(xp, T.Tensor(pad_to_multiple(xt_arr, sp)), mode="round")
             lat = out.latents
             stream_z, sup_z = E.encode_context(lat["z_hat"], self.nets["ctx"])
-            stream_y, sup_y = E.encode_gaussian(lat["y_hat"], lat["mean"], lat["scale"])
+            stream_y, sup_y = E.encode_gaussian(lat["y_hat"], lat["mean"], lat["raw_scale"])
             pz = Payload(stream=stream_z, lo=sup_z[0], hi=sup_z[1],
                          symbol_count=lat["z_hat"].size, est_bits=out.rate_z.item())
             py = Payload(stream=stream_y, lo=sup_y[0], hi=sup_y[1],
@@ -295,8 +307,9 @@ class Coder:
                                      z_shape, (container.payload_z.lo, container.payload_z.hi))
             z_hat = T.Tensor(z_arr.astype(self.params.dtype))
             y_shape = (1, self.cfg.latent, yh, yw)
-            mean, scale = self._entropy_params(z_hat, y_shape)
-            y_flat = E.decode_gaussian(container.payload_y.stream, mean.data, scale.data,
+            h = self._hyper(z_hat, y_shape, grid=True).data
+            c = self.cfg.latent
+            y_flat = E.decode_gaussian(container.payload_y.stream, h[:, :c], h[:, c:],
                                        (container.payload_y.lo, container.payload_y.hi),
                                        int(np.prod(y_shape)))
             y_hat = T.Tensor(y_flat.reshape(y_shape).astype(self.params.dtype))

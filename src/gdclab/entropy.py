@@ -6,13 +6,20 @@ Rates are measured against the discretized Gaussian
     p(v) = Phi((v - mu + 1/2) / sigma) - Phi((v - mu - 1/2) / sigma)
 
 with p floored at 2^-16 so no element can cost more than 16 bits, and
-scales floored at SCALE_MIN.  The same mean/scale arrays drive the actual
-coder: each value is coded as its offset from its rounded mean under one
-table of a fixed set, strictly increasing 2^16-grid CDFs over an integer
-support plus one trailing escape bin, one per (scale, mean fraction) point
-of a 64 x 8 grid.  Offsets outside the support are sent as the escape
+scales floored at SCALE_MIN.  The coder reads the same net outputs, the
+mean and the raw scale before its softplus: each value is coded as its
+offset from its rounded mean under one table of a fixed set, strictly
+increasing 2^16-grid CDFs over an integer support plus one trailing escape
+bin, one per (scale, mean fraction) point of a 64 x 8 grid.  The scale row
+is picked by comparing the raw scale with fixed thresholds, so choosing a
+row evaluates no exp.  Offsets outside the support are sent as the escape
 symbol followed by four raw bytes (zigzag), so the coder is total even
 when the model support is misjudged.
+
+In coding, both nets that read the hyper-latent (the hyper decoder and the
+context net) run on the exact grid of ``layers.Network.grid`` over z_hat
+clamped to +-Z_CLAMP, at the encoder and the decoder alike, so the tables a
+decoder picks do not depend on the host's BLAS kernel.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from scipy.special import erf as _erf
 
 from . import tensor as T
 from .errors import ContractError, NumericError, ShapeError
+from .layers import GRID_WEIGHT_BITS, to_grid
 from .rangecoder import CDF_TOTAL, RangeDecoder, RangeEncoder
 
 SCALE_MIN = 0.11
@@ -39,7 +47,15 @@ _BYTE_ROW = list(range(0, CDF_TOTAL + 1, _BYTE_FREQ))
 # mean's fraction in (-0.5, 0.5).
 TABLE_SCALES = np.geomspace(SCALE_MIN, 256.0, 64)
 TABLE_MEANS = (np.arange(8) + 0.5) / 8 - 0.5
-_SCALE_EDGES = np.sqrt(TABLE_SCALES[1:] * TABLE_SCALES[:-1])
+# Scale row s covers the raw scales in (RAW_EDGES[s-1], RAW_EDGES[s]]: the
+# inverse softplus of the geometric midpoints between grid scales, rounded
+# to multiples of 2^-12 so that a last-place difference in a host's log or
+# expm1 cannot move an edge.
+RAW_EDGES = to_grid(np.log(np.expm1(np.sqrt(TABLE_SCALES[1:] * TABLE_SCALES[:-1]) - SCALE_MIN)),
+                    GRID_WEIGHT_BITS)
+# The grid nets read the hyper-latent clamped to this range, which bounds
+# their partial sums (tests/test_grid.py checks the bound against 2^53).
+Z_CLAMP = 1024
 
 
 def round_away(x):
@@ -157,20 +173,21 @@ def _table_set(lo, hi):
                       np.repeat(TABLE_SCALES, TABLE_MEANS.size), lo, hi)
 
 
-def _table_rows(mean, scale, count):
-    """Each element's rounded mean (int64) and table-set row: the nearest
-    grid scale on a log axis, and the bucket of the mean's fraction.  Means
-    are clipped first, so a value of 0 stays escapable and nothing wraps."""
+def _table_rows(mean, raw, count):
+    """Each element's rounded mean (int64) and table-set row: the scale row
+    whose RAW_EDGES interval holds the raw scale, and the bucket of the
+    mean's fraction.  Means are clipped first, so a value of 0 stays
+    escapable and nothing wraps."""
     mean = np.asarray(mean, dtype=np.float64).reshape(-1)
-    scale = np.asarray(scale, dtype=np.float64).reshape(-1)
-    if mean.size != count or scale.size != count:
-        raise ShapeError(f"{count} values but {mean.size} means and {scale.size} scales")
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(scale))):
+    raw = np.asarray(raw, dtype=np.float64).reshape(-1)
+    if mean.size != count or raw.size != count:
+        raise ShapeError(f"{count} values but {mean.size} means and {raw.size} scales")
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(raw))):
         raise NumericError("non-finite entropy parameters")
     mean = np.clip(mean, 1 - ESCAPE_LIMIT, ESCAPE_LIMIT - 1)
     center = round_away(mean)
     frac = ((mean - center + 0.5) * TABLE_MEANS.size).astype(np.int64)
-    rows = np.searchsorted(_SCALE_EDGES, scale) * TABLE_MEANS.size
+    rows = np.searchsorted(RAW_EDGES, raw) * TABLE_MEANS.size
     return center.astype(np.int64), rows + np.minimum(frac, TABLE_MEANS.size - 1)
 
 
@@ -188,13 +205,13 @@ def _escape_intervals(starts, freqs, values, escaped):
     return np.insert(starts, after, code.ravel() * _BYTE_FREQ), np.insert(freqs, after, _BYTE_FREQ)
 
 
-def _encode_symbols(flat, mean, scale):
+def _encode_symbols(flat, mean, raw):
     """Range-code the int64 array ``flat`` in order, each value as its
     offset from its rounded mean under its row of one table set.  The
     support is the observed offset range, narrowed to MAX_TABLE_BINS around
     the median offset when wider (the rest is escaped).  Returns
     (payload_bytes, (lo, hi))."""
-    center, rows = _table_rows(mean, scale, flat.size)
+    center, rows = _table_rows(mean, raw, flat.size)
     offsets = flat - center
     lo, hi = (int(offsets.min()), int(offsets.max())) if offsets.size else (0, 0)
     if hi - lo + 2 > MAX_TABLE_BINS:
@@ -215,88 +232,127 @@ def _encode_symbols(flat, mean, scale):
     return enc.finish(), (lo, hi)
 
 
-def encode_gaussian(values, mean, scale):
-    """Range-code integer ``values`` under per-element Gaussians, arrays
-    flattened in C order.  Returns (payload_bytes, (lo, hi)); the decoder
-    needs the support (lo, hi), which the container stores.
+def encode_gaussian(values, mean, raw):
+    """Range-code integer ``values`` under per-element Gaussians given by
+    their means and raw scales, arrays flattened in C order.  Returns
+    (payload_bytes, (lo, hi)); the decoder needs the support (lo, hi),
+    which the container stores.
     """
-    return _encode_symbols(np.asarray(values).reshape(-1).astype(np.int64), mean, scale)
+    return _encode_symbols(np.asarray(values).reshape(-1).astype(np.int64), mean, raw)
 
 
-def _decode_symbols(dec, table, mean, scale, count, lo):
+def _decode_symbols(dec, table, mean, raw, count, lo):
     """Decode ``count`` values from ``dec`` under rows of ``table`` (the
     set over support [lo, ...] as lists); the inverse of _encode_symbols."""
-    center, rows = _table_rows(mean, scale, count)
+    center, rows = _table_rows(mean, raw, count)
     escape = len(table[0]) - 2
-    symbols, raw = [], []
+    symbols, code = [], []
     rows = map(table.__getitem__, rows.tolist())
     while dec.decode_rows(rows, symbols, escape):
-        dec.decode_rows((_BYTE_ROW,) * 4, raw)
+        dec.decode_rows((_BYTE_ROW,) * 4, code)
     out = np.array(symbols, dtype=np.int64)
     escaped = out == escape
     out += lo
-    out[escaped] = _unzigzag(np.frombuffer(bytes(raw), ">u4").astype(np.int64))
+    out[escaped] = _unzigzag(np.frombuffer(bytes(code), ">u4").astype(np.int64))
     return out + center
 
 
-def decode_gaussian(payload, mean, scale, support, count):
+def decode_gaussian(payload, mean, raw, support, count):
     """Inverse of encode_gaussian; returns a flat int64 array."""
     lo, hi = int(support[0]), int(support[1])
     table = _table_set(lo, hi).tolist()
-    return _decode_symbols(RangeDecoder(payload), table, mean, scale, count, lo)
+    return _decode_symbols(RangeDecoder(payload), table, mean, raw, count, lo)
 
 
-def context_params(ctx_net, z_hat_data):
-    """Run the causal context net over a (1, C, H, W) integer-valued array
-    cast to the net's dtype and return float mean / scale arrays of the
-    same shape."""
-    with T.no_grad():
-        out = ctx_net(T.Tensor(np.ascontiguousarray(z_hat_data, dtype=ctx_net.params.dtype)))
-        mean, scale = gaussian_head(out, z_hat_data.shape[1])
-    return mean.data, scale.data
+def on_grid(net, z_hat, inside=1.0):
+    """``net``, the hyper decoder or the context net, on the exact grid over
+    the hyper-latent clamped to +-Z_CLAMP (``inside`` as in Network.grid)."""
+    return net.grid(np.clip(z_hat, -Z_CLAMP, Z_CLAMP), inside)
+
+
+def context_params(ctx_net, z_hat_data, inside=1.0):
+    """The causal context net on the exact grid over a rank-4 integer array;
+    returns the float64 mean and raw scale arrays, each of the input's
+    shape."""
+    out = on_grid(ctx_net, z_hat_data, inside)
+    c = z_hat_data.shape[1]
+    return out[:, :c], out[:, c:]
+
+
+def _decode_order(ctx_net, h, w):
+    """Flat positions of an h x w map in coding order, the same split into
+    wavefronts, and the context net's reach r, its summed kernel radius.
+    The net's output at (i, j) reads only rows i-r..i and columns j-r..j+r
+    of the map, and of row i only columns before j; so every position of
+    wavefront (r+1)*i + j depends on earlier wavefronts alone, and a
+    wavefront decodes as one batch."""
+    r = sum(lay.kernel // 2 for lay in ctx_net.spec.layers)
+    i, j = np.divmod(np.arange(h * w), w)
+    front = (r + 1) * i + j
+    order = np.lexsort((i, front))
+    fronts = np.split(order, np.flatnonzero(np.diff(front[order])) + 1) if order.size else []
+    return order, fronts, r
 
 
 def encode_context(z_hat, ctx_net):
     """Encode an integer hyper-latent autoregressively.
 
     The context net sees the full tensor in one pass (its masks make each
-    output position a function of strictly earlier positions only), so the
-    encoder is one forward pass plus a raster scan in the decoder's order:
-    positions in raster order, channels within a position.  Returns
-    (payload, (lo, hi)).
+    output position a function of strictly earlier positions only, and on
+    the grid that pass equals the decoder's windows bit for bit), so the
+    encoder is one forward pass plus a scan in the decoder's order:
+    positions by wavefront (see _decode_order), channels within a
+    position.  Returns (payload, (lo, hi)).
     """
     z = np.asarray(z_hat)
-    mean, scale = context_params(ctx_net, z)
-    # reorder (c, h, w) -> (h, w, c) so the stream matches sequential decoding
-    flat, mean_f, scale_f = (a[0].transpose(1, 2, 0).reshape(-1) for a in (z, mean, scale))
-    return _encode_symbols(flat.astype(np.int64), mean_f, scale_f)
+    mean, raw = context_params(ctx_net, z)
+    order = _decode_order(ctx_net, *z.shape[2:])[0]
+    flat, mean_f, raw_f = (a[0].reshape(a.shape[1], -1)[:, order].T.reshape(-1)
+                           for a in (z, mean, raw))
+    return _encode_symbols(flat.astype(np.int64), mean_f, raw_f)
 
 
 def decode_context(payload, ctx_net, shape, support):
-    """Decode the hyper-latent by alternating context-net evaluations with
-    symbol decoding in raster order (all channels of a position at once).
+    """Decode the hyper-latent wavefront by wavefront (all channels of each
+    position at once).
 
-    The partially decoded tensor holds zeros at future positions; the mask
-    structure guarantees those zeros cannot influence the parameters of the
-    positions being decoded, so encoder and decoder select bit-identical
-    rows of the one table set.
+    Each position's parameters come from its causal window alone: rows
+    i-r..i and columns j-r..j+r of the map, zero outside the map, with
+    every layer's output zeroed there too, as the full map's zero padding
+    would see it.  The windows of one wavefront are one batch; on the grid
+    they give the encoder's full-map parameters bit for bit, so encoder and
+    decoder select identical rows of the one table set.
     """
     n, c, h, w = shape
     if n != 1:
         raise ContractError("context decoding runs on single-frame tensors")
     lo, hi = int(support[0]), int(support[1])
     table = _table_set(lo, hi).tolist()
-    z = np.zeros(shape, dtype=np.float64)
+    _, fronts, r = _decode_order(ctx_net, h, w)
+    # the map behind r zero rows above and r zero columns either side
+    z = np.zeros((c, h + r, w + 2 * r))
+    inside = np.zeros((1, h + r, w + 2 * r))
+    inside[:, r:, r:r + w] = 1.0
+    win, win_in = (np.lib.stride_tricks.sliding_window_view(a, (r + 1, 2 * r + 1), axis=(1, 2))
+                   for a in (z, inside))
     dec = RangeDecoder(payload)
-    for i in range(h):
-        for j in range(w):
-            mean, scale = context_params(ctx_net, z)
-            z[0, :, i, j] = _decode_symbols(dec, table, mean[0, :, i, j], scale[0, :, i, j], c, lo)
-    return z
+    for front in fronts:
+        i, j = np.divmod(front, w)
+        mean, raw = context_params(ctx_net, win[:, i, j].transpose(1, 0, 2, 3),
+                                   win_in[:, i, j].transpose(1, 0, 2, 3))
+        values = _decode_symbols(dec, table, mean[:, :, r, r], raw[:, :, r, r],
+                                 front.size * c, lo)
+        z[:, i + r, j + r] = values.reshape(-1, c).T
+    return np.ascontiguousarray(z[None, :, r:, r:r + w])
 
 
-def context_bits(z_hat_t, ctx_net):
-    """Differentiable rate of a (possibly noise-quantized) hyper-latent
-    under the context model; returns the per-element bits tensor."""
-    mean, scale = gaussian_head(ctx_net(z_hat_t), z_hat_t.shape[1])
-    return gaussian_bits(z_hat_t, mean, scale)
+def context_bits(z_hat_t, ctx_net, grid=False):
+    """Rate of a (possibly noise-quantized) hyper-latent under the context
+    model; returns the per-element bits tensor.  Differentiable through
+    the float net; with ``grid`` the parameters are the coder's, from
+    context_params, and pass no gradient."""
+    if not grid:
+        mean, scale = gaussian_head(ctx_net(z_hat_t), z_hat_t.shape[1])
+        return gaussian_bits(z_hat_t, mean, scale)
+    mean, raw = (T.Tensor(a.astype(z_hat_t.dtype)) for a in context_params(ctx_net, z_hat_t.data))
+    return gaussian_bits(z_hat_t, mean, scale_from_raw(raw))

@@ -23,8 +23,9 @@ from .training import TrainConfig
 CHECKPOINT_MAGIC = b"GDCK"
 CONTAINER_MAGIC = b"GDCB"
 CHECKPOINT_VERSION = 1
-# 2: payloads code offsets from rounded means; quad-tree bit count is a u32.
-CONTAINER_VERSION = 2
+# 3: the hyper decoder and the context net run on the exact grid, and the
+# hyper-latent is coded by wavefront (see BitstreamContainer).
+CONTAINER_VERSION = 3
 # The container header byte after the coder kind tag, unused: written as
 # this value and rejected as any other.
 RESERVED_BYTE = 0xFF
@@ -158,7 +159,24 @@ class Payload:
 
 @dataclass
 class BitstreamContainer:
-    """The single-file coded representation of one frame."""
+    """The single-file coded representation of one frame.
+
+    Version 3 layout, little-endian: magic ``GDCB``, u32 version, then
+    u8 kind tag, u8 reserved (0xff), u16 width, u16 height and u8 flags
+    (bit 0: quad-tree side bits follow); the z payload and then the y
+    payload, each a u32 length, i16 lo and hi of its offset support and the
+    range-coder bytes; with flag bit 0, u16 min and max block, a u32 bit
+    count and the bits packed MSB first.
+
+    The payloads decode only under the entropy parameters the encoder used,
+    and version 3 makes them exact: the hyper decoder (y's means and raw
+    scales) and the context net (z's) run on the power-of-two grid of
+    ``layers.Network.grid`` over z_hat clamped to +-``entropy.Z_CLAMP``, so
+    a container decodes alike under every BLAS kernel.  z is coded by
+    wavefront of its context net's causal windows (``entropy.decode_context``)
+    and y in C order; each value is its offset from its rounded mean under
+    the table row its raw scale falls in.  Other versions are refused.
+    """
     kind: str
     width: int
     height: int

@@ -214,24 +214,90 @@ def prelu(x, slope):
                    (slope, slope_vjp))
 
 
+def _gdn_norms(x, gamma, beta):
+    """Yield (cols, band, sq, s) for each band of pixels of each image of
+    ``x``: cols indexes the band in an [n, c, h*w] view, band is that
+    [c, p] slice of ``x``, sq = band**2 and s = sqrt(beta + gamma @ sq).
+    sq and s share one buffer of at most BAND_CELLS cells, which every
+    band reuses, so the GEMM reads sq from cache right after it is
+    written."""
+    n, c = x.shape[:2]
+    flat = x.reshape(n, c, -1)
+    hw = flat.shape[2]
+    step = max(1, min(hw, BAND_CELLS // (2 * c)))
+    buf = np.empty(2 * c * step, dtype=x.dtype)
+    for b in range(n):
+        for p0 in range(0, hw, step):
+            cols = np.s_[b, :, p0:p0 + step]
+            band = flat[cols]
+            cells = band.size
+            sq, s = buf[:cells].reshape(band.shape), buf[cells:2 * cells].reshape(band.shape)
+            np.multiply(band, band, out=sq)
+            np.dot(gamma, sq, out=s)
+            s += beta
+            np.sqrt(s, out=s)
+            yield cols, band, sq, s
+
+
 def gdn(x, beta_raw, gamma_raw, inverse=False):
-    """Generalized divisive normalization.
+    """Generalized divisive normalization (Balle, Laparra & Simoncelli 2016).
 
-        y_i = x_i * (beta_i + sum_j gamma_ij * x_j^2) ** (-1/2)
+        y_i = x_i * n_i ** p,   n_i = beta_i + sum_j gamma_ij * x_j^2
 
-    The inverse form uses exponent +1/2.  Positivity is built in by
+    with p = -1/2, or +1/2 for the inverse form.  Positivity is built in by
     reparameterization: beta = beta_raw^2 + 1e-6, gamma = gamma_raw^2,
     with beta_raw shaped (1, C, 1, 1) and gamma_raw shaped (C, C, 1, 1).
+
+    One autodiff node that walks each image's pixels in bands (see
+    _gdn_norms), so no full-size temporary is made.  The VJP recomputes n
+    band by band: with t = p * g * y / n it is dx = g * n^p + 2x * (gamma^T t),
+    dbeta = sum t and dgamma = sum t (x^2)^T, chained through the raw
+    parameters; one pass serves all three inputs.
     """
     c = x.shape[1]
     if beta_raw.shape != (1, c, 1, 1):
         raise ShapeError(f"gdn: beta shape {beta_raw.shape} != (1,{c},1,1)")
     if gamma_raw.shape != (c, c, 1, 1):
         raise ShapeError(f"gdn: gamma shape {gamma_raw.shape} != ({c},{c},1,1)")
-    beta = T.add_scalar(T.mul(beta_raw, beta_raw), GDN_BETA_MIN)
-    gamma = T.mul(gamma_raw, gamma_raw)
-    norm = conv2d(T.mul(x, x), gamma, bias=beta, stride=1)
-    return T.mul(x, T.power(norm, 0.5 if inverse else -0.5))
+    if not x.dtype == beta_raw.dtype == gamma_raw.dtype:
+        raise ContractError(f"gdn: dtypes differ {x.dtype} {beta_raw.dtype} {gamma_raw.dtype}")
+    br, gr = beta_raw.data.reshape(c, 1), gamma_raw.data.reshape(c, c)
+    beta, gamma = br * br + x.dtype.type(GDN_BETA_MIN), gr * gr
+    out = np.empty(x.shape, dtype=x.dtype)
+    flat = out.reshape(x.shape[0], c, -1)
+    scale = np.multiply if inverse else np.divide
+    for cols, band, _, s in _gdn_norms(x.data, gamma, beta):
+        scale(band, s, out=flat[cols])
+
+    def grads(g):
+        """(dx, dbeta_raw, dgamma_raw) of upstream gradient ``g``."""
+        dx = np.empty(x.shape, dtype=x.dtype)
+        dflat, gflat = dx.reshape(flat.shape), g.reshape(flat.shape)
+        dbeta, dgamma = np.zeros_like(beta), np.zeros_like(gamma)
+        for cols, band, sq, s in _gdn_norms(x.data, gamma, beta):
+            gb = gflat[cols]
+            if inverse:
+                d, t = gb * s, 0.5 * gb * band / s
+            else:
+                d = gb / s
+                t = -0.5 * d * band / (s * s)
+            dbeta += t.sum(axis=1, keepdims=True)
+            dgamma += np.dot(t, sq.T)
+            dflat[cols] = d + 2 * band * np.dot(gamma.T, t)
+        return dx, (2 * br * dbeta).reshape(beta_raw.shape), (2 * gr * dgamma).reshape(gamma_raw.shape)
+
+    # backward calls the three VJPs one after another with one gradient:
+    # the first computes all three shares, the others take theirs
+    shares = {}
+
+    def share(i):
+        def vjp(g):
+            if i not in shares:
+                shares.update(enumerate(grads(g)))
+            return shares.pop(i)
+        return vjp
+
+    return T._node(out, "gdn", (x, share(0)), (beta_raw, share(1)), (gamma_raw, share(2)))
 
 
 def masked_conv2d(x, weight, bias=None, kind="A"):
@@ -359,6 +425,23 @@ def _init_weight(rng, shape, fan_in):
     return rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape)
 
 
+# The exact grid (Balle, Johnston & Minnen 2019): weights and PReLU slopes
+# are multiples of 2^-GRID_WEIGHT_BITS, biases of 2^-(GRID_WEIGHT_BITS +
+# GRID_ACT_BITS) and every layer's output of 2^-GRID_ACT_BITS.  Every product
+# of a weight and an activation then lies on the 2^-20 grid, and while every
+# partial sum stays below 2^53 grid steps (2^33 in value) float64 holds each
+# sum exactly, so no BLAS kernel, thread count, band split or batch shape
+# can change a bit of a layer's output.
+GRID_WEIGHT_BITS = 12
+GRID_ACT_BITS = 8
+
+
+def to_grid(a, bits):
+    """``a`` in float64, rounded to the nearest multiple of 2^-bits (ties to
+    even): exact scalings by powers of two around one rounding."""
+    return np.rint(np.asarray(a, dtype=np.float64) * 2.0 ** bits) * 2.0 ** -bits
+
+
 class Network:
     """A conv stack bound to its parameters; call it on a rank-4 tensor."""
 
@@ -370,22 +453,42 @@ class Network:
     def _p(self, i, leaf):
         return self.params[f"{self.prefix}.{i}.{leaf}"]
 
+    @staticmethod
+    def _conv(lay, x, w, b):
+        if lay.mask:
+            return masked_conv2d(x, w, bias=b, kind=lay.mask)
+        if lay.transposed:
+            return tconv2d(x, w, bias=b, stride=lay.stride)
+        return conv2d(x, w, bias=b, stride=lay.stride)
+
     def __call__(self, x):
         for i, lay in enumerate(self.spec.layers):
-            w = self._p(i, "w")
-            b = self._p(i, "b")
-            if lay.mask:
-                x = masked_conv2d(x, w, bias=b, kind=lay.mask)
-            elif lay.transposed:
-                x = tconv2d(x, w, bias=b, stride=lay.stride)
-            else:
-                x = conv2d(x, w, bias=b, stride=lay.stride)
+            x = self._conv(lay, x, self._p(i, "w"), self._p(i, "b"))
             if lay.activation == "prelu":
                 x = prelu(x, self._p(i, "slope"))
             elif lay.activation in ("gdn", "igdn"):
                 x = gdn(x, self._p(i, "beta"), self._p(i, "gamma"),
                         inverse=(lay.activation == "igdn"))
         return x
+
+    def grid(self, x, inside=1.0):
+        """The stack on the exact grid: a float64 array in, the last
+        layer's float64 output out, no graph.  ``x`` is rounded to the
+        activation grid first; ``inside`` (0/1, broadcast over channels)
+        zeroes every layer's output outside the map, as the zero padding
+        of the next layer would see it.  Conv and PReLU layers only: the
+        hyper decoder and the context net have no GDN."""
+        wb, ab = GRID_WEIGHT_BITS, GRID_ACT_BITS
+        with T.no_grad():
+            a = to_grid(x, ab)
+            for i, lay in enumerate(self.spec.layers):
+                w, b = (Tensor(to_grid(self._p(i, leaf).data, bits))
+                        for leaf, bits in (("w", wb), ("b", wb + ab)))
+                a = to_grid(self._conv(lay, Tensor(a), w, b).data, ab)
+                if lay.activation == "prelu":
+                    a = to_grid(np.where(a >= 0, a, to_grid(self._p(i, "slope").data, wb) * a), ab)
+                a = a * inside
+        return a
 
 
 def make_network(spec, params, prefix, rng=None, init="random"):

@@ -211,14 +211,6 @@ def mean_all(a):
     return scale(sum_all(a), 1.0 / a.size)
 
 
-def power(a, p):
-    """Elementwise a**p for a constant exponent; a must stay positive when
-    p is not a positive integer."""
-    p = float(p)
-    return _node(np.power(a.data, p), "power",
-                 (a, lambda g: g * p * np.power(a.data, p - 1.0)))
-
-
 def log2(a):
     return _node(np.log2(a.data), "log2",
                  (a, lambda g: g / (a.data * a.data.dtype.type(_LN2))))

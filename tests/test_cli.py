@@ -109,6 +109,18 @@ class TestInfolab:
         assert all(r[-1] == "True" for r in rows[1:])
         assert "verified" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--cases", "-1"),
+                                            ("--maps", "-2")])
+    def test_negative_argument_is_an_error(self, workdir, capsys, flag, value):
+        # a negative seed used to end in numpy's traceback, a negative count
+        # in a header-only report
+        out = workdir / "il_negative.csv"
+        argv = {"--seed": "0", "--cases": "3", "--maps": "2", flag: value}
+        rc = cli.main(["infolab", *(a for kv in argv.items() for a in kv), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag} must be at least")
+        assert not out.exists()
+
 
 class TestTrain:
     def test_checkpoint_sidecar_and_log(self, workdir, diff_model):
@@ -241,6 +253,13 @@ class TestEval:
         rc = cli.main(["eval", "--model", str(diff_model), "--frames", "0", "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_negative_seed_is_an_error(self, workdir, diff_model, capsys):
+        out = workdir / "eval_seed.csv"
+        rc = cli.main(["eval", "--model", str(diff_model), "--seed", "-1", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: --seed must be at least 0")
         assert not out.exists()
 
     def test_xgdc_mode_d_fraction(self, workdir):

@@ -145,7 +145,7 @@ class TestForward:
         assert out.rate_z.item() > 0 and np.isfinite(out.rate_z.item())
         assert out.total_rate().item() == pytest.approx(
             out.rate_y.item() + out.rate_z.item(), rel=1e-6)
-        assert set(out.latents) == {"y", "y_hat", "z", "z_hat", "mean", "scale"}
+        assert set(out.latents) == {"y", "y_hat", "z", "z_hat", "mean", "raw_scale"}
 
     def test_single_reconstruction_rule(self):
         rng = np.random.default_rng(1)
@@ -351,7 +351,7 @@ class TestEncodeDecode:
         lat = out.latents
         y_hat = lat["y_hat"].copy()
         y_hat.reshape(-1)[::7] = 2.0 ** 20
-        stream, (lo, hi) = E.encode_gaussian(y_hat, lat["mean"], lat["scale"])
+        stream, (lo, hi) = E.encode_gaussian(y_hat, lat["mean"], lat["raw_scale"])
         payload = dataclasses.replace(container.payload_y, stream=stream, lo=lo, hi=hi)
         hostile = dataclasses.replace(container, payload_y=payload)
         with warnings.catch_warnings():

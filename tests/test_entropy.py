@@ -21,6 +21,14 @@ def t64(arr, grad=False):
     return Tensor(np.asarray(arr), requires_grad=grad)
 
 
+def raw_of(scale):
+    """The raw scale whose softplus puts a Gaussian at ``scale`` (the
+    inverse of scale_from_raw); scales at or below SCALE_MIN map to -40."""
+    y = np.asarray(scale, dtype=np.float64) - E.SCALE_MIN
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(y > 0, y + np.log(-np.expm1(-y)), -40.0)
+
+
 def gauss_prob_oracle(v, mu, sigma):
     """Direct error-function evaluation of the integer-bin probability."""
     z_hi = (v - mu + 0.5) / (sigma * np.sqrt(2.0))
@@ -191,8 +199,8 @@ class TestGaussianCoding:
             mean = rng.normal(scale=2.0, size=n)
             scale = rng.uniform(E.SCALE_MIN, 3.0, size=n)
             values = np.rint(rng.normal(scale=3.0, size=n)).astype(np.int64)
-            payload, support = E.encode_gaussian(values, mean, scale)
-            back = E.decode_gaussian(payload, mean, scale, support, n)
+            payload, support = E.encode_gaussian(values, mean, raw_of(scale))
+            back = E.decode_gaussian(payload, mean, raw_of(scale), support, n)
             assert np.array_equal(back, values)
 
     def test_rate_close_to_estimate(self):
@@ -201,7 +209,7 @@ class TestGaussianCoding:
         mean = np.zeros(n)
         scale = np.full(n, 1.3)
         values = np.rint(rng.normal(scale=1.3, size=n)).astype(np.int64)
-        payload, support = E.encode_gaussian(values, mean, scale)
+        payload, support = E.encode_gaussian(values, mean, raw_of(scale))
         with T.using_dtype(np.float64):
             est = E.gaussian_bits(t64(values.reshape(1, 1, 1, -1).astype(float)),
                                   t64(mean.reshape(1, 1, 1, -1)),
@@ -215,9 +223,9 @@ class TestGaussianCoding:
         mean = np.zeros(6)
         scale = np.ones(6)
         values = np.array([0, -40, 1, 123456, -5000, (1 << 31) - 1], dtype=np.int64)
-        payload, (lo, hi) = E.encode_gaussian(values, mean, scale)
+        payload, (lo, hi) = E.encode_gaussian(values, mean, raw_of(scale))
         assert hi - lo + 2 == E.MAX_TABLE_BINS and not lo <= 123456 <= hi
-        back = E.decode_gaussian(payload, mean, scale, (lo, hi), 6)
+        back = E.decode_gaussian(payload, mean, raw_of(scale), (lo, hi), 6)
         assert np.array_equal(back, values)
 
     def test_escape_value_too_large(self):
@@ -226,10 +234,10 @@ class TestGaussianCoding:
         mean, scale = np.zeros(2), np.ones(2)
         for v in (1 << 31, -(1 << 31) - 1, 1 << 62):
             with pytest.raises(ContractError):
-                E.encode_gaussian(np.array([0, v]), mean, scale)
+                E.encode_gaussian(np.array([0, v]), mean, raw_of(scale))
         values = np.array([(1 << 31) - 1, -(1 << 31)])
-        payload, support = E.encode_gaussian(values, mean, scale)
-        assert np.array_equal(E.decode_gaussian(payload, mean, scale, support, 2), values)
+        payload, support = E.encode_gaussian(values, mean, raw_of(scale))
+        assert np.array_equal(E.decode_gaussian(payload, mean, raw_of(scale), support, 2), values)
 
     def test_count_mismatch(self):
         payload, support = E.encode_gaussian(np.zeros(3, dtype=np.int64),
@@ -246,10 +254,11 @@ class TestGaussianCoding:
         assert back.size == 0
 
 
-def _reference_stream(values, mean, scale):
+def _reference_stream(values, mean, raw):
     """The coder's byte stream rebuilt one symbol at a time: each value's
     offset from its rounded mean, coded under the table-set row of the
-    nearest grid scale (on a log axis) and its mean's fraction bucket, and
+    number of scale thresholds below its raw scale and its mean's fraction
+    bucket, and
     every offset outside the support as the escape bin plus four byte
     symbols of its zigzag code.  Returns (stream, (lo, hi))."""
     center = E.round_away(mean)
@@ -258,7 +267,7 @@ def _reference_stream(values, mean, scale):
     if hi - lo + 2 > E.MAX_TABLE_BINS:
         lo = int(np.median(offsets)) - (E.MAX_TABLE_BINS - 2) // 2
         hi = lo + E.MAX_TABLE_BINS - 2
-    scale_idx = np.abs(np.log(scale)[:, None] - np.log(E.TABLE_SCALES)[None, :]).argmin(axis=1)
+    scale_idx = (raw[:, None] > E.RAW_EDGES[None, :]).sum(axis=1)
     mean_idx = np.minimum(np.floor((mean - center + 0.5) * 8), 7).astype(int)
     table = E._table_set(lo, hi)
     byte_cdf = np.arange(257) * (CDF_TOTAL // 256)
@@ -295,9 +304,10 @@ class TestReferenceStream:
             escapes = [i for i in (0, n - 1, n // 2, n // 2 + 1) if 0 <= i < n]
             for i, v in zip(escapes, [1 << 30, -(1 << 30), 12345, -4000]):
                 values[i] = v
-            payload, support = E.encode_gaussian(values, mean, scale)
-            assert (payload, support) == _reference_stream(values, mean, scale), n
-            back = E.decode_gaussian(payload, mean, scale, support, n)
+            raw = raw_of(scale)
+            payload, support = E.encode_gaussian(values, mean, raw)
+            assert (payload, support) == _reference_stream(values, mean, raw), n
+            back = E.decode_gaussian(payload, mean, raw, support, n)
             assert back.dtype == np.int64 and np.array_equal(back, values), n
 
     def test_empty_payload_still_checks_its_support(self):
@@ -322,21 +332,21 @@ class TestTableSet:
         calls = []
         build = E.build_cdfs
         monkeypatch.setattr(E, "build_cdfs", lambda *a: calls.append(a) or build(*a))
-        payload, support = E.encode_gaussian(values, mean, scale)
-        E.decode_gaussian(payload, mean, scale, support, 300)
+        payload, support = E.encode_gaussian(values, mean, raw_of(scale))
+        E.decode_gaussian(payload, mean, raw_of(scale), support, 300)
         z_payload, z_support = E.encode_context(z, net)
         assert np.array_equal(E.decode_context(z_payload, net, z.shape, z_support), z)
         assert len(calls) == 4
         assert all(len(a[0]) == E.TABLE_SCALES.size * E.TABLE_MEANS.size for a in calls)
 
     def test_rows_follow_the_grid(self):
-        # grid scales map to their own rows, scales beyond either end to the
-        # end rows, and the mean's fraction about its rounded value to one of
-        # eight buckets
+        # the raw scales of grid scales map to their own rows, raw scales
+        # beyond either end to the end rows, and the mean's fraction about
+        # its rounded value to one of eight buckets
         s = E.TABLE_SCALES
-        scale = np.concatenate([s, [0.01, 1e6], np.full(6, s[5])])
+        raw = np.concatenate([raw_of(s), [-50.0, 1e6], np.full(6, raw_of(s[5]))])
         mean = np.concatenate([np.full(66, 7.0), [-2.5, 2.5, 3.49, -3.49, 0.1, -0.1]])
-        center, rows = E._table_rows(mean, scale, scale.size)
+        center, rows = E._table_rows(mean, raw, raw.size)
         assert center.dtype == np.int64
         assert center.tolist() == [7] * 66 + [-3, 3, 3, -3, 0, 0]
         assert (rows[:64] // 8).tolist() == list(range(64))
@@ -344,6 +354,21 @@ class TestTableSet:
         assert (rows[:66] % 8 == 4).all()
         assert (rows[66:] // 8 == 5).all()
         assert (rows[66:] % 8).tolist() == [7, 0, 7, 0, 4, 3]
+
+    def test_scale_thresholds(self):
+        # row s takes the raw scales in (RAW_EDGES[s-1], RAW_EDGES[s]]: the
+        # inverse softplus of the geometric midpoints of the grid scales, on
+        # multiples of 2^-12 and each at least 1e-6 grid steps from a
+        # rounding tie, so a last-place libm difference cannot move one
+        s = E.TABLE_SCALES
+        exact = raw_of(np.sqrt(s[1:] * s[:-1])) * 2.0 ** 12
+        assert np.array_equal(E.RAW_EDGES * 2.0 ** 12, np.rint(exact))
+        assert np.abs(np.abs(exact - np.floor(exact)) - 0.5).min() > 1e-6
+        edges = E.RAW_EDGES
+        rows = E._table_rows(np.zeros(3 * edges.size), np.concatenate(
+            [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]), 3 * edges.size)[1]
+        k = np.arange(edges.size)
+        assert (rows // 8).tolist() == k.tolist() * 2 + (k + 1).tolist()
 
 
 class TestHostileParameters:
@@ -364,27 +389,27 @@ class TestHostileParameters:
         mean = np.array([3e38, -3e38, 0.3, 1.7])
         scale = np.ones(4)
         values = np.array([0, 0, 1, 2], dtype=np.int64)
-        payload, support = E.encode_gaussian(values, mean, scale)
-        assert np.array_equal(E.decode_gaussian(payload, mean, scale, support, 4), values)
+        payload, support = E.encode_gaussian(values, mean, raw_of(scale))
+        assert np.array_equal(E.decode_gaussian(payload, mean, raw_of(scale), support, 4), values)
 
     def test_scale_above_the_grid_round_trips(self):
         mean = np.array([0.2, -40.6, 1e3])
         scale = np.array([1e4, 3e38, 257.0])
         values = np.array([-700, 300, 1000], dtype=np.int64)
-        assert (E._table_rows(mean, scale, 3)[1] // 8 == 63).all()
-        payload, support = E.encode_gaussian(values, mean, scale)
-        assert np.array_equal(E.decode_gaussian(payload, mean, scale, support, 3), values)
+        assert (E._table_rows(mean, raw_of(scale), 3)[1] // 8 == 63).all()
+        payload, support = E.encode_gaussian(values, mean, raw_of(scale))
+        assert np.array_equal(E.decode_gaussian(payload, mean, raw_of(scale), support, 3), values)
 
     def test_one_value_payload_without_grid_mass(self):
         # the offset 5 has no mass under the narrowest grid rows; their
         # tables still sum to 2^16, so the value round-trips and a garbage
         # stream decodes or raises StreamError, never an IndexError
         mean, scale = np.zeros(1), np.full(1, E.SCALE_MIN)
-        payload, support = E.encode_gaussian(np.array([5]), mean, scale)
+        payload, support = E.encode_gaussian(np.array([5]), mean, raw_of(scale))
         assert support == (5, 5)
-        assert E.decode_gaussian(payload, mean, scale, support, 1).tolist() == [5]
+        assert E.decode_gaussian(payload, mean, raw_of(scale), support, 1).tolist() == [5]
         try:
-            E.decode_gaussian(b"\xff" * 8, mean, scale, support, 1)
+            E.decode_gaussian(b"\xff" * 8, mean, raw_of(scale), support, 1)
         except StreamError:
             pass
 
@@ -396,7 +421,7 @@ class TestHostileParameters:
         for payload in (b"\xff" * 8, b"\x00" * 8, bytes(range(8))):
             for support in ((0, 0), (-3, 3)):
                 try:
-                    E.decode_gaussian(payload, mean, scale, support, 1)
+                    E.decode_gaussian(payload, mean, raw_of(scale), support, 1)
                 except StreamError:
                     pass
 
@@ -410,10 +435,10 @@ class TestHostileHeader:
         mean = rng.normal(size=128)
         scale = rng.uniform(0.2, 2.0, size=128)
         values = np.round(mean + scale * rng.normal(size=128)).astype(np.int64)
-        payload, _ = E.encode_gaussian(values, mean, scale)
+        payload, _ = E.encode_gaussian(values, mean, raw_of(scale))
         tracemalloc.start()
         try:
-            E.decode_gaussian(payload, mean, scale, (-32768, 32000), 128)
+            E.decode_gaussian(payload, mean, raw_of(scale), (-32768, 32000), 128)
         except (ContractError, FormatError, NumericError, ShapeError, StreamError):
             pass
         finally:
@@ -429,7 +454,7 @@ class TestHostileHeader:
         mean = rng.normal(size=4096)
         scale = rng.uniform(0.2, 2.0, size=4096)
         values = np.round(mean + scale * rng.normal(size=4096)).astype(np.int64)
-        payload, _ = E.encode_gaussian(values, mean, scale)
+        payload, _ = E.encode_gaussian(values, mean, raw_of(scale))
         z = np.round(rng.normal(size=(1, 2, 3, 4)))
         net = _context_net(2, 4, 1)
         z_payload, _ = E.encode_context(z, net)
@@ -437,7 +462,7 @@ class TestHostileHeader:
         build = E.build_cdfs
         monkeypatch.setattr(E, "build_cdfs", lambda *a: calls.append(a) or build(*a))
         with pytest.raises(ContractError):
-            E.decode_gaussian(payload, mean, scale, (-32768, 32000), 4096)
+            E.decode_gaussian(payload, mean, raw_of(scale), (-32768, 32000), 4096)
         with pytest.raises(ContractError):
             E.decode_context(z_payload, net, z.shape, (-32768, 32000))
         assert calls == []
@@ -450,10 +475,10 @@ class TestHostileHeader:
         rng.shuffle(values)
         mean = values + rng.normal(scale=3.0, size=values.size)
         scale = rng.uniform(0.5, 8.0, size=values.size)
-        payload, (lo, hi) = E.encode_gaussian(values, mean, scale)
+        payload, (lo, hi) = E.encode_gaussian(values, mean, raw_of(scale))
         assert hi - lo + 2 <= E.MAX_TABLE_BINS
         assert lo <= int(np.median(values)) <= hi
-        back = E.decode_gaussian(payload, mean, scale, (lo, hi), values.size)
+        back = E.decode_gaussian(payload, mean, raw_of(scale), (lo, hi), values.size)
         assert np.array_equal(back, values)
 
 
@@ -481,9 +506,9 @@ class TestContextCoding:
         with T.using_dtype(np.float64):
             net = _context_net(2, 4, seed=0, zero=True)
             z = np.zeros((1, 2, 4, 4))
-            mean, scale = E.context_params(net, z)
+            mean, raw = E.context_params(net, z)
             assert np.all(mean == mean.reshape(-1)[0])
-            assert np.all(scale == scale.reshape(-1)[0])
+            assert np.all(raw == raw.reshape(-1)[0])
             payload, support = E.encode_context(z, net)
             back = E.decode_context(payload, net, z.shape, support)
         assert np.array_equal(back, z)
@@ -531,13 +556,19 @@ class TestContextCoding:
         assert np.array_equal(back, z)
 
     def test_bits_come_from_the_coder_parameters(self):
-        # the rate estimate and the coder tables share one Gaussian head
+        # on the grid the rate estimate reads the coder's parameters; off it
+        # the float net's, which the grid rounds by a little
         rng = np.random.default_rng(24)
         net = _context_net(2, 4, seed=25)
         z = rng.integers(-3, 4, size=(1, 2, 5, 6)).astype(np.float64)
-        mean, scale = E.context_params(net, z)
-        want = E.gaussian_bits(t64(z), t64(mean), t64(scale))
-        assert np.array_equal(E.context_bits(t64(z), net).data, want.data)
+        mean, raw = E.context_params(net, z)
+        want = E.gaussian_bits(t64(z), t64(mean), E.scale_from_raw(t64(raw)))
+        assert np.array_equal(E.context_bits(t64(z), net, grid=True).data, want.data)
+        head = E.gaussian_head(net(t64(z)), 2)
+        assert np.abs(head[0].data - mean).max() < 0.02
+        float_bits = E.context_bits(t64(z), net).data
+        assert np.array_equal(float_bits, E.gaussian_bits(t64(z), *head).data)
+        assert np.abs(float_bits - want.data).max() < 0.05
 
     def test_decode_rejects_batches(self):
         net = _context_net(1, 4, seed=21)

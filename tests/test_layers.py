@@ -357,6 +357,31 @@ class TestGDN:
         out = L.gdn(x, t64([[[[-0.5]]]]), t64([[[[-0.2]]]]))
         assert np.all(np.isfinite(out.data))
 
+    def test_forward_holds_its_output_and_one_band(self):
+        # float32 GDN over an HD-sized 32-channel map: x^2 and the norm of
+        # one band of pixels at a time share one buffer of BAND_CELLS cells,
+        # and nothing of the map's size is made besides the output (the
+        # composed form held four full-size temporaries)
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.normal(size=(1, 32, 544, 960)).astype(np.float32))
+        beta = Tensor(rng.uniform(0.5, 1.0, size=(1, 32, 1, 1)).astype(np.float32))
+        gamma = Tensor(rng.uniform(0.0, 0.3, size=(32, 32, 1, 1)).astype(np.float32))
+        for inverse in (False, True):
+            tracemalloc.start()
+            try:
+                out = L.gdn(x, beta, gamma, inverse=inverse)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # numpy's ufunc and GEMM calls allocate about 74 KB of their own
+            assert peak <= out.data.nbytes + 4 * L.BAND_CELLS + 131072
+            del out
+
+    def test_dtypes_must_agree(self):
+        x = Tensor(np.ones((1, 2, 3, 3), dtype=np.float32))
+        with pytest.raises(ContractError):
+            L.gdn(x, t64(np.ones((1, 2, 1, 1))), t64(np.ones((2, 2, 1, 1))))
+
     def test_shape_contracts(self):
         x = t64(np.zeros((1, 2, 3, 3)))
         with pytest.raises(ShapeError):
@@ -497,18 +522,28 @@ class TestGradients:
 
             assert T.grad_check(f, [x, slope]) < self.TOL
 
-    def test_gdn_grads(self):
+    def test_gdn_grads(self, monkeypatch):
+        # both forms; the batch of two runs in bands of 4 pixels, 9 per
+        # image, and its forward pass matches the loop oracle
         rng = np.random.default_rng(24)
-        with T.using_dtype(np.float64):
-            x = Tensor(rng.normal(size=(1, 2, 4, 4)), requires_grad=True)
-            beta = Tensor(rng.uniform(0.4, 1.0, size=(1, 2, 1, 1)), requires_grad=True)
-            gamma = Tensor(rng.uniform(0.2, 0.6, size=(2, 2, 1, 1)), requires_grad=True)
+        for shape, band in (((1, 2, 4, 4), L.BAND_CELLS), ((2, 3, 5, 7), 2 * 3 * 4)):
+            monkeypatch.setattr(L, "BAND_CELLS", band)
+            c = shape[1]
+            for inverse in (False, True):
+                with T.using_dtype(np.float64):
+                    x = Tensor(rng.normal(size=shape), requires_grad=True)
+                    beta = Tensor(rng.uniform(0.4, 1.0, size=(1, c, 1, 1)), requires_grad=True)
+                    gamma = Tensor(rng.uniform(0.2, 0.6, size=(c, c, 1, 1)), requires_grad=True)
+                    r = Tensor(rng.normal(size=shape))
 
-            def f(xi, bi, gi):
-                y = L.gdn(xi, bi, gi)
-                return T.sum_all(T.mul(y, y))
+                    def f(xi, bi, gi):
+                        y = L.gdn(xi, bi, gi, inverse=inverse)
+                        return T.sum_all(T.mul(T.mul(y, y), r))
 
-            assert T.grad_check(f, [x, beta, gamma]) < self.TOL
+                    got = L.gdn(x, beta, gamma, inverse=inverse).data
+                    want = gdn_oracle(x.data, beta.data, gamma.data, inverse)
+                    assert got == pytest.approx(want, abs=1e-12)
+                    assert T.grad_check(f, [x, beta, gamma]) < self.TOL, (shape, inverse)
 
     def test_masked_conv_grads(self):
         rng = np.random.default_rng(25)

@@ -75,8 +75,6 @@ class TestForwardValues:
 
     def test_unary_values(self):
         with T.using_dtype(np.float64):
-            a = T.Tensor(np.full((1, 1, 1, 1), 4.0))
-            assert T.power(a, 0.5).item() == 2.0
             assert T.log2(scalar(8.0)).item() == pytest.approx(3.0, abs=1e-12)
             # softplus(0) = ln 2; large inputs do not overflow
             assert T.softplus(scalar(0.0)).item() == pytest.approx(np.log(2.0))
@@ -188,8 +186,7 @@ class TestGradCheck:
             a = T.Tensor(rng.uniform(0.5, 2.0, size=(1, 2, 3, 3)), requires_grad=True)
 
             def f(x):
-                s = T.add(T.power(x, 1.7), T.power(x, 0.5))
-                s = T.add(s, T.log2(x))
+                s = T.log2(x)
                 s = T.add(s, T.softplus(x))
                 s = T.add(s, T.normal_cdf(x))
                 return T.sum_all(T.mul(s, s))

@@ -282,7 +282,6 @@ def tensor(d):
         "slice": (lambda a: T.slice_channels(a, 1, 3), 1),
         "crop": (lambda a: T.crop_spatial(a, 1, 4, 2, 6), 1),
         "sum": (T.sum_all, 1), "mean": (T.mean_all, 1),
-        "power": (lambda a: T.power(a, -0.5), 1),
         "log2": (T.log2, 1), "softplus": (T.softplus, 1), "normal_cdf": (T.normal_cdf, 1),
         "clamp_min": (lambda a: T.clamp_min(a, 0.9), 1),
         "prelu": (L.prelu, 2),
@@ -299,7 +298,7 @@ def tensor(d):
         rng = np.random.default_rng(13)
         name = np.dtype(dtype).name
         for op_name, (op, arity) in ops.items():
-            # positive inputs keep div, power, log2 and gdn defined, and
+            # positive inputs keep div, log2 and gdn defined, and
             # gaussian_bits' scale above SCALE_MIN; ops defined for any sign
             # get a first input that crosses zero
             arrays = [rng.uniform(0.2, 2.0, size=s).astype(dtype)

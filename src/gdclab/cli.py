@@ -8,15 +8,18 @@ Subcommands:
   eval      per-frame rate/quality CSV over a corpus
   bdrate    Bjontegaard rate delta between two curve CSVs
   quadtree  standalone mode search between two candidate reconstructions
-  selftest  condensed invariant suites, exit 0 when healthy
+  selftest  decode the golden containers, exit 0 when they decode as recorded
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
+import json
 import sys
 from dataclasses import replace
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +214,7 @@ def cmd_eval(args):
     _at_least("--seed", args.seed, 0)
     coder, ecfg = _load_model(args.model, args.config)
     lam = args.lmbda if args.lmbda is not None else ecfg.lmbda
+    EV.check_lambda(lam)
     rng = np.random.default_rng(args.seed)
     if args.data:
         images = _load_images(args.data)
@@ -286,86 +290,60 @@ def cmd_quadtree(args):
 
 # -- selftest ---------------------------------------------------------------
 
+GOLDEN = resources.files(__package__) / "golden"   # written by tools/golden.py
+PSNR_TOL_DB = 0.001
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def golden_inputs(case):
+    """A golden case's coder and frames, rebuilt from its seeds, and their
+    SHA-256: a desk coder whose latents are scaled by the case's gain (its
+    synthesis divides it back out) and two independent uniform frames."""
+    cfg, gain = CD.CoderConfig.desk(case["kind"]), case["gain"]
+    w = CD.Coder.new(cfg, seed=case["coder_seed"]).params.arrays()
+    w["enc.3.w"], w["enc.3.b"] = w["enc.3.w"] * gain, w["enc.3.b"] * gain
+    w["dec.0.w"] = w["dec.0.w"] / gain
+    coder = CD.Coder.from_arrays(cfg, w)
+    x, xt = np.random.default_rng(case["frame_seed"]).uniform(
+        size=(2, 1, 3, case["size"], case["size"])).astype(np.float32)
+    weights = F.checkpoint_bytes(coder.params.arrays())
+    return coder, x, xt, {"weights": _sha256(weights), "x": _sha256(x), "xt": _sha256(xt)}
+
+
+def golden_outputs(dec, x):
+    """The SHA-256 of a decode's latents, and each reconstruction's PSNR."""
+    recons = {m: getattr(dec, "x_hat_" + m) for m in ("d", "g", "merged")}
+    return ({k: _sha256(dec.latents[k]) for k in ("z_hat", "y_hat")},
+            {m: EV.psnr(r.data, x) for m, r in recons.items() if r is not None})
+
+
+def _golden_case_passes(case):
+    coder, x, xt, inputs = golden_inputs(case)
+    if inputs != case["inputs"]:
+        return False
+    data = (GOLDEN / case["file"]).read_bytes()
+    latents, psnr = golden_outputs(coder.decode(xt, F.BitstreamContainer.from_bytes(data)), x)
+    return latents == case["latents"] and psnr.keys() == case["psnr"].keys() and all(
+        abs(psnr[m] - case["psnr"][m]) <= PSNR_TOL_DB for m in psnr)
+
+
 def cmd_selftest(args):
-    """Each suite returns True when its invariant holds; the first that
-    returns False or raises a package error ends the run with exit status 1."""
-    from . import entropy as EN
-    from . import layers as LY
-
-    rng = np.random.default_rng(0)
-
-    def infolab():
-        for _ in range(10):
-            j = IL.random_joint(rng, 5, 5)
-            IL.verify_main_identity(j)
-            IL.bottleneck_report(j, IL.random_map(rng, j.alphabet_xt, codomain_size=2))
-        return True
-
-    def entropy():
-        vals = rng.integers(-20, 20, size=(1, 2, 6, 6)).astype(np.float64)
-        mean = rng.normal(size=vals.shape)
-        raw = rng.normal(size=vals.shape)
-        stream, support = EN.encode_gaussian(vals, mean, raw)
-        back = EN.decode_gaussian(stream, mean, raw, support, vals.size)
-        return np.array_equal(back, vals.ravel().astype(np.int64))
-
-    def gradients():
-        with T.using_dtype(np.float64):
-            x = T.Tensor(rng.normal(size=(1, 3, 6, 6)), requires_grad=True)
-            w = T.Tensor(rng.normal(size=(4, 3, 3, 3)) * 0.3, requires_grad=True)
-            err = T.grad_check(
-                lambda a, b: T.sum_all(T.mul(LY.conv2d(a, b), LY.conv2d(a, b))), [x, w])
-        return err < 1e-6
-
-    def coders():
-        ok = True
-        for kind in CD.KINDS:
-            coder = CD.Coder.new(CD.CoderConfig.desk(kind), seed=4)
-            x = rng.uniform(0.2, 0.8, size=(1, 3, 32, 32)).astype(np.float32)
-            xt = np.clip(x + rng.normal(scale=0.03, size=x.shape), 0, 1).astype(np.float32)
-            container, enc = coder.encode(x, xt)
-            dec = coder.decode(xt, F.BitstreamContainer.from_bytes(container.to_bytes()))
-            for a, b in ((enc.x_hat_d, dec.x_hat_d), (enc.x_hat_g, dec.x_hat_g)):
-                ok = ok and (a is None) == (b is None)
-                ok = ok and (a is None or np.array_equal(a.data, b.data))
-        diff = CD.Coder.new(CD.CoderConfig.desk("diff"), seed=6)
-        gdc = CD.gdc_from_diff(diff)
-        x = rng.uniform(0.2, 0.8, size=(1, 3, 32, 32)).astype(np.float32)
-        xt = np.clip(x + rng.normal(scale=0.05, size=x.shape), 0, 1).astype(np.float32)
-        cd, od = diff.encode(x, xt)
-        cg, og = gdc.encode(x, xt)
-        return (ok and cd.payload_y.stream == cg.payload_y.stream
-                and np.array_equal(od.x_hat_d.data, og.x_hat_g.data))
-
-    def quadtree():
-        ok = True
-        for _ in range(10):
-            x = rng.uniform(size=(1, 1, 8, 8))
-            d = x + rng.normal(scale=0.05, size=x.shape)
-            g = x + rng.normal(scale=0.05, size=x.shape)
-            lam = float(rng.uniform(0, 500))
-            res = EV.quadtree_search(x, d, g, lam, min_block=4, max_block=8)
-            for cand in (d, g):
-                delta = (x - cand) * 255.0
-                ok = ok and res.cost <= float(np.sum(delta * delta)) + lam * 2 + 1e-9
-        return ok
-
-    def bdrate():
-        pts = [EV.RDPoint(b, p) for b, p in [(0.1, 30), (0.2, 33), (0.4, 36), (0.8, 39)]]
-        half = [EV.RDPoint(p.bpp / 2, p.psnr) for p in pts]
-        return abs(EV.bd_rate(pts, pts)) < 1e-12 and abs(EV.bd_rate(pts, half) + 50.0) < 1e-9
-
-    for name, suite in (("infolab", infolab), ("entropy", entropy),
-                        ("gradients", gradients), ("coders", coders),
-                        ("quadtree", quadtree), ("bdrate", bdrate)):
+    """Decode each golden container with its case's rebuilt coder: the
+    inputs and then the decoded latents must hash as the manifest says, and
+    each PSNR must lie within PSNR_TOL_DB of it.  The first case that fails,
+    or raises a package error, ends the run with exit status 1."""
+    for case in json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8")):
         try:
-            ok = suite()
+            ok = _golden_case_passes(case)
         except GdclabError:
             ok = False
         if not ok:
-            print(f"selftest failed: {name}")
+            print(f"selftest failed: {case['name']}")
             return 1
-        print(f"ok {name}")
+        print(f"ok {case['name']}")
     print("selftest passed")
     return 0
 
@@ -447,7 +425,7 @@ def build_parser():
     s.add_argument("--merged", help="write the merged reconstruction image")
     s.set_defaults(func=cmd_quadtree)
 
-    s = sub.add_parser("selftest", help="run the condensed invariant suites")
+    s = sub.add_parser("selftest", help="decode the golden containers and check them")
     s.set_defaults(func=cmd_selftest)
     return p
 

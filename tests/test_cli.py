@@ -4,9 +4,13 @@ success, 1 for domain errors, 2 for argparse rejections)."""
 
 import csv
 import dataclasses
+import json
+import shutil
 import struct
 import subprocess
 import sys
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,26 +380,62 @@ class TestQuadtree:
         assert capsys.readouterr().err.startswith("error:")
 
 
+def _golden_cases():
+    return json.loads((cli.GOLDEN / "manifest.json").read_text(encoding="utf-8"))
+
+
 class TestSelftest:
     def test_passes(self, capsys):
         assert cli.main(["selftest"]) == 0
-        assert "selftest passed" in capsys.readouterr().out
+        want = [f"ok {case['name']}" for case in _golden_cases()] + ["selftest passed"]
+        assert capsys.readouterr().out.splitlines() == want
 
-    def test_reports_a_failing_suite(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli.EV, "bd_rate", lambda reference, test: 5.0)
+    def test_a_flipped_y_payload_byte_fails_its_case(self, capsys, monkeypatch, tmp_path):
+        golden = tmp_path / "golden"
+        shutil.copytree(cli.GOLDEN, golden)
+        path = golden / "gdc.gdc"
+        data = bytearray(path.read_bytes())
+        stream = F.BitstreamContainer.from_bytes(bytes(data)).payload_y.stream
+        data[data.index(stream) + len(stream) // 2] ^= 0x5A
+        path.write_bytes(bytes(data))
+        monkeypatch.setattr(cli, "GOLDEN", golden)
         assert cli.main(["selftest"]) == 1
-        out = capsys.readouterr().out
-        assert "selftest failed: bdrate" in out and "selftest passed" not in out
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["ok diff", "ok codecnet", "selftest failed: gdc"]
 
-    def test_reports_a_raising_suite(self, capsys, monkeypatch):
-        # a package error inside a suite fails that suite by name
+    def test_a_raising_decode_fails_by_name(self, capsys, monkeypatch):
+        # a package error inside a case fails that case by name
         def decode_gaussian(*args, **kwargs):
             raise StreamError("stream ended early")
 
         monkeypatch.setattr("gdclab.entropy.decode_gaussian", decode_gaussian)
         assert cli.main(["selftest"]) == 1
-        out = capsys.readouterr().out
-        assert "selftest failed: entropy" in out and "selftest passed" not in out
+        assert capsys.readouterr().out.splitlines() == ["selftest failed: diff"]
+
+    def test_inputs_drawn_otherwise_fail_before_decoding(self, capsys, monkeypatch):
+        # a host whose numpy draws other weights fails on its inputs
+        new, decoded = CD.Coder.new, []
+        monkeypatch.setattr(CD.Coder, "new", classmethod(
+            lambda cls, cfg, seed=0, dtype=np.float32: new(cfg, seed=seed + 1, dtype=dtype)))
+        monkeypatch.setattr(CD.Coder, "decode", lambda self, *args: decoded.append(args))
+        assert cli.main(["selftest"]) == 1
+        assert capsys.readouterr().out.splitlines() == ["selftest failed: diff"]
+        assert decoded == []
+
+
+def test_golden_set_is_package_data():
+    # every file the manifest names ships with the package, and the inputs
+    # rebuild as recorded
+    golden = resources.files("gdclab") / "golden"
+    cases = json.loads((golden / "manifest.json").read_text(encoding="utf-8"))
+    assert [case["name"] for case in cases] == ["diff", "codecnet", "gdc", "xgdc", "xgdc-qt"]
+    for case in cases:
+        container = F.BitstreamContainer.from_bytes((golden / case["file"]).read_bytes())
+        assert container.kind == case["kind"]
+        assert (container.qt_bits is not None) == (case["qt_lambda"] is not None)
+        assert cli.golden_inputs(case)[3] == case["inputs"]
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert '[tool.setuptools.package-data]\ngdclab = ["golden/*"]\n' in pyproject
 
 
 def _curve_argv(name, tail):
@@ -404,6 +444,14 @@ def _curve_argv(name, tail):
         path = workdir / f"{name}.csv"
         path.write_bytes(b"bpp,psnr\n0.1,30\n0.2,33\n0.4,36\n" + tail)
         return ["bdrate", str(path), str(path)]
+    return build
+
+
+def _eval_lambda_argv(value):
+    """eval on the diff model with ``--lambda value``."""
+    def build(workdir, diff_model, **_):
+        return ["eval", "--model", str(diff_model), "--frames", "1", "--lambda", value,
+                "--out", str(workdir / "flag_lambda.csv")]
     return build
 
 
@@ -434,8 +482,10 @@ def _sidecar_argv(workdir, diff_model, **_):
     _curve_argv("latin1", b"0.8,39 # caf\xe9\n"),
     _curve_argv("inf_point", b"0.8,inf\n"),
     _sidecar_argv,
+    _eval_lambda_argv("nan"),
+    _eval_lambda_argv("-3"),
 ], ids=["side_bits", "text_cell", "short_row", "csv_not_utf8", "inf_point",
-        "sidecar_not_utf8"])
+        "sidecar_not_utf8", "eval_lambda_nan", "eval_lambda_negative"])
 def test_malformed_input_is_an_error_line(build, workdir, diff_model, frames, encoded):
     argv = build(workdir, diff_model=diff_model, frames=frames, encoded=encoded)
     proc = subprocess.run([sys.executable, "-m", "gdclab", *argv],

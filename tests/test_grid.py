@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -220,15 +221,28 @@ def _cpu_flags():
             for f in line.split(":", 1)[1].split()}
 
 
-def _child(tmp, tag, coretype, ref):
-    out = tmp / tag
-    out.mkdir()
+def _second_kernels():
+    flags = _cpu_flags()
+    kernels = [k for k, need in KERNELS.items() if flags.issuperset(need)]
+    if not kernels:
+        pytest.skip("the CPU runs no second OpenBLAS kernel")
+    return kernels
+
+
+def _kernel_env(coretype):
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     env["OPENBLAS_NUM_THREADS"] = "1"
     if coretype:
         env["OPENBLAS_CORETYPE"] = coretype
+    return env
+
+
+def _child(tmp, tag, coretype, ref):
+    out = tmp / tag
+    out.mkdir()
     proc = subprocess.run([sys.executable, "-c", CHILD, str(ROOT), str(out), str(ref)],
-                          capture_output=True, text=True, env=env, timeout=600)
+                          capture_output=True, text=True, env=_kernel_env(coretype),
+                          timeout=600)
     assert proc.returncode == 0, proc.stderr[-3000:]
     info = json.loads(proc.stdout.strip().splitlines()[-1])
     return out, info, dict(np.load(out / "arrays.npz"))
@@ -241,10 +255,7 @@ def test_containers_decode_alike_under_every_kernel(tmp_path):
     # BLAS, so that holds for these inputs rather than for all.  The 512x512
     # case tells the float entropy parameters from the grid's: its means
     # differed between kernels in the last places before the grid.
-    flags = _cpu_flags()
-    kernels = [k for k, need in KERNELS.items() if flags.issuperset(need)]
-    if not kernels:
-        pytest.skip("the CPU runs no second OpenBLAS kernel")
+    kernels = _second_kernels()
     # the reference child, on the default kernel, decodes its own containers
     ref_out, ref_info, ref_arrays = _child(tmp_path, "default", None, tmp_path / "default")
     for name in ref_info["cases"]:
@@ -265,3 +276,20 @@ def test_containers_decode_alike_under_every_kernel(tmp_path):
                 diff = np.abs(arrays[key].astype(np.float64) - want)
                 worst = max(worst, float(diff.max()) * 2.0 ** 23)
     assert worst <= ULP_BOUND, worst
+
+
+def test_selftest_passes_under_every_kernel():
+    # the golden containers were made under one kernel; each second kernel
+    # decodes them to the recorded latents and reconstructions
+    kernels = _second_kernels()
+    golden = resources.files("gdclab") / "golden"
+    cases = json.loads((golden / "manifest.json").read_text(encoding="utf-8"))
+    want = [f"ok {case['name']}" for case in cases] + ["selftest passed"]
+    for coretype in kernels:
+        env = _kernel_env(coretype)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                          env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "gdclab", "selftest"],
+                              capture_output=True, text=True, env=env, timeout=600)
+        assert proc.returncode == 0, (coretype, proc.stdout, proc.stderr[-3000:])
+        assert proc.stdout.splitlines() == want, coretype

@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import coders as CD
+from . import entropy as E
 from . import evaluation as EV
 from . import fileio as F
 from . import infolab as IL
@@ -320,28 +321,38 @@ def golden_outputs(dec, x):
             {m: EV.psnr(r.data, x) for m, r in recons.items() if r is not None})
 
 
-def _golden_case_passes(case):
+def golden_tables(container):
+    """The SHA-256 of the table set of each payload's support."""
+    return {k: _sha256(E._table_set(p.lo, p.hi))
+            for k, p in (("z", container.payload_z), ("y", container.payload_y))}
+
+
+def _golden_case_failure(case):
+    """None when a case decodes as recorded, else the suffix of its failure line."""
     coder, x, xt, inputs = golden_inputs(case)
     if inputs != case["inputs"]:
-        return False
-    data = (GOLDEN / case["file"]).read_bytes()
-    latents, psnr = golden_outputs(coder.decode(xt, F.BitstreamContainer.from_bytes(data)), x)
-    return latents == case["latents"] and psnr.keys() == case["psnr"].keys() and all(
+        return ""
+    container = F.BitstreamContainer.from_bytes((GOLDEN / case["file"]).read_bytes())
+    if golden_tables(container) != case["tables"]:
+        return " (tables)"
+    latents, psnr = golden_outputs(coder.decode(xt, container), x)
+    ok = latents == case["latents"] and psnr.keys() == case["psnr"].keys() and all(
         abs(psnr[m] - case["psnr"][m]) <= PSNR_TOL_DB for m in psnr)
+    return None if ok else ""
 
 
 def cmd_selftest(args):
     """Decode each golden container with its case's rebuilt coder: the
-    inputs and then the decoded latents must hash as the manifest says, and
-    each PSNR must lie within PSNR_TOL_DB of it.  The first case that fails,
-    or raises a package error, ends the run with exit status 1."""
+    inputs, the tables and then the decoded latents must hash as the manifest
+    says, and each PSNR must lie within PSNR_TOL_DB of it.  The first case that
+    fails, or raises a package error, ends the run with exit status 1."""
     for case in json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8")):
         try:
-            ok = _golden_case_passes(case)
+            failure = _golden_case_failure(case)
         except GdclabError:
-            ok = False
-        if not ok:
-            print(f"selftest failed: {case['name']}")
+            failure = ""
+        if failure is not None:
+            print(f"selftest failed: {case['name']}{failure}")
             return 1
         print(f"ok {case['name']}")
     print("selftest passed")

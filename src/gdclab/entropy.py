@@ -19,22 +19,21 @@ when the model support is misjudged.
 In coding, both nets that read the hyper-latent (the hyper decoder and the
 context net) run on the exact grid of ``layers.Network.grid`` over z_hat
 clamped to +-Z_CLAMP, at the encoder and the decoder alike, so the tables a
-decoder picks do not depend on the host's BLAS kernel.
+decoder picks do not depend on the host's BLAS kernel.  The tables come
+from committed constants and ``tensor.erf``, so no host libm shapes them.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from . import tensor as T
 from .errors import ContractError, NumericError, ShapeError
-from .layers import GRID_WEIGHT_BITS, to_grid
+from .layers import GRID_WEIGHT_BITS
 from .rangecoder import CDF_TOTAL, RangeDecoder, RangeEncoder
 
 SCALE_MIN = 0.11
 PROB_FLOOR = 2.0 ** -16
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 # A coder table has at most this many bins, escape included, so a decoder
 # rejects a wider (patched) support before building any table.
@@ -43,16 +42,32 @@ MAX_TABLE_BINS = 1024
 ESCAPE_LIMIT = 1 << 31
 _BYTE_FREQ = CDF_TOTAL // 256
 _BYTE_ROW = list(range(0, CDF_TOTAL + 1, _BYTE_FREQ))
-# The table set's grid: log-spaced scales, and the bucket centres of the
-# mean's fraction in (-0.5, 0.5).
-TABLE_SCALES = np.geomspace(SCALE_MIN, 256.0, 64)
+# The table set's grid: np.geomspace(SCALE_MIN, 256, 64) written out exactly,
+# and the bucket centres of the mean's fraction in (-0.5, 0.5).
+TABLE_SCALES = np.array([float.fromhex(h) for h in """
+    1.c28f5c28f5c29p-4 1.fd8f2837ff12ap-4 1.20245ef9396dep-3 1.45df8ca5aff36p-3 1.708b8ff98cb5bp-3
+    1.a0ce0917714e4p-3 1.d7624847133a5p-3 1.0a8e127ee2a43p-2 1.2d759a0d689b3p-2 1.54ef34e78414ap-2
+    1.81941aa46bd96p-2 1.b411930b6897ep-2 1.ed2b96a48a650p-2 1.16dfe3ada4c93p-1 1.3b64665db0b12p-1
+    1.64b11069659abp-1 1.93662e3c7c2b4p-1 1.c83909d4f04f4p-1 1.01fb5534acfc7p+0 1.23c378199ba9fp+0
+    1.49f80c36f4ff4p+0 1.752d5b97cf7f8p+0 1.a60b1b4562de3p+0 1.dd4ef636066b8p+0 1.0de7b6bc7affcp+1
+    1.313f8c641bbdap+1 1.59382a1011efdp+1 1.866cb4519f528p+1 1.b98ca077cb5bfp+1 1.f35e5d9413ea0p+1
+    1.1a612b56336c2p+2 1.3f5b2ce3e70b4p+2 1.692cb88555e41p+2 1.98781e690d1d7p+2 1.cdf4efd959496p+2
+    1.053963dd4f05ep+3 1.276e382b0abf2p+3 1.4e1db954457e5p+3 1.79de0e83183c6p+3 1.ab590859eceffp+3
+    1.e34eb410de861p+3 1.114c22710fe4ep+4 1.3515af8956693p+4 1.5d8ee8afb3b6cp+4 1.8b54e5a19c035p+4
+    1.bf195037b092fp+4 1.f9a515f99e349p+4 1.1dedb9ff18f64p+5 1.435eb4754ff3bp+5 1.6db6cd382c11ap+5
+    1.9d9a5eb485810p+5 1.d3c348d5bcfe6p+5 1.0881e13c4363ep+6 1.2b24c4ab26bcfp+6 1.5250be6407bf4p+6
+    1.7e9dd8af256ccp+6 1.b0b8069044e99p+6 1.e961bf2cc5b42p+6 1.14bb784b37cd6p+7 1.38f82ab64d92cp+7
+    1.61f39d227a7d1p+7 1.904ce0bf7c348p+7 1.c4b7db07f4919p+7 1p+8""".split()])
 TABLE_MEANS = (np.arange(8) + 0.5) / 8 - 0.5
-# Scale row s covers the raw scales in (RAW_EDGES[s-1], RAW_EDGES[s]]: the
-# inverse softplus of the geometric midpoints between grid scales, rounded
-# to multiples of 2^-12 so that a last-place difference in a host's log or
-# expm1 cannot move an edge.
-RAW_EDGES = to_grid(np.log(np.expm1(np.sqrt(TABLE_SCALES[1:] * TABLE_SCALES[:-1]) - SCALE_MIN)),
-                    GRID_WEIGHT_BITS)
+# Scale row s covers the raw scales in (RAW_EDGES[s-1], RAW_EDGES[s]]: the inverse
+# softplus of the geometric midpoints between grid scales, on multiples of 2^-12.
+RAW_EDGES = np.array([
+    -20321, -15532, -13142, -11456, -10108, -8956, -7930, -6989, -6107, -5267, -4455, -3662, -2880,
+    -2101, -1319, -527, 280, 1109, 1966, 2860, 3799, 4792, 5851, 6988, 8218, 9558, 11029, 12653,
+    14457, 16471, 18726, 21263, 24120, 27345, 30989, 35107, 39764, 45030, 50986, 57721, 65339,
+    73953, 83696, 94715, 107177, 121270, 137209, 155235, 175622, 198678, 224753, 254242, 287593,
+    325312, 367969, 416212, 470773, 532478, 602263, 681186, 770444, 871390, 985554,
+]) * 2.0 ** -GRID_WEIGHT_BITS
 # The grid nets read the hyper-latent clamped to this range, which bounds
 # their partial sums (tests/test_grid.py checks the bound against 2^53).
 Z_CLAMP = 1024
@@ -120,7 +135,7 @@ def _interval_probs(mean, scale, lo, hi):
     """
     edges = np.arange(lo, hi + 2, dtype=np.float64) - 0.5
     z = (edges[None, :] - mean[:, None]) / scale[:, None]
-    cdf = 0.5 * (1.0 + _erf(z * _INV_SQRT2))
+    cdf = 0.5 * (1.0 + T.erf(z * T._INV_SQRT2))
     return np.diff(cdf, axis=1)
 
 

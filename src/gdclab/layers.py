@@ -73,9 +73,10 @@ def _columns(a, before, k, stride, oh, ow):
     at output position (n, i, j).  Every band reuses one buffer."""
     n, c = a.shape[:2]
     padded = _pad(a, before, (oh - 1) * stride + k, (ow - 1) * stride + k)
-    # [n, c, oh', ow', k, k] windows of the padded grid, every s-th per axis
-    win = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride].transpose(1, 4, 5, 0, 2, 3)
+    # [c, k, k, n, oh', ow'] windows of the padded grid, every s-th per axis
+    sn, sc, sh, sw = padded.strides
+    win = np.lib.stride_tricks.as_strided(
+        padded, (c, k, k, n, oh, ow), (sc, sh, sw, sn, sh * stride, sw * stride), writeable=False)
     rows = min(oh, max(1, BAND_CELLS // (c * k * k * n * ow)))
     buf = np.empty(c * k * k * n * rows * ow, dtype=a.dtype)
     for i0 in range(0, oh, rows):

@@ -13,6 +13,8 @@ same graphs in float64 (see ``using_dtype``).
 Scalars (losses, rates) are represented as tensors of shape (1, 1, 1, 1);
 nothing in the engine supports other ranks, which keeps the shape algebra
 small and easy to test.
+
+``erf`` gives the Gaussian CDF of the rate model and the coder tables from +, -, * and /.
 """
 
 from __future__ import annotations
@@ -21,13 +23,28 @@ import contextlib
 import math
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from .errors import ContractError, NumericError, ShapeError
 
 _LN2 = math.log(2.0)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# erf(c) and exp(-c^2) at c = k/4, k = 0..24, correctly rounded, in float.hex digits.
+_ERF_AT = np.array([float.fromhex(h) for h in """
+    0p+0 1.1af54e232d609p-2 1.0a7ef5c18edd2p-1 1.6c1c9759d0e5fp-1 1.af767a741088bp-1
+    1.d8865d98abe01p-1 1.eea5557137ae0p-1 1.f92d077f8d56dp-1 1.fd9ae142795e3p-1 1.ff404760319b4p-1
+    1.ffcaa8f4c9beap-1 1.fff2cfb0453d9p-1 1.fffd1ac4135f9p-1 1.ffff6f9f67e55p-1 1.ffffe710d565ep-1
+    1.fffffc2f171e3p-1 1.ffffff7b91176p-1 1.fffffff01a8b6p-1 1.fffffffe4fa30p-1 1.ffffffffd759dp-1
+    1.fffffffffc9e8p-1 1.ffffffffffc05p-1 1.fffffffffffbep-1 1.ffffffffffffcp-1 1p+0""".split()])
+_EXP_AT = np.array([float.fromhex(h) for h in """
+    1p+0 1.e0fabfbc702a4p-1 1.8ebef9eac820bp-1 1.23ba930c1568bp-1 1.78b56362cef38p-2
+    1.ad48bc25771c7p-3 1.afb718e8457f7p-4 1.7f251ab1af77bp-5 1.2c155b8213cf4p-6 1.9ed300c108a17p-8
+    1.fa0e9586aebc7p-10 1.1068222437d65p-11 1.02cf22526545ap-13 1.b1fea4fbb871ap-16
+    1.411fb0da07713p-18 1.a3604afdb0929p-21 1.e355bbaee85cbp-24 1.eb97d4afc3bd3p-27
+    1.b93de1e27ca3bp-30 1.5d82c26ce1c09p-33 1.e8a37a45fc32ep-37 1.2d7026e60ab5ep-40
+    1.4835bd010a41bp-44 1.3b5e5c86b9440p-48 1.0b6c3afdde064p-52""".split()])
+# Taylor degree (terms left out < 5e-19 at |x - c| <= 1/8); elements per erf block.
+ERF_DEGREE, ERF_BLOCK = 14, 8192
 # Central-difference step of grad_check.
 GRAD_CHECK_STEP = 1e-5
 
@@ -222,9 +239,40 @@ def softplus(a):
     return _node(out, "softplus", (a, lambda g: g * (0.5 * (1.0 + np.tanh(0.5 * a.data)))))
 
 
+def _erf_taylor():
+    """Row n holds erf^(n)(c) / n! at each centre, from erf^(n+1)(c) =
+    2/sqrt(pi) (-1)^n H_n(c) e^(-c^2) and H_(n+1) = 2c H_n - 2n H_(n-1)."""
+    c, slope = np.arange(25) / 4.0, 2.0 / math.sqrt(math.pi) * _EXP_AT
+    rows, h = [_ERF_AT, slope], [np.ones(25), 2.0 * c]
+    for n in range(1, ERF_DEGREE):
+        rows.append((-1) ** n * slope * h[n] / math.factorial(n + 1))
+        h.append(2.0 * c * h[n] - 2.0 * n * h[n - 1])
+    return np.array(rows)
+
+
+_ERF_TAYLOR = _erf_taylor()
+
+
+def erf(x):
+    """erf of a float array in its dtype, from +, -, *, / and floor alone, so
+    every host builds the same coder tables: on |x| <= 6 the float64 Taylor
+    polynomial about the nearest k/4, erf(6) = 1 beyond; nan and -0.0 stay."""
+    flat, out = x.reshape(-1), np.empty(x.shape, x.dtype)
+    for i in range(0, flat.size, ERF_BLOCK):
+        t = np.minimum(np.abs(flat[i:i + ERF_BLOCK], dtype=np.float64), 6.0)
+        k = np.floor(np.fmin(t, 6.0) * 4.0 + 0.5).astype(np.intp)  # fmin: a nan gets k = 24, d = nan
+        coef = np.take(_ERF_TAYLOR, k, axis=1)
+        p, d = coef[-1], t - k * 0.25
+        for row in coef[-2::-1]:
+            p *= d
+            p += row
+        out.reshape(-1)[i:i + ERF_BLOCK] = np.copysign(p, flat[i:i + ERF_BLOCK])
+    return out
+
+
 def normal_cdf(a):
     """Standard normal CDF Phi(x); gradient is the normal pdf."""
-    out = (0.5 * (1.0 + _erf(a.data * _INV_SQRT2))).astype(a.data.dtype)
+    out = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
 
     def vjp(g):
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * a.data * a.data)

@@ -412,6 +412,23 @@ class TestSelftest:
         assert cli.main(["selftest"]) == 1
         assert capsys.readouterr().out.splitlines() == ["selftest failed: diff"]
 
+    def test_an_altered_table_hash_fails_as_tables(self, capsys, monkeypatch, tmp_path):
+        # a host that builds other coder tables fails by name, before its
+        # case decodes
+        golden = tmp_path / "golden"
+        shutil.copytree(cli.GOLDEN, golden)
+        cases = _golden_cases()
+        cases[1]["tables"]["y"] = "0" * 64
+        (golden / "manifest.json").write_text(json.dumps(cases), encoding="utf-8")
+        monkeypatch.setattr(cli, "GOLDEN", golden)
+        decode, decoded = CD.Coder.decode, []
+        monkeypatch.setattr(CD.Coder, "decode",
+                            lambda self, *args: decoded.append(self) or decode(self, *args))
+        assert cli.main(["selftest"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["ok diff", "selftest failed: codecnet (tables)"]
+        assert len(decoded) == 1
+
     def test_inputs_drawn_otherwise_fail_before_decoding(self, capsys, monkeypatch):
         # a host whose numpy draws other weights fails on its inputs
         new, decoded = CD.Coder.new, []
@@ -421,6 +438,25 @@ class TestSelftest:
         assert cli.main(["selftest"]) == 1
         assert capsys.readouterr().out.splitlines() == ["selftest failed: diff"]
         assert decoded == []
+
+
+NO_SCIPY_CHILD = """
+import importlib, pkgutil, sys
+import gdclab
+for mod in pkgutil.iter_modules(gdclab.__path__):
+    importlib.import_module("gdclab." + mod.name)
+from gdclab import cli
+rc = cli.main(["selftest"])
+print(rc, sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_run_time_loads_no_scipy():
+    # every module, cli included, and a selftest run in a fresh process
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_CHILD], capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    assert proc.stdout.splitlines()[-2:] == ["selftest passed", "0 []"]
 
 
 def test_golden_set_is_package_data():

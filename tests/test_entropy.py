@@ -1,7 +1,9 @@
-"""Entropy model checks: quantization rules, rate estimates against an
-error-function oracle, coder-table construction, and round trips through
-the Gaussian and context coding paths."""
+"""Entropy model checks: the basic-arithmetic error function and rate
+estimates against scipy's error function, quantization rules, coder-table
+construction, and round trips through the Gaussian and context coding
+paths."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -132,6 +134,50 @@ class TestGaussianBits:
             s_neg = E.scale_from_raw(t64(np.full((1, 1, 1, 1), -40.0)))
         assert s0.item() == pytest.approx(0.8031471805599453, abs=1e-12)
         assert s_neg.item() >= E.SCALE_MIN
+
+
+class TestErf:
+    # the rate model and the coder tables share tensor.erf, built from
+    # basic arithmetic; scipy's erf is the oracle
+    def test_matches_scipy_on_a_dense_grid(self):
+        x = np.linspace(-40.0, 40.0, 1_600_001)
+        assert np.abs(T.erf(x) - erf(x)).max() <= 2e-15
+
+    def test_edge_values(self):
+        out = T.erf(np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 6.0, -1e300]))
+        assert np.isnan(out[0])
+        assert out[1:].tolist() == [1.0, -1.0, 0.0, 0.0, 1.0, -1.0]
+        assert np.signbit(out[3]) and not np.signbit(out[4])
+
+    def test_odd(self):
+        x = np.random.default_rng(40).normal(scale=3.0, size=100_000)
+        assert np.array_equal(T.erf(-x), -T.erf(x))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keeps_dtype_and_shape(self, dtype):
+        # float32 like scipy's float32 loop: the float64 value rounded once
+        x = np.random.default_rng(41).normal(scale=3.0, size=(3, 5, 7, 11)).astype(dtype)
+        out = T.erf(x)
+        assert out.dtype == dtype and out.shape == x.shape
+        if dtype == np.float32:
+            assert np.array_equal(out, erf(x))
+
+    def test_committed_centres(self):
+        # erf(k/4) and exp(-(k/4)^2) are the correctly rounded values; scipy
+        # and the host's exp are each within one ulp of them
+        c = np.arange(25) / 4.0
+        assert np.all(np.abs(T._ERF_AT - erf(c)) <= np.spacing(erf(c)))
+        exp = np.array([math.exp(-v * v) for v in c])
+        assert np.all(np.abs(T._EXP_AT - exp) <= np.spacing(exp))
+
+    def test_a_nan_value_reaches_numeric_error(self):
+        # a nan forward pass gives a nan rate, which backward rejects
+        v = Tensor(np.array([[[[np.nan, 0.0]]]], dtype=np.float32), requires_grad=True)
+        ones = Tensor(np.ones((1, 1, 1, 2), dtype=np.float32))
+        bits = E.gaussian_bits(v, T.scale(ones, 0.0), ones)
+        assert np.isnan(bits.data[0, 0, 0, 0])
+        with pytest.raises(NumericError):
+            T.backward(T.sum_all(bits))
 
 
 class TestBuildCdfs:
@@ -369,6 +415,20 @@ class TestTableSet:
             [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]), 3 * edges.size)[1]
         k = np.arange(edges.size)
         assert (rows // 8).tolist() == k.tolist() * 2 + (k + 1).tolist()
+
+
+    # golden, bench and widest offset supports
+    SUPPORTS = [(0, 0), (0, 1), (-1, 1), (-2, 2), (-5, 5), (-8, 11), (-9, 6), (-11, 12),
+                (-14, 9), (-18, 17), (-42, 27), (-42, 42), (-511, 510)]
+
+    def test_equals_tables_built_with_scipy(self, monkeypatch):
+        ours = [E._table_set(lo, hi) for lo, hi in self.SUPPORTS]
+        monkeypatch.setattr(T, "erf", erf)
+        for (lo, hi), table in zip(self.SUPPORTS, ours):
+            assert np.array_equal(table, E._table_set(lo, hi)), (lo, hi)
+
+    def test_committed_scales_are_geomspace(self):
+        assert np.array_equal(E.TABLE_SCALES, np.geomspace(E.SCALE_MIN, 256.0, 64))
 
 
 class TestHostileParameters:

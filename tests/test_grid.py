@@ -4,9 +4,11 @@ The hyper decoder and the context net run in float64 on power-of-two grids
 (layers.Network.grid), so their outputs cannot depend on how a BLAS kernel
 orders a sum.  These tests bound the grid's partial sums, check that band
 splits, batch shapes and causal windows give the same bits, and decode
-containers under several OpenBLAS kernels in child processes.
+containers under several OpenBLAS kernels and numpy SIMD levels in child
+processes.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -293,3 +295,59 @@ def test_selftest_passes_under_every_kernel():
                               capture_output=True, text=True, env=env, timeout=600)
         assert proc.returncode == 0, (coretype, proc.stdout, proc.stderr[-3000:])
         assert proc.stdout.splitlines() == want, coretype
+
+
+SIMD_CHILD = textwrap.dedent("""
+    import hashlib, json, sys
+    import numpy as np
+    from gdclab import cli
+    from gdclab import entropy as E
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    rc = cli.main(["selftest"])
+    print(json.dumps({"rc": rc, "on": sorted(f for f, on in __cpu_features__.items() if on),
+                      "tables": [hashlib.sha256(E._table_set(lo, hi)).hexdigest()
+                                 for lo, hi in json.loads(sys.argv[1])]}))
+""")
+# golden, bench and widest offset supports
+TABLE_SUPPORTS = [(-1, 1), (-5, 5), (-11, 12), (-14, 9), (-42, 27), (-511, 510)]
+
+
+def _lower_simd_levels():
+    """NPY_DISABLE_CPU_FEATURES values that run numpy at each SIMD level
+    below the top one this CPU has: its dispatched features from the j-th
+    up switched off, for every j."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    have = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    if not have:
+        pytest.skip("numpy dispatches no SIMD level above its baseline on this CPU")
+    return [have[j:] for j in range(len(have) - 1, -1, -1)]
+
+
+def test_selftest_and_tables_alike_at_every_simd_level():
+    # numpy's exp and log change their bits with its SIMD level; the coder
+    # tables use basic arithmetic alone, so every level builds the same
+    # table sets and decodes the golden containers as recorded
+    levels = _lower_simd_levels()
+    golden = resources.files("gdclab") / "golden"
+    cases = json.loads((golden / "manifest.json").read_text(encoding="utf-8"))
+    want = [f"ok {case['name']}" for case in cases] + ["selftest passed"]
+    tables = [hashlib.sha256(E._table_set(lo, hi)).hexdigest() for lo, hi in TABLE_SUPPORTS]
+    for disabled in levels:
+        env = _kernel_env(None)
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(disabled)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                          env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", SIMD_CHILD, json.dumps(TABLE_SUPPORTS)],
+                              capture_output=True, text=True, env=env, timeout=600)
+        assert proc.returncode == 0, (disabled, proc.stderr[-3000:])
+        lines = proc.stdout.splitlines()
+        assert lines[:-1] == want, disabled
+        info = json.loads(lines[-1])
+        assert info["rc"] == 0 and not set(disabled) & set(info["on"]), disabled
+        assert info["tables"] == tables, disabled

@@ -31,15 +31,28 @@ def test_no_validate_methods():
     assert not found, f"validate functions in the package: {found}"
 
 
-def test_rangecoder_does_not_import_numpy():
-    # the coder loops run on plain ints; numpy scalars in them cost several
-    # times the arithmetic they carry
-    tree = ast.parse((PACKAGE / "rangecoder.py").read_text(encoding="utf-8"))
+def _imported_packages(path):
+    """The top-level names of every module that ``path`` imports."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                 for alias in node.names}
     imported |= {node.module for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom) and node.module}
-    assert not {m for m in imported if m.split(".")[0] == "numpy"}, imported
+    return {m.split(".")[0] for m in imported}
+
+
+def test_rangecoder_does_not_import_numpy():
+    # the coder loops run on plain ints; numpy scalars in them cost several
+    # times the arithmetic they carry
+    imported = _imported_packages(PACKAGE / "rangecoder.py")
+    assert "numpy" not in imported, imported
+
+
+def test_no_module_imports_scipy():
+    # the run time needs numpy alone: the coder tables and the rate model
+    # use the package's own erf, so every host builds the same tables
+    found = [p.name for p in sorted(PACKAGE.glob("*.py")) if "scipy" in _imported_packages(p)]
+    assert not found, found
 
 
 def test_range_coder_has_one_entry_per_direction():
@@ -146,6 +159,6 @@ def test_one_convolution_kernel():
     windowing = sorted(fn.name for fn in functions for node in ast.walk(fn)
                        if isinstance(node, ast.Call)
                        and getattr(node.func, "id", getattr(node.func, "attr", None))
-                       == "sliding_window_view")
+                       in ("sliding_window_view", "as_strided"))
     assert windowing == ["_columns"], windowing
     assert "_scatter" not in {fn.name for fn in functions}

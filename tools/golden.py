@@ -7,8 +7,9 @@ Imports the package from ``src/`` next to this script and rewrites
 ``manifest.json``.  Each case's coder and frames come from
 ``cli.golden_inputs``, the function ``selftest`` rebuilds them with, so the
 manifest records the seeds, the gain, the size and the quad-tree lambda
-beside the SHA-256 of the rebuilt inputs.  It also records what the
-package decodes each container to: the SHA-256 of ``z_hat`` and ``y_hat``
+beside the SHA-256 of the rebuilt inputs, and the SHA-256 of the coder
+table set of each payload's support.  It also records what the package
+decodes each container to: the SHA-256 of ``z_hat`` and ``y_hat``
 and the PSNR of each reconstruction against the original frame.  The
 script then runs ``selftest`` on the set it wrote.
 
@@ -61,7 +62,8 @@ def main():
             if not np.array_equal(dec.latents[key], enc.latents[key]):
                 raise SystemExit(f"{name}: {key} decodes differently from the encoder's")
         latents, psnr = cli.golden_outputs(dec, x)
-        manifest.append({**case, "inputs": inputs, "latents": latents, "psnr": psnr})
+        manifest.append({**case, "inputs": inputs, "tables": cli.golden_tables(container),
+                         "latents": latents, "psnr": psnr})
         print(f"{name}: {len(data)} bytes, y {container.payload_y.lo}..{container.payload_y.hi}, "
               f"z {container.payload_z.lo}..{container.payload_z.hi}")
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as f:

@@ -201,15 +201,14 @@ class Coder:
         y_hat = E.quantize(y, mode, rng)
         grid = mode == "round"
         h = self._hyper(z_hat, y.shape, grid)
-        mean, scale = E.gaussian_head(h, self.cfg.latent)
-        rate_y = T.sum_all(E.gaussian_bits(y_hat, mean, scale))
+        rate_y = T.sum_all(E.gaussian_bits(y_hat, h))
         rate_z = T.sum_all(E.context_bits(z_hat, self.nets["ctx"], grid))
         x_hat_d, x_hat_g = self._reconstruct(y_hat, xt)
         return CoderOutput(
             kind=self.cfg.kind, x_hat_d=x_hat_d, x_hat_g=x_hat_g,
             rate_y=rate_y, rate_z=rate_z,
             latents={"y": y.data, "y_hat": y_hat.data, "z": z.data,
-                     "z_hat": z_hat.data, "mean": mean.data,
+                     "z_hat": z_hat.data, "mean": h.data[:, :self.cfg.latent],
                      "raw_scale": h.data[:, self.cfg.latent:]})
 
     # -- real coding --------------------------------------------------------

@@ -5,16 +5,17 @@ Rates are measured against the discretized Gaussian
 
     p(v) = Phi((v - mu + 1/2) / sigma) - Phi((v - mu - 1/2) / sigma)
 
-with p floored at 2^-16 so no element can cost more than 16 bits, and
-scales floored at SCALE_MIN.  The coder reads the same net outputs, the
-mean and the raw scale before its softplus: each value is coded as its
-offset from its rounded mean under one table of a fixed set, strictly
-increasing 2^16-grid CDFs over an integer support plus one trailing escape
-bin, one per (scale, mean fraction) point of a 64 x 8 grid.  The scale row
-is picked by comparing the raw scale with fixed thresholds, so choosing a
-row evaluates no exp.  Offsets outside the support are sent as the escape
-symbol followed by four raw bytes (zigzag), so the coder is total even
-when the model support is misjudged.
+with p floored at 2^-16, so no element costs over 16 bits, and sigma =
+SCALE_MIN + softplus(raw).  ``gaussian_bits`` is one graph node on the net
+output, c channels of mean and c of raw scale, and the coder reads the
+same arrays: each value is coded as its offset from its rounded mean under
+one table of a fixed set, strictly increasing 2^16-grid CDFs over an
+integer support plus one trailing escape bin, one per (scale, mean
+fraction) point of a 64 x 8 grid.  The scale row is picked by comparing
+the raw scale with fixed thresholds, so choosing a row evaluates no exp.
+Offsets outside the support are sent as the escape symbol followed by four
+raw bytes (zigzag), so the coder is total even when the model support is
+misjudged.
 
 In coding, both nets that read the hyper-latent (the hyper decoder and the
 context net) run on the exact grid of ``layers.Network.grid`` over z_hat
@@ -25,6 +26,8 @@ from committed constants and ``tensor.erf``, so no host libm shapes them.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import tensor as T
@@ -34,6 +37,10 @@ from .rangecoder import CDF_TOTAL, RangeDecoder, RangeEncoder
 
 SCALE_MIN = 0.11
 PROB_FLOOR = 2.0 ** -16
+# Python floats, so that float32 arrays stay float32 when multiplied by them.
+_LN2 = math.log(2.0)
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # A coder table has at most this many bins, escape included, so a decoder
 # rejects a wider (patched) support before building any table.
@@ -97,35 +104,48 @@ def quantize(t, mode, rng=None):
     return T._node(out, f"quantize-{mode}", (t, lambda g: g))
 
 
-def gaussian_bits(values, mean, scale):
-    """Per-element rate estimate in bits as a graph tensor.
+def _normal_cdf(x):
+    return 0.5 * (1.0 + T.erf(x * _INV_SQRT2))
 
-    All three arguments are tensors of one shape; ``scale`` must respect
-    SCALE_MIN.  Differentiable w.r.t. every argument; clamped elements
-    (those at the 16-bit ceiling) pass no gradient.
+
+def gaussian_bits(values, params):
+    """Per-element rate estimate in bits as one graph node.
+
+    ``params`` is the net output the coder reads: for ``values`` of c
+    channels, c channels of means, then c of raw scales, each giving the
+    scale SCALE_MIN + softplus(raw).  Differentiable w.r.t. both inputs;
+    clamped elements (those at the 16-bit ceiling) pass no gradient.
     """
-    if values.shape != mean.shape or values.shape != scale.shape:
-        raise ShapeError(f"gaussian_bits: shapes differ {values.shape} {mean.shape} {scale.shape}")
-    if not np.all(np.isfinite(mean.data)) or not np.all(np.isfinite(scale.data)):
+    n, c, h, w = values.shape
+    if params.shape != (n, 2 * c, h, w):
+        raise ShapeError(f"gaussian_bits: {values.shape} values but {params.shape} params")
+    if values.dtype != params.dtype:
+        raise ContractError(f"gaussian_bits: dtypes differ {values.dtype} {params.dtype}")
+    if not np.all(np.isfinite(params.data)):
         raise NumericError("gaussian_bits: non-finite entropy parameters")
-    if np.any(scale.data < SCALE_MIN * (1.0 - 1e-6)):
-        raise ContractError(f"gaussian_bits: scale below SCALE_MIN={SCALE_MIN}")
-    centered = T.sub(values, mean)
-    hi = T.div(T.add_scalar(centered, 0.5), scale)
-    lo = T.div(T.add_scalar(centered, -0.5), scale)
-    p = T.sub(T.normal_cdf(hi), T.normal_cdf(lo))
-    return T.scale(T.log2(T.clamp_min(p, PROB_FLOOR)), -1.0)
+    f = values.dtype.type
+    mean, raw = params.data[:, :c], params.data[:, c:]
+    scale = np.logaddexp(0.0, raw).astype(values.dtype) + f(SCALE_MIN)
+    centered = values.data - mean
+    top, bottom = centered + f(0.5), centered + f(-0.5)
+    hi, lo = top / scale, bottom / scale
+    p = _normal_cdf(hi) - _normal_cdf(lo)
+    clamped = np.maximum(p, f(PROB_FLOOR))
 
+    def grads(g):
+        """(dvalues, dparams), in the float order of the op-by-op chain."""
+        dp = g * f(-1.0) / (clamped * f(_LN2)) * (p > PROB_FLOOR)
+        pdf_hi, pdf_lo = ((_INV_SQRT_2PI * np.exp(-0.5 * x * x)).astype(f) for x in (hi, lo))
+        dhi, dlo = dp * pdf_hi, -dp * pdf_lo
+        dscale = -dhi * top / (scale * scale) + -dlo * bottom / (scale * scale)
+        dcentered = dhi / scale + dlo / scale
+        dparams = np.zeros_like(params.data)
+        dparams[:, :c] -= dcentered
+        dparams[:, c:] += dscale * (0.5 * (1.0 + np.tanh(0.5 * raw)))
+        return dcentered, dparams
 
-def scale_from_raw(raw):
-    """Map an unconstrained tensor to a valid scale: SCALE_MIN + softplus."""
-    return T.add_scalar(T.softplus(raw), SCALE_MIN)
-
-
-def gaussian_head(out, c):
-    """Split a net output of 2*c channels into (mean, scale) tensors: the
-    first c channels are the mean, the rest the raw scale."""
-    return T.slice_channels(out, 0, c), scale_from_raw(T.slice_channels(out, c, 2 * c))
+    return T._node(np.log2(clamped) * f(-1.0), "gaussian_bits",
+                   *T._joint_edges(grads, values, params))
 
 
 def _interval_probs(mean, scale, lo, hi):
@@ -135,8 +155,7 @@ def _interval_probs(mean, scale, lo, hi):
     """
     edges = np.arange(lo, hi + 2, dtype=np.float64) - 0.5
     z = (edges[None, :] - mean[:, None]) / scale[:, None]
-    cdf = 0.5 * (1.0 + T.erf(z * T._INV_SQRT2))
-    return np.diff(cdf, axis=1)
+    return np.diff(_normal_cdf(z), axis=1)
 
 
 def _table_bins(lo, hi):
@@ -364,10 +383,10 @@ def decode_context(payload, ctx_net, shape, support):
 def context_bits(z_hat_t, ctx_net, grid=False):
     """Rate of a (possibly noise-quantized) hyper-latent under the context
     model; returns the per-element bits tensor.  Differentiable through
-    the float net; with ``grid`` the parameters are the coder's, from
-    context_params, and pass no gradient."""
-    if not grid:
-        mean, scale = gaussian_head(ctx_net(z_hat_t), z_hat_t.shape[1])
-        return gaussian_bits(z_hat_t, mean, scale)
-    mean, raw = (T.Tensor(a.astype(z_hat_t.dtype)) for a in context_params(ctx_net, z_hat_t.data))
-    return gaussian_bits(z_hat_t, mean, scale_from_raw(raw))
+    the float net; with ``grid`` the parameters are the coder's, from the
+    exact grid, and pass no gradient."""
+    if grid:
+        params = T.Tensor(on_grid(ctx_net, z_hat_t.data).astype(z_hat_t.dtype))
+    else:
+        params = ctx_net(z_hat_t)
+    return gaussian_bits(z_hat_t, params)

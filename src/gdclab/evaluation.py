@@ -30,12 +30,15 @@ MIN_BLOCK, MAX_BLOCK = 4, 256     # the quad-tree block range's outer bounds
 
 def psnr(a, b):
     """Peak signal-to-noise ratio in dB between arrays on the [0, 1] scale.
-    Identical inputs (and anything above PSNR_CAP) report PSNR_CAP."""
+    Identical inputs (and anything above PSNR_CAP) report PSNR_CAP; a nan in
+    either input reports nan."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
     mse = float(np.mean((a - b) ** 2))
+    if math.isnan(mse):
+        return math.nan
     if mse <= 0.0:
         return PSNR_CAP
     return min(PSNR_CAP, -10.0 * math.log10(mse))

@@ -96,6 +96,8 @@ def parse_checkpoint(data):
             name = raw_name.decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError(f"entry name {raw_name!r} is not UTF-8") from None
+        if name in arrays:
+            raise FormatError(f"entry {name!r} appears twice")
         tag, rank = r.unpack("BB")
         if tag not in _TAG_DTYPES:
             raise FormatError(f"entry {name!r}: unknown dtype tag {tag}")
@@ -292,11 +294,10 @@ def parse_ppm(data):
         raise FormatError(f"empty pixmap {w}x{h}")
     if maxval != 255:
         raise FormatError(f"only 8-bit pixmaps supported, maxval={maxval}")
-    pos += 1  # single whitespace byte after maxval
-    need = w * h * 3
-    raw = data[pos:pos + need]
-    if len(raw) != need:
-        raise StreamError(f"pixmap data truncated: want {need} bytes, have {len(raw)}")
+    r = _Reader(data)
+    r.pos = pos + 1  # single whitespace byte after maxval
+    raw = r.take(w * h * 3)
+    r.done()
     return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
 
 
@@ -461,7 +462,7 @@ class ExperimentConfig:
     @classmethod
     def from_text(cls, text):
         types = {f.name: type(f.default) for f in dc_fields(cls)}
-        values = {}
+        values, seen = {}, {}
         for lineno, line in enumerate(text.splitlines(), 1):
             body = line.split("#", 1)[0].strip()
             if not body:
@@ -473,6 +474,9 @@ class ExperimentConfig:
             value = value.strip()
             if key not in types:
                 raise FormatError(f"config line {lineno}: unknown key {key!r}")
+            if key in seen:
+                raise FormatError(f"config lines {seen[key]} and {lineno} both set {key!r}")
+            seen[key] = lineno
             try:
                 values[key] = types[key](value)
             except ValueError as e:

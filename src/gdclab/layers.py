@@ -287,18 +287,7 @@ def gdn(x, beta_raw, gamma_raw, inverse=False):
             dflat[cols] = d + 2 * band * np.dot(gamma.T, t)
         return dx, (2 * br * dbeta).reshape(beta_raw.shape), (2 * gr * dgamma).reshape(gamma_raw.shape)
 
-    # backward calls the three VJPs one after another with one gradient:
-    # the first computes all three shares, the others take theirs
-    shares = {}
-
-    def share(i):
-        def vjp(g):
-            if i not in shares:
-                shares.update(enumerate(grads(g)))
-            return shares.pop(i)
-        return vjp
-
-    return T._node(out, "gdn", (x, share(0)), (beta_raw, share(1)), (gamma_raw, share(2)))
+    return T._node(out, "gdn", *T._joint_edges(grads, x, beta_raw, gamma_raw))
 
 
 def masked_conv2d(x, weight, bias=None, kind="A"):

@@ -7,8 +7,8 @@ output's gradient to that input's share.  ``_node`` keeps only the edges
 into inputs that require gradients, and ``backward(loss)`` alone applies
 the chain rule: in reverse topological order it accumulates each edge's
 VJP of a node's ``.grad`` into the edge's input, in edge order.  float32
-is the working precision for training; the verification tooling runs the
-same graphs in float64 (see ``using_dtype``).
+is the working precision for training; a graph runs in float64 when its
+inputs and parameters are float64 (``using_dtype`` only types non-float data).
 
 Scalars (losses, rates) are represented as tensors of shape (1, 1, 1, 1);
 nothing in the engine supports other ranks, which keeps the shape algebra
@@ -26,9 +26,6 @@ import numpy as np
 
 from .errors import ContractError, NumericError, ShapeError
 
-_LN2 = math.log(2.0)
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # erf(c) and exp(-c^2) at c = k/4, k = 0..24, correctly rounded, in float.hex digits.
 _ERF_AT = np.array([float.fromhex(h) for h in """
     0p+0 1.1af54e232d609p-2 1.0a7ef5c18edd2p-1 1.6c1c9759d0e5fp-1 1.af767a741088bp-1
@@ -147,6 +144,21 @@ def _node(data, op, *edges):
     return Tensor(data, requires_grad=False, op=op)
 
 
+def _joint_edges(grads, *inputs):
+    """Edges into ``inputs`` whose VJPs share one pass: ``grads(g)`` returns
+    every input's share, in input order.  backward calls a node's VJPs one
+    after another with one gradient, so the first call computes all the
+    shares and each edge takes its own."""
+    shares = {}
+
+    def take(i, g):
+        if i not in shares:
+            shares.update(enumerate(grads(g)))
+        return shares.pop(i)
+
+    return tuple((t, lambda g, i=i: take(i, g)) for i, t in enumerate(inputs))
+
+
 def add(a, b):
     _check_same(a, b, "add")
     return _node(a.data + b.data, "add", (a, lambda g: g), (b, lambda g: g))
@@ -163,21 +175,9 @@ def mul(a, b):
                  (a, lambda g: g * b.data), (b, lambda g: g * a.data))
 
 
-def div(a, b):
-    _check_same(a, b, "div")
-    return _node(a.data / b.data, "div",
-                 (a, lambda g: g / b.data),
-                 (b, lambda g: -g * a.data / (b.data * b.data)))
-
-
 def scale(a, s):
     s = np.asarray(float(s), dtype=a.data.dtype)
     return _node(a.data * s, "scale", (a, lambda g: g * s))
-
-
-def add_scalar(a, s):
-    s = float(s)
-    return _node(a.data + np.asarray(s, dtype=a.data.dtype), "add_scalar", (a, lambda g: g))
 
 
 def concat_channels(tensors):
@@ -228,17 +228,6 @@ def mean_all(a):
     return scale(sum_all(a), 1.0 / a.size)
 
 
-def log2(a):
-    return _node(np.log2(a.data), "log2",
-                 (a, lambda g: g / (a.data * a.data.dtype.type(_LN2))))
-
-
-def softplus(a):
-    """log(1 + e^x), evaluated stably; gradient is the logistic sigmoid."""
-    out = np.logaddexp(0.0, a.data).astype(a.data.dtype)
-    return _node(out, "softplus", (a, lambda g: g * (0.5 * (1.0 + np.tanh(0.5 * a.data)))))
-
-
 def _erf_taylor():
     """Row n holds erf^(n)(c) / n! at each centre, from erf^(n+1)(c) =
     2/sqrt(pi) (-1)^n H_n(c) e^(-c^2) and H_(n+1) = 2c H_n - 2n H_(n-1)."""
@@ -268,24 +257,6 @@ def erf(x):
             p += row
         out.reshape(-1)[i:i + ERF_BLOCK] = np.copysign(p, flat[i:i + ERF_BLOCK])
     return out
-
-
-def normal_cdf(a):
-    """Standard normal CDF Phi(x); gradient is the normal pdf."""
-    out = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
-
-    def vjp(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * a.data * a.data)
-        return g * pdf.astype(a.data.dtype)
-
-    return _node(out, "normal_cdf", (a, vjp))
-
-
-def clamp_min(a, floor):
-    """max(a, floor); gradient flows only where a > floor."""
-    floor = float(floor)
-    out = np.maximum(a.data, a.data.dtype.type(floor))
-    return _node(out, "clamp_min", (a, lambda g: g * (a.data > floor)))
 
 
 def backward(loss):

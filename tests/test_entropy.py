@@ -25,10 +25,18 @@ def t64(arr, grad=False):
 
 def raw_of(scale):
     """The raw scale whose softplus puts a Gaussian at ``scale`` (the
-    inverse of scale_from_raw); scales at or below SCALE_MIN map to -40."""
+    inverse of SCALE_MIN + softplus); scales at or below SCALE_MIN map to
+    -40."""
     y = np.asarray(scale, dtype=np.float64) - E.SCALE_MIN
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(y > 0, y + np.log(-np.expm1(-y)), -40.0)
+
+
+def params(mean, scale, grad=False):
+    """The net output that puts Gaussians at ``mean`` and ``scale``: the
+    means, then the raw scales, along the channel axis."""
+    mean = np.asarray(mean, dtype=np.float64)
+    return t64(np.concatenate([mean, raw_of(np.broadcast_to(scale, mean.shape))], axis=1), grad)
 
 
 def gauss_prob_oracle(v, mu, sigma):
@@ -75,10 +83,7 @@ class TestQuantize:
 class TestGaussianBits:
     def test_unit_gaussian_center_bin(self):
         # central bin of a unit Gaussian: p = erf(0.5 / sqrt 2) = 0.38292...
-        with T.using_dtype(np.float64):
-            bits = E.gaussian_bits(t64(np.zeros((1, 1, 1, 1))),
-                                   t64(np.zeros((1, 1, 1, 1))),
-                                   t64(np.ones((1, 1, 1, 1))))
+        bits = E.gaussian_bits(t64(np.zeros((1, 1, 1, 1))), params(np.zeros((1, 1, 1, 1)), 1.0))
         assert bits.item() == pytest.approx(1.38486653429099, abs=1e-12)
 
     def test_matches_erf_oracle_elementwise(self):
@@ -86,54 +91,72 @@ class TestGaussianBits:
         v = rng.integers(-3, 4, size=(1, 2, 3, 3)).astype(np.float64)
         mu = rng.normal(size=v.shape)
         sigma = rng.uniform(0.2, 2.0, size=v.shape)
-        with T.using_dtype(np.float64):
-            bits = E.gaussian_bits(t64(v), t64(mu), t64(sigma))
+        bits = E.gaussian_bits(t64(v), params(mu, sigma))
         want = -np.log2(np.maximum(gauss_prob_oracle(v, mu, sigma), E.PROB_FLOOR))
         assert bits.data == pytest.approx(want, abs=1e-10)
 
     def test_deep_tail_clamps_to_sixteen(self):
-        with T.using_dtype(np.float64):
-            bits = E.gaussian_bits(t64(np.full((1, 1, 1, 1), 50.0)),
-                                   t64(np.zeros((1, 1, 1, 1))),
-                                   t64(np.ones((1, 1, 1, 1))))
+        bits = E.gaussian_bits(t64(np.full((1, 1, 1, 1), 50.0)),
+                               params(np.zeros((1, 1, 1, 1)), 1.0))
         assert bits.item() == 16.0
 
     def test_symmetry_about_mean(self):
-        with T.using_dtype(np.float64):
-            sig = t64(np.full((1, 1, 1, 1), 0.7))
-            mu = t64(np.zeros((1, 1, 1, 1)))
-            plus = E.gaussian_bits(t64(np.full((1, 1, 1, 1), 3.0)), mu, sig)
-            minus = E.gaussian_bits(t64(np.full((1, 1, 1, 1), -3.0)), mu, sig)
+        p = params(np.zeros((1, 1, 1, 1)), 0.7)
+        plus = E.gaussian_bits(t64(np.full((1, 1, 1, 1), 3.0)), p)
+        minus = E.gaussian_bits(t64(np.full((1, 1, 1, 1), -3.0)), p)
         assert plus.item() == pytest.approx(minus.item(), abs=1e-12)
 
     def test_contracts(self):
         ok = t64(np.zeros((1, 1, 2, 2)))
         with pytest.raises(ShapeError):
-            E.gaussian_bits(ok, t64(np.zeros((1, 1, 1, 1))), t64(np.ones((1, 1, 2, 2))))
+            E.gaussian_bits(ok, t64(np.zeros((1, 2, 1, 1))))
+        with pytest.raises(ShapeError):
+            E.gaussian_bits(ok, t64(np.zeros((1, 1, 2, 2))))
         with pytest.raises(NumericError):
-            E.gaussian_bits(ok, t64(np.full((1, 1, 2, 2), np.nan)), t64(np.ones((1, 1, 2, 2))))
+            E.gaussian_bits(ok, params(np.full((1, 1, 2, 2), np.nan), 1.0))
+        with pytest.raises(NumericError):
+            E.gaussian_bits(ok, t64(np.full((1, 2, 2, 2), np.inf)))
         with pytest.raises(ContractError):
-            E.gaussian_bits(ok, t64(np.zeros((1, 1, 2, 2))), t64(np.full((1, 1, 2, 2), 0.01)))
+            E.gaussian_bits(ok, t64(np.zeros((1, 2, 2, 2), dtype=np.float32)))
 
-    def test_mean_gradient_via_finite_differences(self):
-        # the rate estimate stays differentiable w.r.t. the mean
+    def test_gradients_via_finite_differences(self):
+        # the rate estimate is differentiable w.r.t. the values and the whole
+        # net output: means, and raw scales through softplus and the pdf
         rng = np.random.default_rng(11)
-        with T.using_dtype(np.float64):
-            values = t64(rng.integers(-2, 3, size=(1, 2, 3, 3)).astype(float))
-            scale = t64(rng.uniform(0.5, 1.5, size=(1, 2, 3, 3)))
-            mean = Tensor(rng.uniform(-0.4, 0.4, size=(1, 2, 3, 3)), requires_grad=True)
+        values = t64(rng.uniform(-2.0, 2.0, size=(1, 2, 3, 3)), grad=True)
+        p = params(rng.uniform(-0.4, 0.4, size=(1, 2, 3, 3)),
+                   rng.uniform(0.5, 1.5, size=(1, 2, 3, 3)), grad=True)
 
-            def f(m):
-                return T.sum_all(E.gaussian_bits(values, m, scale))
+        def f(v, q):
+            return T.sum_all(E.gaussian_bits(v, q))
 
-            assert T.grad_check(f, [mean]) < 1e-5
+        assert T.grad_check(f, [values, p]) < 1e-5
+
+    def test_clamped_elements_pass_no_gradient(self):
+        # an element at the 16-bit ceiling sends a zero share to both inputs
+        values = t64(np.array([[[[50.0, 0.3]]]]), grad=True)
+        p = params(np.zeros((1, 1, 1, 2)), 1.0, grad=True)
+        T.backward(T.sum_all(E.gaussian_bits(values, p)))
+        assert values.grad[0, 0, 0, 0] == 0.0 and values.grad[0, 0, 0, 1] != 0.0
+        assert np.all(p.grad[0, :, 0, 0] == 0.0) and np.all(p.grad[0, :, 0, 1] != 0.0)
+
+    def test_one_node_on_its_inputs(self):
+        values = t64(np.zeros((1, 2, 3, 3)), grad=True)
+        p = params(np.zeros((1, 2, 3, 3)), 1.0, grad=True)
+        bits = E.gaussian_bits(values, p)
+        assert bits.op == "gaussian_bits"
+        (a, _), (b, _) = bits._edges
+        assert a is values and b is p
 
     def test_scale_from_raw_floor(self):
-        with T.using_dtype(np.float64):
-            s0 = E.scale_from_raw(t64(np.zeros((1, 1, 1, 1))))
-            s_neg = E.scale_from_raw(t64(np.full((1, 1, 1, 1), -40.0)))
-        assert s0.item() == pytest.approx(0.8031471805599453, abs=1e-12)
-        assert s_neg.item() >= E.SCALE_MIN
+        # the scale is SCALE_MIN + softplus(raw): 0.11 + ln 2 at raw 0, at
+        # least SCALE_MIN far below, and no overflow far above
+        v = t64(np.array([[[[0.0, 1.0, 2.0]]]]))
+        raw = np.array([[[[0.0, -40.0, 500.0]]]])
+        bits = E.gaussian_bits(v, t64(np.concatenate([np.zeros_like(raw), raw], axis=1)))
+        scale = np.array([E.SCALE_MIN + math.log(2.0), E.SCALE_MIN, 500.0 + E.SCALE_MIN])
+        want = -np.log2(np.maximum(gauss_prob_oracle(v.data.ravel(), 0.0, scale), E.PROB_FLOOR))
+        assert bits.data.ravel() == pytest.approx(want, abs=1e-12)
 
 
 class TestErf:
@@ -173,8 +196,7 @@ class TestErf:
     def test_a_nan_value_reaches_numeric_error(self):
         # a nan forward pass gives a nan rate, which backward rejects
         v = Tensor(np.array([[[[np.nan, 0.0]]]], dtype=np.float32), requires_grad=True)
-        ones = Tensor(np.ones((1, 1, 1, 2), dtype=np.float32))
-        bits = E.gaussian_bits(v, T.scale(ones, 0.0), ones)
+        bits = E.gaussian_bits(v, Tensor(np.zeros((1, 2, 1, 2), dtype=np.float32)))
         assert np.isnan(bits.data[0, 0, 0, 0])
         with pytest.raises(NumericError):
             T.backward(T.sum_all(bits))
@@ -256,10 +278,8 @@ class TestGaussianCoding:
         scale = np.full(n, 1.3)
         values = np.rint(rng.normal(scale=1.3, size=n)).astype(np.int64)
         payload, support = E.encode_gaussian(values, mean, raw_of(scale))
-        with T.using_dtype(np.float64):
-            est = E.gaussian_bits(t64(values.reshape(1, 1, 1, -1).astype(float)),
-                                  t64(mean.reshape(1, 1, 1, -1)),
-                                  t64(scale.reshape(1, 1, 1, -1)))
+        est = E.gaussian_bits(t64(values.reshape(1, 1, 1, -1).astype(float)),
+                              params(mean.reshape(1, 1, 1, -1), scale.reshape(1, 1, 1, -1)))
         est_total = float(est.data.sum())
         assert 8 * len(payload) <= est_total + 0.01 * n + 64
 
@@ -622,12 +642,12 @@ class TestContextCoding:
         net = _context_net(2, 4, seed=25)
         z = rng.integers(-3, 4, size=(1, 2, 5, 6)).astype(np.float64)
         mean, raw = E.context_params(net, z)
-        want = E.gaussian_bits(t64(z), t64(mean), E.scale_from_raw(t64(raw)))
+        want = E.gaussian_bits(t64(z), t64(np.concatenate([mean, raw], axis=1)))
         assert np.array_equal(E.context_bits(t64(z), net, grid=True).data, want.data)
-        head = E.gaussian_head(net(t64(z)), 2)
-        assert np.abs(head[0].data - mean).max() < 0.02
+        out = net(t64(z))
+        assert np.abs(out.data[:, :2] - mean).max() < 0.02
         float_bits = E.context_bits(t64(z), net).data
-        assert np.array_equal(float_bits, E.gaussian_bits(t64(z), *head).data)
+        assert np.array_equal(float_bits, E.gaussian_bits(t64(z), out).data)
         assert np.abs(float_bits - want.data).max() < 0.05
 
     def test_decode_rejects_batches(self):

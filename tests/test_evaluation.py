@@ -30,6 +30,13 @@ class TestPsnr:
         # mse 1e-12 is 120 dB, above the cap
         assert V.psnr(a, a + 1e-6) == V.PSNR_CAP
 
+    def test_nan_reads_as_nan_not_the_cap(self):
+        # a diverged coder's reconstruction must not report as lossless
+        a = np.full((1, 3, 4, 4), 0.5)
+        b = a.copy()
+        b[0, 1, 2, 3] = np.nan
+        assert math.isnan(V.psnr(a, b)) and math.isnan(V.psnr(b, a))
+
     def test_shape_contract(self):
         with pytest.raises(ShapeError):
             V.psnr(np.zeros((1, 3, 4, 4)), np.zeros((1, 3, 4, 5)))

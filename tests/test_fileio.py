@@ -86,6 +86,15 @@ class TestCheckpoint:
         with pytest.raises(StreamError):
             F.parse_checkpoint(bytes(huge))
 
+    def test_duplicate_entry_rejected(self):
+        # two one-entry checkpoints spliced under a header that counts two
+        one = F.checkpoint_bytes({"w": np.zeros((1, 1, 1, 1), dtype=np.float32)})
+        other = F.checkpoint_bytes({"w": np.ones((1, 1, 1, 1), dtype=np.float32)})
+        head = len(F.CHECKPOINT_MAGIC) + 8
+        spliced = F.CHECKPOINT_MAGIC + struct.pack("<II", F.CHECKPOINT_VERSION, 2) + one[head:] + other[head:]
+        with pytest.raises(FormatError, match="'w'"):
+            F.parse_checkpoint(spliced)
+
 
 class TestBits:
     def test_round_trip(self):
@@ -241,6 +250,8 @@ class TestPixmap:
             F.parse_ppm(b"P6\n2 2\n65535\n" + px.tobytes())
         with pytest.raises(StreamError):
             F.parse_ppm(b"P6\n2 2\n255\n" + px.tobytes()[:-1])
+        with pytest.raises(StreamError):
+            F.parse_ppm(b"P6\n2 2\n255\n" + px.tobytes() + b"garbage")
         with pytest.raises(FormatError):
             F.parse_ppm(b"P6\n2")
         with pytest.raises(FormatError):
@@ -324,6 +335,13 @@ class TestExperimentConfig:
             F.ExperimentConfig.from_text("steps fifty\n")
         with pytest.raises(FormatError):
             F.ExperimentConfig.from_text("steps = fifty\n")
+
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(FormatError, match="lines 1 and 3 .*'lmbda'"):
+            F.ExperimentConfig.from_text("lmbda = 100\ncoder = gdc\nlmbda = 2000\n")
+        # the hyphen and underscore spellings name one key
+        with pytest.raises(FormatError, match="lines 1 and 2 .*'core_width'"):
+            F.ExperimentConfig.from_text("core-width = 8\ncore_width = 16\n")
 
     def test_validation(self):
         with pytest.raises(ContractError):

@@ -49,9 +49,7 @@ class TestForwardValues:
         assert np.all(T.add(a, b).data == 9.0)
         assert np.all(T.sub(a, b).data == 3.0)
         assert np.all(T.mul(a, b).data == 18.0)
-        assert np.all(T.div(a, b).data == 2.0)
         assert np.all(T.scale(a, 0.5).data == 3.0)
-        assert np.all(T.add_scalar(a, -1.0).data == 5.0)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
@@ -72,19 +70,6 @@ class TestForwardValues:
         a = T.Tensor(np.arange(8.0).reshape(1, 2, 2, 2))
         assert T.sum_all(a).item() == 28.0
         assert T.mean_all(a).item() == 3.5
-
-    def test_unary_values(self):
-        with T.using_dtype(np.float64):
-            assert T.log2(scalar(8.0)).item() == pytest.approx(3.0, abs=1e-12)
-            # softplus(0) = ln 2; large inputs do not overflow
-            assert T.softplus(scalar(0.0)).item() == pytest.approx(np.log(2.0))
-            assert T.softplus(scalar(500.0)).item() == pytest.approx(500.0)
-            assert T.normal_cdf(scalar(0.0)).item() == pytest.approx(0.5)
-
-    def test_clamp_min(self):
-        a = T.Tensor(np.array([-1.0, 0.5, 2.0, 1.0]).reshape(1, 1, 1, 4))
-        c = T.clamp_min(a, 1.0)
-        assert np.array_equal(c.data.ravel(), [1.0, 1.0, 2.0, 1.0])
 
 
 class TestBackward:
@@ -131,12 +116,27 @@ class TestBackward:
         T.backward(T.sum_all(T.mul(s, s)))
         assert a.grad[0, 0, 0, 0] == pytest.approx(12.0)
 
+    def test_joint_edges_share_one_pass(self):
+        # a node whose shares come from one grads() call runs it once per
+        # backward, and an input that needs no gradient gets no edge
+        a, b = scalar(2.0, requires_grad=True), scalar(3.0, requires_grad=True)
+        calls = []
+
+        def grads(g):
+            calls.append(g)
+            return g * b.data, g * a.data, g
+
+        out = T._node(a.data * b.data, "joint", *T._joint_edges(grads, a, b, scalar(1.0)))
+        assert len(out._edges) == 2
+        T.backward(T.sum_all(out))
+        assert len(calls) == 1 and a.grad.item() == 3.0 and b.grad.item() == 2.0
+
     def test_deep_chain_iterative(self):
         # deep graphs must not hit the recursion limit
         a = scalar(1.0, requires_grad=True)
         cur = a
         for _ in range(3000):
-            cur = T.add_scalar(cur, 0.0)
+            cur = T.scale(cur, 1.0)
         T.backward(T.sum_all(cur))
         assert a.grad[0, 0, 0, 0] == 1.0
 
@@ -153,16 +153,11 @@ class TestGradCheck:
             a = T.Tensor(rng.uniform(0.5, 1.5, size=(2, 3, 4, 4)), requires_grad=True)
             b = T.Tensor(rng.uniform(1.0, 2.0, size=(2, 3, 4, 4)), requires_grad=True)
 
-            def f_mul(x, y):
-                s = T.add_scalar(T.sub(T.mul(x, y), T.scale(y, 0.3)), 2.0)
+            def f(x, y):
+                s = T.add(T.sub(T.mul(x, y), T.scale(y, 0.3)), x)
                 return T.sum_all(T.mul(s, s))
 
-            def f_div(x, y):
-                s = T.add_scalar(T.div(x, y), 2.0)
-                return T.sum_all(T.mul(s, s))
-
-            assert T.grad_check(f_mul, [a, b]) < 1e-7
-            assert T.grad_check(f_div, [a, b]) < 1e-7
+            assert T.grad_check(f, [a, b]) < 1e-7
 
     @pytest.mark.parametrize("seed", range(3))
     def test_structure_ops(self, seed):
@@ -179,20 +174,6 @@ class TestGradCheck:
 
             assert T.grad_check(f, [a, b]) < 1e-7
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_smooth_unary_ops(self, seed):
-        rng = np.random.default_rng(20 + seed)
-        with T.using_dtype(np.float64):
-            a = T.Tensor(rng.uniform(0.5, 2.0, size=(1, 2, 3, 3)), requires_grad=True)
-
-            def f(x):
-                s = T.log2(x)
-                s = T.add(s, T.softplus(x))
-                s = T.add(s, T.normal_cdf(x))
-                return T.sum_all(T.mul(s, s))
-
-            assert T.grad_check(f, [a]) < 1e-7
-
     def test_mean_and_broadcast(self):
         # the gradient of a mean is broadcast back over every element;
         # operands bounded away from zero keep each coordinate's gradient
@@ -205,20 +186,6 @@ class TestGradCheck:
                 return T.mean_all(T.mul(x, x))
 
             assert T.grad_check(f, [a]) < 1e-8
-
-    def test_clamp_kink_safe(self):
-        rng = np.random.default_rng(6)
-        with T.using_dtype(np.float64):
-            # keep every coordinate at least 1e-3 away from the clamp point
-            vals = rng.uniform(0.5, 1.5, size=(1, 1, 4, 4))
-            vals = np.where(np.abs(vals - 1.0) < 1e-3, vals + 5e-3, vals)
-            a = T.Tensor(vals, requires_grad=True)
-
-            def f(x):
-                c = T.clamp_min(x, 1.0)
-                return T.sum_all(T.mul(c, c))
-
-            assert T.grad_check(f, [a]) < 1e-7
 
     def test_grad_check_rejects_float32(self):
         a = T.Tensor(np.ones((1, 1, 1, 1), dtype=np.float32), requires_grad=True)

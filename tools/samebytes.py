@@ -32,10 +32,14 @@ Cases:
             kernel's edge), and masked_conv2d with masks A and B at k
             1/3/5, in float32 and float64: the output and the input,
             weight and bias gradients of a seeded linear loss
-  tensor    every tensor op, prelu, gdn both ways, noise quantize and
-            gaussian_bits in float32 and float64: the output and the input
-            gradients of a seeded linear loss, with mul also on (x, x) and
-            concat on repeated inputs
+  tensor    every tensor op, prelu, gdn both ways and noise quantize in
+            float32 and float64: the output and the input gradients of a
+            seeded linear loss, with mul also on (x, x) and concat on
+            repeated inputs
+  rate      a noise-mode Coder.forward of each desk kind at seed 5, in
+            float32 and float64, at 32x32 and a cropped 48x80: rate_y,
+            rate_z and the gradients of total_rate() for the frame, the
+            prediction and every parameter
   quadtree  quadtree_search on one root (16x16) and several (8x16, 48x32),
             min_block 4/8, max_block 8/16/256, lambda 0/1/50/300/2000, in
             float32 and float64, with a quarter of the 4x4 blocks tied:
@@ -271,10 +275,9 @@ def tensor(d):
     from gdclab import tensor as T
     shape = (2, 3, 5, 6)
     ops = {
-        "add": (T.add, 2), "sub": (T.sub, 2), "mul": (T.mul, 2), "div": (T.div, 2),
+        "add": (T.add, 2), "sub": (T.sub, 2), "mul": (T.mul, 2),
         "mul_xx": (lambda a: T.mul(a, a), 1),
         "scale": (lambda a: T.scale(a, -0.7), 1),
-        "add_scalar": (lambda a: T.add_scalar(a, 0.3), 1),
         "concat": (lambda a, b, c: T.concat_channels([a, b, c]), 3),
         "concat_aba": (lambda a, b: T.concat_channels([a, b, a]), 2),
         # three shares into one input pin the order of accumulation
@@ -282,13 +285,10 @@ def tensor(d):
         "slice": (lambda a: T.slice_channels(a, 1, 3), 1),
         "crop": (lambda a: T.crop_spatial(a, 1, 4, 2, 6), 1),
         "sum": (T.sum_all, 1), "mean": (T.mean_all, 1),
-        "log2": (T.log2, 1), "softplus": (T.softplus, 1), "normal_cdf": (T.normal_cdf, 1),
-        "clamp_min": (lambda a: T.clamp_min(a, 0.9), 1),
         "prelu": (L.prelu, 2),
         "gdn": (L.gdn, 3),
         "igdn": (lambda a, b, g: L.gdn(a, b, g, inverse=True), 3),
         "quantize": (lambda a: E.quantize(a, "noise", np.random.default_rng(4)), 1),
-        "gaussian_bits": (E.gaussian_bits, 3),
     }
     # per-op input shapes where the op needs its own
     shapes = {"prelu": (shape, (1, 3, 1, 1)),
@@ -298,16 +298,37 @@ def tensor(d):
         rng = np.random.default_rng(13)
         name = np.dtype(dtype).name
         for op_name, (op, arity) in ops.items():
-            # positive inputs keep div, log2 and gdn defined, and
-            # gaussian_bits' scale above SCALE_MIN; ops defined for any sign
-            # get a first input that crosses zero
+            # positive inputs keep gdn defined; ops defined for any sign get
+            # a first input that crosses zero
             arrays = [rng.uniform(0.2, 2.0, size=s).astype(dtype)
                       for s in shapes.get(op_name, (shape,) * arity)]
-            if op_name in ("sub", "mul", "prelu", "quantize", "softplus", "normal_cdf",
-                           "gaussian_bits"):
+            if op_name in ("sub", "mul", "prelu", "quantize"):
                 arrays[0] = (arrays[0] - 1.1).astype(dtype)
             _grad_case(d, f"{name}/{op_name}", op, arrays,
                        [f"d{i}" for i in range(len(arrays))], rng)
+
+
+def rate(d):
+    import numpy as np
+    from gdclab import coders as CD
+    from gdclab import tensor as T
+    for dtype in (np.float32, np.float64):
+        for h, w in ((32, 32), (48, 80)):
+            rng = np.random.default_rng(h + w)
+            x = rng.uniform(0.1, 0.9, size=(1, 3, h, w))
+            xt = np.clip(x + rng.normal(scale=0.04, size=x.shape), 0, 1)
+            for kind in CD.KINDS:
+                coder = CD.Coder.new(CD.CoderConfig.desk(kind), seed=5, dtype=dtype)
+                xs = [T.Tensor(a.astype(dtype), requires_grad=True) for a in (x, xt)]
+                out = coder.forward(*xs, mode="noise", rng=np.random.default_rng(6))
+                T.backward(out.total_rate())
+                label = f"{np.dtype(dtype).name}/{h}x{w}/{kind}"
+                d.add(label + "/rate_y", out.rate_y.data)
+                d.add(label + "/rate_z", out.rate_z.data)
+                d.add(label + "/dx", xs[0].grad)
+                d.add(label + "/dxt", xs[1].grad)
+                for name, t in coder.params.items():
+                    d.add(f"{label}/d/{name}", t.grad)
 
 
 def quadtree(d):
@@ -415,7 +436,7 @@ def main(argv):
     _setup(root)
     groups = [("desk", desk), ("fixture", lambda d: fixture(d, root)),
               ("gdc", gdc), ("load", load), ("training", training), ("infolab", infolab),
-              ("layers", layers), ("tensor", tensor), ("quadtree", quadtree),
+              ("layers", layers), ("tensor", tensor), ("rate", rate), ("quadtree", quadtree),
               ("cli", cli_group)]
     if len(argv) == 2:
         groups.append(("hd", lambda d: fixture(d, root, ((1088, 1920),), ("diff",))))

@@ -183,10 +183,9 @@ class Coder:
             g_hat = self.nets["dec"](y_hat)
             return None, self.nets["gs"](T.concat_channels([xt, g_hat]))
         d = self.nets["dec"](y_hat)
-        r_hat = T.slice_channels(d, 0, self.cfg.channels)
-        x_hat_d = T.add(xt, r_hat)
-        x_hat_g = self.nets["gs"](T.concat_channels([xt, d]))
-        return x_hat_d, x_hat_g
+        x_hat_d = T.add(xt, T.slice_channels(d, 0, self.cfg.channels))
+        d = T.concat_channels([xt, d])  # d itself is not held while gs runs
+        return x_hat_d, self.nets["gs"](d)
 
     def forward(self, x, xt, mode="noise", rng=None):
         """Run the full train-time graph.  ``mode`` is 'noise' (additive

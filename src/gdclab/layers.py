@@ -47,6 +47,17 @@ FEATURE_HIDDEN = 16
 # A causal mask zeroes the weight's taps past the first ``taps`` in raster
 # order, and the same taps of the weight gradient; the columns keep all
 # taps, so a masked conv is bit for bit the conv with the masked weight.
+#
+# No zero-padded copy of the whole input is made.  The columns read a slab
+# buffer of padded rows, sized from BAND_CELLS (and at least one band's
+# k + (rows-1)*s rows), whose border columns stay zero.  When a band needs
+# rows past the slab, the k - s rows it shares with the band before are
+# carried to the slab's front and the next input rows are read after them,
+# so each input row is read once, after every earlier band was yielded.
+# A stride-1 gather that keeps the channel count may therefore write each
+# band's output over its own input: band i0:i1 writes rows i0:i1, and the
+# rows read after it start at i1 + (k-1)//2.  Network does so under
+# no_grad for the intermediates it owns, never for its caller's input.
 
 # Cells of one band of the column buffer: 1 MB in float32, so the GEMM
 # reads the columns from cache right after they are written.  Bands of
@@ -55,34 +66,47 @@ FEATURE_HIDDEN = 16
 BAND_CELLS = 1 << 18
 
 
-def _pad(a, before, rows, cols):
-    """``a`` behind ``before`` zero rows and columns, cut or zero-filled to
-    rows x cols; a view of ``a`` when that adds nothing."""
-    n, c, h, w = a.shape
-    if before == 0 and h >= rows and w >= cols:
-        return a[:, :, :rows, :cols]
-    out = np.zeros((n, c, rows, cols), dtype=a.dtype)
-    out[:, :, before:before + h, before:before + w] = a[:, :, :rows - before, :cols - before]
-    return out
-
-
 def _columns(a, before, k, stride, oh, ow):
     """Yield (i0, i1, cols) for each band of output rows i0:i1, with cols
     the [c*k*k, n*(i1-i0)*ow] columns of ``a`` padded by ``before``: row
     (ch, ki*k + kj) holds the input that tap (ki, kj) of channel ch meets
-    at output position (n, i, j).  Every band reuses one buffer."""
-    n, c = a.shape[:2]
-    padded = _pad(a, before, (oh - 1) * stride + k, (ow - 1) * stride + k)
-    # [c, k, k, n, oh', ow'] windows of the padded grid, every s-th per axis
-    sn, sc, sh, sw = padded.strides
-    win = np.lib.stride_tricks.as_strided(
-        padded, (c, k, k, n, oh, ow), (sc, sh, sw, sn, sh * stride, sw * stride), writeable=False)
+    at output position (n, i, j).  Every band reuses one column buffer and
+    reads the padded rows from one slab buffer; each row of ``a`` is read
+    once, when a band first needs it."""
+    n, c, h, w = a.shape
     rows = min(oh, max(1, BAND_CELLS // (c * k * k * n * ow)))
+    ph, pw = (oh - 1) * stride + k, (ow - 1) * stride + k
+    # padded rows base:base+filled, zero outside ``a``; a column of
+    # ``before`` zeros on the left, up to pw on the right
+    slab = np.zeros((n, c, min(ph, max((rows - 1) * stride + k, BAND_CELLS // (n * c * pw))), pw),
+                    dtype=a.dtype)
+    # [c, k, k, n, i, ow] windows of the slab, every s-th per axis
+    sn, sc, sh, sw = slab.strides
+    win = np.lib.stride_tricks.as_strided(
+        slab, (c, k, k, n, (slab.shape[2] - k) // stride + 1, ow),
+        (sc, sh, sw, sn, sh * stride, sw * stride), writeable=False)
+    cw = min(w, pw - before)
     buf = np.empty(c * k * k * n * rows * ow, dtype=a.dtype)
+    base = filled = 0
     for i0 in range(0, oh, rows):
         i1 = min(i0 + rows, oh)
+        top, bottom = i0 * stride, (i1 - 1) * stride + k
+        if bottom > base + filled:
+            # carry the rows this band shares with the last to the front,
+            # then read the rows after them; rows above ``a`` occur only in
+            # the first fill, while the slab is still zero
+            kept = max(0, base + filled - top)
+            slab[:, :, :kept] = slab[:, :, filled - kept:filled]
+            base, filled = top, min(ph - top, slab.shape[2])
+            r0 = base + kept - before
+            v0 = max(r0, 0)
+            v1 = max(min(base + filled - before, h), v0)
+            fresh = slab[:, :, kept:filled]
+            fresh[:, :, v0 - r0:v1 - r0, before:before + cw] = a[:, :, v0:v1, :cw]
+            fresh[:, :, v1 - r0:] = 0
+        j = (top - base) // stride
         cols = buf[:c * k * k * n * (i1 - i0) * ow].reshape(c, k, k, n, i1 - i0, ow)
-        cols[...] = win[..., i0:i1, :]
+        cols[...] = win[..., j:j + i1 - i0, :]
         yield i0, i1, cols.reshape(c * k * k, -1)
 
 
@@ -95,7 +119,7 @@ def _gemm(a, before, wm, k, stride, out):
             .transpose(3, 2, 4, 0, 5, 1)
 
 
-def _gather(big, w, stride, taps):
+def _gather(big, w, stride, taps, out=None):
     n, _, h, ww = big.shape
     o, c, k, _ = w.shape
     oh, ow = (h - 1) // stride + 1, (ww - 1) // stride + 1
@@ -103,8 +127,9 @@ def _gather(big, w, stride, taps):
     if taps < k * k:
         wm = wm.copy()
         wm[:, :, taps:] = 0
-    out = np.empty((n, o, oh, ow), dtype=big.dtype)
-    _gemm(big, (k - 1) // 2, wm.reshape(o, c * k * k), k, stride, out.reshape(n, o, oh, 1, ow, 1))
+    if out is None:
+        out = np.empty((n, o, oh, ow), dtype=big.dtype)
+    _gemm(big, (k - 1) // 2, wm.reshape(o, c * k * k), k, stride, out[:, :, :, None, :, None])
     return out
 
 
@@ -145,10 +170,11 @@ def _weight_grad(big, small, stride, taps, w_shape):
     return dw.reshape(w_shape)
 
 
-def _conv(x, weight, bias, stride, transposed, op, mask=""):
+def _conv(x, weight, bias, stride, transposed, op, mask="", out=None):
     """The autodiff node of every convolution.  Weights are [out, in, k, k],
     or [in, out, k, k] when ``transposed``; mask "A" walks the k*k//2 taps
-    before the centre, "B" the centre as well, "" all k*k."""
+    before the centre, "B" the centre as well, "" all k*k.  A gather writes
+    into ``out`` when given, which may be ``x.data`` itself for stride 1."""
     w = weight.data
     if w.ndim != 4 or w.shape[2] != w.shape[3]:
         raise ShapeError(f"{op}: bad weight shape {weight.shape}")
@@ -164,7 +190,7 @@ def _conv(x, weight, bias, stride, transposed, op, mask=""):
     if transposed:
         out = _transposed(x.data, w, stride, taps, x.shape[2] * stride, x.shape[3] * stride)
     else:
-        out = _gather(x.data, w, stride, taps)
+        out = _gather(x.data, w, stride, taps, out)
     if bias is not None:
         if bias.shape != (1, cout, 1, 1):
             raise ShapeError(f"{op}: bias shape {bias.shape} != (1,{cout},1,1)")
@@ -215,6 +241,25 @@ def prelu(x, slope):
                    (slope, slope_vjp))
 
 
+def _bias_prelu(a, bias, slope):
+    """``a`` plus ``bias``, then PReLU with ``slope`` as max(b, 0) +
+    slope * min(b, 0), in place; either may be None.  That form equals the
+    graph op's np.where except for the sign of a zero.  Each image runs in
+    bands of rows that with their one temporary fill BAND_CELLS cells."""
+    n, c, h, w = a.shape
+    rows = max(1, BAND_CELLS // (2 * c * w))
+    for b in range(n):
+        for r0 in range(0, h, rows):
+            band = a[b:b + 1, :, r0:r0 + rows]
+            if bias is not None:
+                band += bias
+            if slope is not None:
+                neg = np.minimum(band, 0)
+                neg *= slope
+                np.maximum(band, 0, out=band)
+                band += neg
+
+
 def _gdn_norms(x, gamma, beta):
     """Yield (cols, band, sq, s) for each band of pixels of each image of
     ``x``: cols indexes the band in an [n, c, h*w] view, band is that
@@ -255,6 +300,12 @@ def gdn(x, beta_raw, gamma_raw, inverse=False):
     dbeta = sum t and dgamma = sum t (x^2)^T, chained through the raw
     parameters; one pass serves all three inputs.
     """
+    return _gdn(x, beta_raw, gamma_raw, inverse, np.empty(x.shape, dtype=x.dtype))
+
+
+def _gdn(x, beta_raw, gamma_raw, inverse, out):
+    """gdn written into ``out``, a C-contiguous array of x's shape that may
+    be ``x.data`` itself: each band of pixels is read before it is written."""
     c = x.shape[1]
     if beta_raw.shape != (1, c, 1, 1):
         raise ShapeError(f"gdn: beta shape {beta_raw.shape} != (1,{c},1,1)")
@@ -264,7 +315,6 @@ def gdn(x, beta_raw, gamma_raw, inverse=False):
         raise ContractError(f"gdn: dtypes differ {x.dtype} {beta_raw.dtype} {gamma_raw.dtype}")
     br, gr = beta_raw.data.reshape(c, 1), gamma_raw.data.reshape(c, c)
     beta, gamma = br * br + x.dtype.type(GDN_BETA_MIN), gr * gr
-    out = np.empty(x.shape, dtype=x.dtype)
     flat = out.reshape(x.shape[0], c, -1)
     scale = np.multiply if inverse else np.divide
     for cols, band, _, s in _gdn_norms(x.data, gamma, beta):
@@ -452,13 +502,27 @@ class Network:
         return conv2d(x, w, bias=b, stride=lay.stride)
 
     def __call__(self, x):
+        """The stack on ``x``.  Under no_grad each layer holds about one
+        feature map: bias, PReLU and GDN run in place over the conv's fresh
+        output, and a plain stride-1 conv that keeps the channel count
+        writes over its input when an earlier layer of the stack made it."""
+        free = not T._grad_enabled
         for i, lay in enumerate(self.spec.layers):
-            x = self._conv(lay, x, self._p(i, "w"), self._p(i, "b"))
-            if lay.activation == "prelu":
-                x = prelu(x, self._p(i, "slope"))
-            elif lay.activation in ("gdn", "igdn"):
-                x = gdn(x, self._p(i, "beta"), self._p(i, "gamma"),
-                        inverse=(lay.activation == "igdn"))
+            w, b = self._p(i, "w"), self._p(i, "b")
+            slope = self._p(i, "slope") if lay.activation == "prelu" else None
+            if free:
+                over = i > 0 and lay.stride == 1 and lay.in_ch == lay.out_ch \
+                    and not (lay.mask or lay.transposed)
+                x = _conv(x, w, None, lay.stride, lay.transposed, f"{self.prefix}.{i}", lay.mask,
+                          x.data if over else None)
+                _bias_prelu(x.data, b.data, None if slope is None else slope.data)
+            else:
+                x = self._conv(lay, x, w, b)
+                if slope is not None:
+                    x = prelu(x, slope)
+            if lay.activation in ("gdn", "igdn"):
+                norm = (x, self._p(i, "beta"), self._p(i, "gamma"), lay.activation == "igdn")
+                x = _gdn(*norm, x.data) if free and x.data.flags.c_contiguous else gdn(*norm)
         return x
 
     def grid(self, x, inside=1.0):
@@ -476,7 +540,8 @@ class Network:
                         for leaf, bits in (("w", wb), ("b", wb + ab)))
                 a = to_grid(self._conv(lay, Tensor(a), w, b).data, ab)
                 if lay.activation == "prelu":
-                    a = to_grid(np.where(a >= 0, a, to_grid(self._p(i, "slope").data, wb) * a), ab)
+                    _bias_prelu(a, None, to_grid(self._p(i, "slope").data, wb))
+                    a = to_grid(a, ab)
                 a = a * inside
         return a
 

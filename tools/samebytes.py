@@ -36,6 +36,12 @@ Cases:
             float32 and float64: the output and the input gradients of a
             seeded linear loss, with mul also on (x, x) and concat on
             repeated inputs
+  nets      graph-free Network forwards (under no_grad) of the feature
+            transforms gd (6->16->16->16) and gs (22->16->16->3) at k 5,
+            the hyper encoder and a k 5 encoder and k 3 decoder with GDN,
+            at batch 2 and 37x29, with random biases and slopes, in
+            float32 and float64, with the column buffer at its size and
+            cut to 2,000 cells: the output and the input after the call
   rate      a noise-mode Coder.forward of each desk kind at seed 5, in
             float32 and float64, at 32x32 and a cropped 48x80: rate_y,
             rate_z and the gradients of total_rate() for the frame, the
@@ -308,6 +314,36 @@ def tensor(d):
                        [f"d{i}" for i in range(len(arrays))], rng)
 
 
+def nets(d):
+    import numpy as np
+    from gdclab import layers as L
+    from gdclab import tensor as T
+    specs = {"gd": L.feature_spec(6, 16, 5, "gd"), "gs": L.feature_spec(22, 3, 5, "gs"),
+             "hyp_enc": L.hyper_encoder_spec(8, 12, 6),
+             "enc": L.encoder_spec(3, 8, 6, strides=(2, 2)),
+             "dec": L.decoder_spec(6, 8, 3, kernel=3, strides=(2, 2))}
+    cells = L.BAND_CELLS
+    try:
+        for band in (cells, 2000):
+            L.BAND_CELLS = band
+            for dtype in (np.float32, np.float64):
+                for name, spec in specs.items():
+                    rng = np.random.default_rng(14)
+                    params = L.ParamStore(dtype)
+                    net = L.make_network(spec, params, name, rng=rng)
+                    for pname, t in params.items():
+                        if pname.endswith((".b", ".slope")):
+                            t.data[...] = rng.normal(scale=0.5, size=t.shape)
+                    x = rng.normal(size=(2, spec.layers[0].in_ch, 37, 29)).astype(dtype)
+                    with T.no_grad():
+                        out = net(T.Tensor(x))
+                    label = f"{band}/{np.dtype(dtype).name}/{name}"
+                    d.add(label + "/out", out.data)
+                    d.add(label + "/x", x)
+    finally:
+        L.BAND_CELLS = cells
+
+
 def rate(d):
     import numpy as np
     from gdclab import coders as CD
@@ -436,8 +472,8 @@ def main(argv):
     _setup(root)
     groups = [("desk", desk), ("fixture", lambda d: fixture(d, root)),
               ("gdc", gdc), ("load", load), ("training", training), ("infolab", infolab),
-              ("layers", layers), ("tensor", tensor), ("rate", rate), ("quadtree", quadtree),
-              ("cli", cli_group)]
+              ("layers", layers), ("tensor", tensor), ("nets", nets), ("rate", rate),
+              ("quadtree", quadtree), ("cli", cli_group)]
     if len(argv) == 2:
         groups.append(("hd", lambda d: fixture(d, root, ((1088, 1920),), ("diff",))))
     total = Digest()

@@ -3,7 +3,8 @@
 The package couples an exact discrete information-theory workbench with a
 small trainable codec family (difference coder, conditional-latent coder,
 and generalized difference coders) built on a from-scratch rank-4 autodiff
-engine, a bit-exact range coder, and quad-tree hybrid evaluation tools.
+engine, a bit-exact lane-interleaved rANS entropy coder, and quad-tree hybrid
+evaluation tools.
 """
 
 from .tensor import Tensor, backward, grad_check, no_grad, using_dtype

@@ -225,7 +225,7 @@ class Coder:
     def encode(self, x, xt, qt_lambda=None, min_block=V.MIN_BLOCK, max_block=V.MAX_BLOCK):
         """Code a frame against its prediction; returns (container, output).
 
-        This is the round-mode forward pass plus the range coder: the
+        This is the round-mode forward pass plus the rANS coder: the
         rounded latents are coded under their entropy parameters, and the
         forward rates become the payloads' ``est_bits``.  Both frames enter
         in the coder's dtype.  Frames of any size are padded to the stride
@@ -244,7 +244,7 @@ class Coder:
         sp = self.cfg.stride_product
         xp = T.Tensor(pad_to_multiple(xd_arr, sp))
         if qt_lambda is not None:
-            # reject a bad search before the forward pass and the range coders
+            # reject a bad search before the forward pass and the entropy coding
             V.check_lambda(qt_lambda)
             V.root_block(xp.shape[2], xp.shape[3], min_block, max_block)
         with T.no_grad():

@@ -1,5 +1,5 @@
 """Quantization, discretized-Gaussian rate estimates, and the glue between
-learned entropy parameters and the range coder.
+learned entropy parameters and the lane-interleaved rANS coder (``rans``).
 
 Rates are measured against the discretized Gaussian
 
@@ -13,14 +13,18 @@ one table of a fixed set, strictly increasing 2^16-grid CDFs over an
 integer support plus one trailing escape bin, one per (scale, mean
 fraction) point of a 64 x 8 grid.  The scale row is picked by comparing
 the raw scale with fixed thresholds, so choosing a row evaluates no exp.
-Offsets outside the support are sent as the escape symbol followed by four
-raw bytes (zigzag), so the coder is total even when the model support is
-misjudged.
+Offsets outside the support are sent as the escape symbol plus the raw
+32-bit zigzag code of the offset at the payload's tail, so the coder is
+total even when the model support is misjudged.  Both payloads of a
+container run through the one rANS coder: the y payload in one pass, the
+z payload one context wavefront at a time.
 
 In coding, both nets that read the hyper-latent (the hyper decoder and the
 context net) run on the exact grid of ``layers.Network.grid`` over z_hat
 clamped to +-Z_CLAMP, at the encoder and the decoder alike, so the tables a
-decoder picks do not depend on the host's BLAS kernel.  The tables come
+decoder picks do not depend on the host's BLAS kernel.  The context net
+runs only at the cells the coded positions read (_ContextMap), which on
+the grid equals the full-map pass bit for bit.  The tables come
 from committed constants and ``tensor.erf``, so no host libm shapes them.
 """
 
@@ -30,10 +34,11 @@ import math
 
 import numpy as np
 
+from . import layers as L
+from . import rans
 from . import tensor as T
 from .errors import ContractError, NumericError, ShapeError
-from .layers import GRID_WEIGHT_BITS
-from .rangecoder import CDF_TOTAL, RangeDecoder, RangeEncoder
+from .rans import CDF_TOTAL
 
 SCALE_MIN = 0.11
 PROB_FLOOR = 2.0 ** -16
@@ -45,10 +50,8 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # A coder table has at most this many bins, escape included, so a decoder
 # rejects a wider (patched) support before building any table.
 MAX_TABLE_BINS = 1024
-# Escaped values are sent as four raw bytes of their zigzag code.
+# Escaped values are sent as the raw 32-bit zigzag code of their offset.
 ESCAPE_LIMIT = 1 << 31
-_BYTE_FREQ = CDF_TOTAL // 256
-_BYTE_ROW = list(range(0, CDF_TOTAL + 1, _BYTE_FREQ))
 # The table set's grid: np.geomspace(SCALE_MIN, 256, 64) written out exactly,
 # and the bucket centres of the mean's fraction in (-0.5, 0.5).
 TABLE_SCALES = np.array([float.fromhex(h) for h in """
@@ -74,7 +77,7 @@ RAW_EDGES = np.array([
     14457, 16471, 18726, 21263, 24120, 27345, 30989, 35107, 39764, 45030, 50986, 57721, 65339,
     73953, 83696, 94715, 107177, 121270, 137209, 155235, 175622, 198678, 224753, 254242, 287593,
     325312, 367969, 416212, 470773, 532478, 602263, 681186, 770444, 871390, 985554,
-]) * 2.0 ** -GRID_WEIGHT_BITS
+]) * 2.0 ** -L.GRID_WEIGHT_BITS
 # The grid nets read the hyper-latent clamped to this range, which bounds
 # their partial sums (tests/test_grid.py checks the bound against 2^53).
 Z_CLAMP = 1024
@@ -216,12 +219,12 @@ def _table_rows(mean, raw, count):
     raw = np.asarray(raw, dtype=np.float64).reshape(-1)
     if mean.size != count or raw.size != count:
         raise ShapeError(f"{count} values but {mean.size} means and {raw.size} scales")
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(raw))):
+    if not (np.isfinite(mean).all() and np.isfinite(raw).all()):
         raise NumericError("non-finite entropy parameters")
-    mean = np.clip(mean, 1 - ESCAPE_LIMIT, ESCAPE_LIMIT - 1)
+    mean = np.minimum(np.maximum(mean, 1 - ESCAPE_LIMIT), ESCAPE_LIMIT - 1)
     center = round_away(mean)
     frac = ((mean - center + 0.5) * TABLE_MEANS.size).astype(np.int64)
-    rows = np.searchsorted(RAW_EDGES, raw) * TABLE_MEANS.size
+    rows = RAW_EDGES.searchsorted(raw) * TABLE_MEANS.size
     return center.astype(np.int64), rows + np.minimum(frac, TABLE_MEANS.size - 1)
 
 
@@ -229,21 +232,11 @@ def _unzigzag(u):
     return (u >> 1) ^ -(u & 1)
 
 
-def _escape_intervals(starts, freqs, values, escaped):
-    """Follow each escape interval with the four byte intervals of its
-    value's zigzag code, most significant byte first."""
-    v = values[escaped]
-    u = np.where(v < 0, -2 * v - 1, 2 * v)
-    after = np.repeat(np.flatnonzero(escaped) + 1, 4)
-    code = (u[:, None] >> np.array([24, 16, 8, 0])) & 0xFF
-    return np.insert(starts, after, code.ravel() * _BYTE_FREQ), np.insert(freqs, after, _BYTE_FREQ)
-
-
 def _encode_symbols(flat, mean, raw):
-    """Range-code the int64 array ``flat`` in order, each value as its
-    offset from its rounded mean under its row of one table set.  The
-    support is the observed offset range, narrowed to MAX_TABLE_BINS around
-    the median offset when wider (the rest is escaped).  Returns
+    """Code the int64 array ``flat`` in order, each value as its offset
+    from its rounded mean under its row of one table set.  The support is
+    the observed offset range, narrowed to MAX_TABLE_BINS around the
+    median offset when wider (the rest is escaped).  Returns
     (payload_bytes, (lo, hi))."""
     center, rows = _table_rows(mean, raw, flat.size)
     offsets = flat - center
@@ -258,85 +251,145 @@ def _encode_symbols(flat, mean, raw):
     cdfs = _table_set(lo, hi)
     symbols = np.where(outside, hi - lo + 1, offsets - lo)
     starts = cdfs[rows, symbols]
-    freqs = cdfs[rows, symbols + 1] - starts
-    if outside.any():
-        starts, freqs = _escape_intervals(starts, freqs, offsets, outside)
-    enc = RangeEncoder()
-    enc.encode_intervals(starts.tolist(), freqs.tolist())
-    return enc.finish(), (lo, hi)
+    v = offsets[outside]
+    return rans.encode(starts, cdfs[rows, symbols + 1] - starts,
+                       np.where(v < 0, -2 * v - 1, 2 * v)), (lo, hi)
 
 
 def encode_gaussian(values, mean, raw):
-    """Range-code integer ``values`` under per-element Gaussians given by
-    their means and raw scales, arrays flattened in C order.  Returns
+    """Code integer ``values`` under per-element Gaussians given by their
+    means and raw scales, arrays flattened in C order.  Returns
     (payload_bytes, (lo, hi)); the decoder needs the support (lo, hi),
     which the container stores.
     """
     return _encode_symbols(np.asarray(values).reshape(-1).astype(np.int64), mean, raw)
 
 
-def _decode_symbols(dec, table, mean, raw, count, lo):
-    """Decode ``count`` values from ``dec`` under rows of ``table`` (the
-    set over support [lo, ...] as lists); the inverse of _encode_symbols."""
+def _decode_values(dec, mean, raw, count, lo):
+    """The next ``count`` values of ``dec``, one per element of ``mean``
+    and ``raw``; the inverse of _encode_symbols."""
     center, rows = _table_rows(mean, raw, count)
-    escape = len(table[0]) - 2
-    symbols, code = [], []
-    rows = map(table.__getitem__, rows.tolist())
-    while dec.decode_rows(rows, symbols, escape):
-        dec.decode_rows((_BYTE_ROW,) * 4, code)
-    out = np.array(symbols, dtype=np.int64)
-    escaped = out == escape
-    out += lo
-    out[escaped] = _unzigzag(np.frombuffer(bytes(code), ">u4").astype(np.int64))
+    symbols, escaped = dec.decode(rows)
+    out = symbols + lo
+    out[symbols == dec.width - 2] = _unzigzag(escaped)
     return out + center
 
 
 def decode_gaussian(payload, mean, raw, support, count):
     """Inverse of encode_gaussian; returns a flat int64 array."""
     lo, hi = int(support[0]), int(support[1])
-    table = _table_set(lo, hi).tolist()
-    return _decode_symbols(RangeDecoder(payload), table, mean, raw, count, lo)
+    dec = rans.Decoder(payload, count, _table_set(lo, hi))
+    return _decode_values(dec, mean, raw, count, lo)
 
 
-def on_grid(net, z_hat, inside=1.0):
+def on_grid(net, z_hat):
     """``net``, the hyper decoder or the context net, on the exact grid over
-    the hyper-latent clamped to +-Z_CLAMP (``inside`` as in Network.grid)."""
-    return net.grid(np.clip(z_hat, -Z_CLAMP, Z_CLAMP), inside)
+    the hyper-latent clamped to +-Z_CLAMP."""
+    return net.grid(np.clip(z_hat, -Z_CLAMP, Z_CLAMP))
 
 
-def context_params(ctx_net, z_hat_data, inside=1.0):
-    """The causal context net on the exact grid over a rank-4 integer array;
-    returns the float64 mean and raw scale arrays, each of the input's
-    shape."""
-    out = on_grid(ctx_net, z_hat_data, inside)
-    c = z_hat_data.shape[1]
+def _taps(kernel, count, width):
+    """Flat offsets, in a map ``width`` columns wide, of the first ``count``
+    taps of a kernel in raster order: the taps a causal mask keeps."""
+    dy, dx = np.divmod(np.arange(count), kernel)
+    return (dy - kernel // 2) * width + dx - kernel // 2
+
+
+class _ContextMap:
+    """The context net's view of an h x w hyper-latent being coded: the
+    values written so far, clamped to +-Z_CLAMP, in a position-major map
+    behind r zero rows above and r zero columns either side, where r is
+    the net's reach.  ``params`` evaluates the net on the exact grid only at
+    the cells that some positions read.
+
+    The net is a mask-A conv, a mask-B conv, then 1x1 layers.  The first
+    layer runs at the mask-B taps' offsets of each position, each from the
+    mask-A taps of the map, and is zero outside the map, as the second
+    layer's zero padding sees it; the rest run at the position itself.
+    Activations are held in units of their grid step and weights in units
+    of theirs, so each layer is a sum of integers and one rounding.  On the
+    grid every sum is exact in any order, so a position's parameters equal
+    those of ``Network.grid`` on the full map bit for bit, once the
+    positions before it in coding order are written."""
+
+    def __init__(self, ctx_net, c, h, w):
+        first, second = ctx_net.spec.layers[:2]
+        r = first.kernel // 2 + second.kernel // 2
+        cols = w + 2 * r
+        self.map = np.zeros(((h + r) * cols, c))
+        inside = np.zeros((h + r, cols))
+        inside[r:, r:r + w] = 1.0
+        i, j = np.divmod(np.arange(h * w), w)
+        self.at = (i + r) * cols + j + r
+        self.cells = _taps(second.kernel, second.kernel ** 2 // 2 + 1, cols)
+        self.inside = inside.reshape(-1)
+        self.reads = (self.cells[:, None] + _taps(first.kernel, first.kernel ** 2 // 2, cols)
+                      ).reshape(-1)
+        self.layers = []
+        wb, ab = L.GRID_WEIGHT_BITS, L.GRID_ACT_BITS
+        for k, lay in enumerate(ctx_net.spec.layers):
+            wk, b, slope = ctx_net.grid_layer(k)
+            taps = lay.kernel ** 2 // 2 + (lay.mask == "B") if lay.mask else lay.kernel ** 2
+            wk = wk.reshape(lay.out_ch, lay.in_ch, -1)[:, :, :taps] * 2.0 ** wb
+            self.layers.append((wk.transpose(2, 1, 0).reshape(-1, lay.out_ch),
+                                b.reshape(-1) * 2.0 ** (wb + ab),
+                                None if slope is None else slope.reshape(-1)))
+
+    def write(self, positions, values):
+        """Write the (len(positions), c) ``values`` at flat map positions."""
+        self.map[self.at[positions]] = np.clip(values, -Z_CLAMP, Z_CLAMP) * 2.0 ** L.GRID_ACT_BITS
+
+    def params(self, positions):
+        """The net's (len(positions), 2c) output at flat map positions."""
+        at = self.at[positions]
+        a = self.map[(at[:, None] + self.reads).reshape(-1)]
+        a = a.reshape(at.size * self.cells.size, -1)
+        for k, (w, b, slope) in enumerate(self.layers):
+            a = np.rint((a @ w + b) * 2.0 ** -L.GRID_WEIGHT_BITS)
+            if slope is not None:
+                a = np.maximum(a, 0) + np.rint(slope * np.minimum(a, 0))
+            if k == 0:
+                a *= self.inside[at[:, None] + self.cells].reshape(-1, 1)
+                a = a.reshape(at.size, -1)
+        return a * 2.0 ** -L.GRID_ACT_BITS
+
+
+def context_params(ctx_net, z_hat_data):
+    """The causal context net on the exact grid over a rank-4 single-frame
+    integer array, at every position through _ContextMap; returns the
+    float64 mean and raw scale arrays, each of the input's shape."""
+    n, c, h, w = z_hat_data.shape
+    if n != 1:
+        raise ContractError("context coding runs on single-frame tensors")
+    cmap = _ContextMap(ctx_net, c, h, w)
+    positions = np.arange(h * w)
+    cmap.write(positions, z_hat_data[0].reshape(c, -1).T)
+    out = cmap.params(positions).T.reshape(1, 2 * c, h, w)
     return out[:, :c], out[:, c:]
 
 
 def _decode_order(ctx_net, h, w):
-    """Flat positions of an h x w map in coding order, the same split into
-    wavefronts, and the context net's reach r, its summed kernel radius.
-    The net's output at (i, j) reads only rows i-r..i and columns j-r..j+r
-    of the map, and of row i only columns before j; so every position of
-    wavefront (r+1)*i + j depends on earlier wavefronts alone, and a
-    wavefront decodes as one batch."""
+    """Flat positions of an h x w map in coding order, and the same split
+    into wavefronts.  With r the context net's reach, its summed kernel
+    radius, the net's output at (i, j) reads only rows i-r..i and columns
+    j-r..j+r of the map, and of row i only columns before j; so every
+    position of wavefront (r+1)*i + j depends on earlier wavefronts alone,
+    and a wavefront decodes as one batch."""
     r = sum(lay.kernel // 2 for lay in ctx_net.spec.layers)
     i, j = np.divmod(np.arange(h * w), w)
     front = (r + 1) * i + j
     order = np.lexsort((i, front))
     fronts = np.split(order, np.flatnonzero(np.diff(front[order])) + 1) if order.size else []
-    return order, fronts, r
+    return order, fronts
 
 
 def encode_context(z_hat, ctx_net):
     """Encode an integer hyper-latent autoregressively.
 
-    The context net sees the full tensor in one pass (its masks make each
-    output position a function of strictly earlier positions only, and on
-    the grid that pass equals the decoder's windows bit for bit), so the
-    encoder is one forward pass plus a scan in the decoder's order:
-    positions by wavefront (see _decode_order), channels within a
-    position.  Returns (payload, (lo, hi)).
+    The encoder knows the whole map, so it evaluates the context net at
+    every position at once (context_params) and codes the values in the
+    decoder's order: positions by wavefront (see _decode_order), channels
+    within a position.  Returns (payload, (lo, hi)).
     """
     z = np.asarray(z_hat)
     mean, raw = context_params(ctx_net, z)
@@ -350,34 +403,24 @@ def decode_context(payload, ctx_net, shape, support):
     """Decode the hyper-latent wavefront by wavefront (all channels of each
     position at once).
 
-    Each position's parameters come from its causal window alone: rows
-    i-r..i and columns j-r..j+r of the map, zero outside the map, with
-    every layer's output zeroed there too, as the full map's zero padding
-    would see it.  The windows of one wavefront are one batch; on the grid
-    they give the encoder's full-map parameters bit for bit, so encoder and
-    decoder select identical rows of the one table set.
+    Each wavefront's parameters come from the cells its positions read,
+    over the values decoded before it (_ContextMap); they equal the
+    encoder's bit for bit, so encoder and decoder select identical rows of
+    the one table set.
     """
     n, c, h, w = shape
     if n != 1:
         raise ContractError("context decoding runs on single-frame tensors")
     lo, hi = int(support[0]), int(support[1])
-    table = _table_set(lo, hi).tolist()
-    _, fronts, r = _decode_order(ctx_net, h, w)
-    # the map behind r zero rows above and r zero columns either side
-    z = np.zeros((c, h + r, w + 2 * r))
-    inside = np.zeros((1, h + r, w + 2 * r))
-    inside[:, r:, r:r + w] = 1.0
-    win, win_in = (np.lib.stride_tricks.sliding_window_view(a, (r + 1, 2 * r + 1), axis=(1, 2))
-                   for a in (z, inside))
-    dec = RangeDecoder(payload)
-    for front in fronts:
-        i, j = np.divmod(front, w)
-        mean, raw = context_params(ctx_net, win[:, i, j].transpose(1, 0, 2, 3),
-                                   win_in[:, i, j].transpose(1, 0, 2, 3))
-        values = _decode_symbols(dec, table, mean[:, :, r, r], raw[:, :, r, r],
-                                 front.size * c, lo)
-        z[:, i + r, j + r] = values.reshape(-1, c).T
-    return np.ascontiguousarray(z[None, :, r:, r:r + w])
+    dec = rans.Decoder(payload, c * h * w, _table_set(lo, hi))
+    cmap = _ContextMap(ctx_net, c, h, w)
+    z = np.zeros((h * w, c))
+    for front in _decode_order(ctx_net, h, w)[1]:
+        out = cmap.params(front)
+        values = _decode_values(dec, out[:, :c], out[:, c:], front.size * c, lo)
+        z[front] = values.reshape(-1, c)
+        cmap.write(front, z[front])
+    return np.ascontiguousarray(z.T.reshape(1, c, h, w))
 
 
 def context_bits(z_hat_t, ctx_net, grid=False):

@@ -23,9 +23,10 @@ from .training import TrainConfig
 CHECKPOINT_MAGIC = b"GDCK"
 CONTAINER_MAGIC = b"GDCB"
 CHECKPOINT_VERSION = 1
-# 3: the hyper decoder and the context net run on the exact grid, and the
+# 4: both payloads are lane-interleaved rANS, not range coded; since 3 the
+# hyper decoder and the context net run on the exact grid, and the
 # hyper-latent is coded by wavefront (see BitstreamContainer).
-CONTAINER_VERSION = 3
+CONTAINER_VERSION = 4
 # The container header byte after the coder kind tag, unused: written as
 # this value and rejected as any other.
 RESERVED_BYTE = 0xFF
@@ -139,7 +140,8 @@ def unpack_bits(data, count):
 
 @dataclass
 class Payload:
-    """One coded tensor: support bounds plus the range-coder byte stream."""
+    """One coded tensor: support bounds plus its rANS payload (see
+    ``rans``), whose lane count follows from ``symbol_count``."""
     stream: bytes
     lo: int
     hi: int
@@ -163,21 +165,24 @@ class Payload:
 class BitstreamContainer:
     """The single-file coded representation of one frame.
 
-    Version 3 layout, little-endian: magic ``GDCB``, u32 version, then
+    Version 4 layout, little-endian: magic ``GDCB``, u32 version, then
     u8 kind tag, u8 reserved (0xff), u16 width, u16 height and u8 flags
     (bit 0: quad-tree side bits follow); the z payload and then the y
     payload, each a u32 length, i16 lo and hi of its offset support and the
-    range-coder bytes; with flag bit 0, u16 min and max block, a u32 bit
-    count and the bits packed MSB first.
+    rANS bytes (``rans``: the lane states, the renormalisation words and the
+    escape tail; the lane count is a function of the symbol count, which
+    the frame size gives); with flag bit 0, u16 min and max block, a u32
+    bit count and the bits packed MSB first.
 
     The payloads decode only under the entropy parameters the encoder used,
-    and version 3 makes them exact: the hyper decoder (y's means and raw
-    scales) and the context net (z's) run on the power-of-two grid of
+    and they are exact: the hyper decoder (y's means and raw scales) and
+    the context net (z's) run on the power-of-two grid of
     ``layers.Network.grid`` over z_hat clamped to +-``entropy.Z_CLAMP``, so
     a container decodes alike under every BLAS kernel.  z is coded by
-    wavefront of its context net's causal windows (``entropy.decode_context``)
+    wavefront of its context net's causal reach (``entropy.decode_context``)
     and y in C order; each value is its offset from its rounded mean under
-    the table row its raw scale falls in.  Other versions are refused.
+    the table row its raw scale falls in.  Version 3 held the same values
+    range coded; it and every other version are refused.
     """
     kind: str
     width: int

@@ -525,24 +525,27 @@ class Network:
                 x = _gdn(*norm, x.data) if free and x.data.flags.c_contiguous else gdn(*norm)
         return x
 
-    def grid(self, x, inside=1.0):
+    def grid_layer(self, i):
+        """Layer i's weight, bias and PReLU slope (None without PReLU) on
+        the exact grid, in the shapes of the parameters."""
+        wb = GRID_WEIGHT_BITS
+        slope = self._p(i, "slope").data if self.spec.layers[i].activation == "prelu" else None
+        return (to_grid(self._p(i, "w").data, wb), to_grid(self._p(i, "b").data, wb + GRID_ACT_BITS),
+                None if slope is None else to_grid(slope, wb))
+
+    def grid(self, x):
         """The stack on the exact grid: a float64 array in, the last
         layer's float64 output out, no graph.  ``x`` is rounded to the
-        activation grid first; ``inside`` (0/1, broadcast over channels)
-        zeroes every layer's output outside the map, as the zero padding
-        of the next layer would see it.  Conv and PReLU layers only: the
-        hyper decoder and the context net have no GDN."""
-        wb, ab = GRID_WEIGHT_BITS, GRID_ACT_BITS
+        activation grid first.  Conv and PReLU layers only: the hyper
+        decoder and the context net have no GDN."""
         with T.no_grad():
-            a = to_grid(x, ab)
+            a = to_grid(x, GRID_ACT_BITS)
             for i, lay in enumerate(self.spec.layers):
-                w, b = (Tensor(to_grid(self._p(i, leaf).data, bits))
-                        for leaf, bits in (("w", wb), ("b", wb + ab)))
-                a = to_grid(self._conv(lay, Tensor(a), w, b).data, ab)
-                if lay.activation == "prelu":
-                    _bias_prelu(a, None, to_grid(self._p(i, "slope").data, wb))
-                    a = to_grid(a, ab)
-                a = a * inside
+                w, b, slope = self.grid_layer(i)
+                a = to_grid(self._conv(lay, Tensor(a), Tensor(w), Tensor(b)).data, GRID_ACT_BITS)
+                if slope is not None:
+                    _bias_prelu(a, None, slope)
+                    a = to_grid(a, GRID_ACT_BITS)
         return a
 
 

@@ -15,7 +15,8 @@ from gdclab import layers as L
 from gdclab import tensor as T
 from gdclab.errors import (ContractError, FormatError, NumericError, ShapeError,
                            StreamError)
-from gdclab.rangecoder import CDF_TOTAL, RangeEncoder
+from gdclab import rans
+from gdclab.rans import CDF_TOTAL
 from gdclab.tensor import Tensor
 
 
@@ -321,12 +322,14 @@ class TestGaussianCoding:
 
 
 def _reference_stream(values, mean, raw):
-    """The coder's byte stream rebuilt one symbol at a time: each value's
-    offset from its rounded mean, coded under the table-set row of the
-    number of scale thresholds below its raw scale and its mean's fraction
-    bucket, and
-    every offset outside the support as the escape bin plus four byte
-    symbols of its zigzag code.  Returns (stream, (lo, hi))."""
+    """The coder's byte stream rebuilt one symbol at a time in Python ints:
+    each value's offset from its rounded mean, coded under the table-set
+    row of the number of scale thresholds below its raw scale and its
+    mean's fraction bucket, and every offset outside the support as the
+    escape bin plus its zigzag code at the payload's tail.  Symbol i runs
+    in lane i mod L, with one lane per 512 symbols, at least 1 and at
+    most 256; the symbols are coded last to first, so the decoder reads
+    them first to last.  Returns (stream, (lo, hi))."""
     center = E.round_away(mean)
     offsets = (values - center).astype(np.int64)
     lo, hi = (int(offsets.min()), int(offsets.max())) if offsets.size else (0, 0)
@@ -335,46 +338,70 @@ def _reference_stream(values, mean, raw):
         hi = lo + E.MAX_TABLE_BINS - 2
     scale_idx = (raw[:, None] > E.RAW_EDGES[None, :]).sum(axis=1)
     mean_idx = np.minimum(np.floor((mean - center + 0.5) * 8), 7).astype(int)
-    table = E._table_set(lo, hi)
-    byte_cdf = np.arange(257) * (CDF_TOTAL // 256)
-    enc = RangeEncoder()
+    table = E._table_set(lo, hi).tolist()
+    lanes = min(max(offsets.size // 512, 1), 256)
+    state = [1 << 16] * lanes
+    words, tail = [], []
+    for i in reversed(range(offsets.size)):
+        v, cdf = int(offsets[i]), table[8 * scale_idx[i] + mean_idx[i]]
+        symbol = v - lo if lo <= v <= hi else len(cdf) - 2
+        start, freq = cdf[symbol], cdf[symbol + 1] - cdf[symbol]
+        x = state[i % lanes]
+        if x >= freq << 16:
+            words.append(x & 0xFFFF)
+            x >>= 16
+        state[i % lanes] = (x // freq << 16) + x % freq + start
+        if symbol == len(cdf) - 2:
+            tail.append(2 * v if v >= 0 else -2 * v - 1)
+    stream = b"".join(x.to_bytes(4, "little") for x in state)
+    stream += b"".join(w.to_bytes(2, "little") for w in reversed(words))
+    stream += b"".join(u.to_bytes(4, "little") for u in tail)
+    return stream, (lo, hi)
 
-    def put(symbol, cdf):
-        enc.encode_intervals((int(cdf[symbol]),), (int(cdf[symbol + 1] - cdf[symbol]),))
 
-    for v, s, m in zip(offsets.tolist(), scale_idx, mean_idx):
-        cdf = table[8 * s + m]
-        if lo <= v <= hi:
-            put(v - lo, cdf)
-            continue
-        put(len(cdf) - 2, cdf)
-        u = 2 * v if v >= 0 else -2 * v - 1
-        for shift in (24, 16, 8, 0):
-            put((u >> shift) & 0xFF, byte_cdf)
-    return enc.finish(), (lo, hi)
+def _draw(rng, n, spread):
+    """n values around random means and scales, with escapes at the first,
+    last and two adjacent positions; returns (values, mean, raw)."""
+    mean = rng.normal(scale=4.0, size=n)
+    scale = np.exp(rng.uniform(np.log(0.05), np.log(400.0), size=n))
+    noise = np.clip(np.round(scale * rng.normal(size=n)), -spread, spread)
+    values = (E.round_away(mean) + noise).astype(np.int64)
+    escapes = [i for i in (0, n - 1, n // 2, n // 2 + 1) if 0 <= i < n]
+    for i, v in zip(escapes, [1 << 30, -(1 << 30), 12345, -4000]):
+        values[i] = v
+    return values, mean, raw_of(scale)
 
 
 class TestReferenceStream:
     """The vectorised coder must produce the one-symbol-at-a-time stream,
-    whatever the length and wherever the escapes fall."""
+    whatever the length and lane count and wherever the escapes fall, and
+    decode it in runs cut anywhere."""
 
     @pytest.mark.parametrize("spread", [2, 300])
     def test_matches_one_symbol_reference(self, spread):
+        # 1 lane; 7 lanes with a partial last step; 256 lanes, one step
+        # shorter than the rest
         rng = np.random.default_rng(15)
-        for n in (0, 1, 2, 3, 4, 57, 4000):
-            mean = rng.normal(scale=4.0, size=n)
-            scale = np.exp(rng.uniform(np.log(0.05), np.log(400.0), size=n))
-            noise = np.clip(np.round(scale * rng.normal(size=n)), -spread, spread)
-            values = (E.round_away(mean) + noise).astype(np.int64)
-            # escapes at the first, last and two adjacent positions
-            escapes = [i for i in (0, n - 1, n // 2, n // 2 + 1) if 0 <= i < n]
-            for i, v in zip(escapes, [1 << 30, -(1 << 30), 12345, -4000]):
-                values[i] = v
-            raw = raw_of(scale)
+        for n in (0, 1, 2, 3, 4, 57, 4000, 256 * 512 + 17):
+            values, mean, raw = _draw(rng, n, spread)
             payload, support = E.encode_gaussian(values, mean, raw)
             assert (payload, support) == _reference_stream(values, mean, raw), n
             back = E.decode_gaussian(payload, mean, raw, support, n)
             assert back.dtype == np.int64 and np.array_equal(back, values), n
+
+    def test_runs_cut_anywhere_read_the_same_stream(self):
+        # decode_context decodes one wavefront per run; the read order
+        # depends on the symbol index alone, so any cut decodes alike
+        rng = np.random.default_rng(16)
+        for n, cuts in ((57, 5), (4000, 40), (300_000, 30)):
+            values, mean, raw = _draw(rng, n, 300)
+            values[rng.integers(0, n, size=6)] = 99_999
+            payload, (lo, hi) = E.encode_gaussian(values, mean, raw)
+            dec = rans.Decoder(payload, n, E._table_set(lo, hi))
+            ends = np.unique(np.concatenate([rng.integers(0, n, cuts), [1, 2, n]]))
+            back = [E._decode_values(dec, mean[a:b], raw[a:b], b - a, lo)
+                    for a, b in zip(np.concatenate([[0], ends[:-1]]), ends)]
+            assert np.array_equal(np.concatenate(back), values), n
 
     def test_empty_payload_still_checks_its_support(self):
         payload, _ = E.encode_gaussian(np.zeros(0, dtype=np.int64), np.zeros(0), np.ones(0))

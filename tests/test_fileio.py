@@ -176,13 +176,13 @@ class TestContainer:
         assert F.BitstreamContainer.from_bytes(c.to_bytes()).qt_bits == c.qt_bits
 
     def test_version_one_rejected(self):
-        # version 1 coded values, not offsets from their rounded means, and
+        # version 1 coded values, not offsets from their rounded means,
         # version 2 took its entropy parameters off the exact grid and coded
-        # the hyper-latent in raster order: their payloads would decode
-        # wrong, so both headers are refused
+        # the hyper-latent in raster order, and version 3 range coded its
+        # payloads: they would decode wrong, so their headers are refused
         data = _container().to_bytes()
-        assert data[4:8] == struct.pack("<I", F.CONTAINER_VERSION) == struct.pack("<I", 3)
-        for old in (1, 2):
+        assert data[4:8] == struct.pack("<I", F.CONTAINER_VERSION) == struct.pack("<I", 4)
+        for old in (1, 2, 3):
             with pytest.raises(FormatError):
                 F.BitstreamContainer.from_bytes(data[:4] + struct.pack("<I", old) + data[8:])
 

@@ -3,7 +3,7 @@
 The hyper decoder and the context net run in float64 on power-of-two grids
 (layers.Network.grid), so their outputs cannot depend on how a BLAS kernel
 orders a sum.  These tests bound the grid's partial sums, check that band
-splits, batch shapes and causal windows give the same bits, and decode
+splits, batch shapes and the context cells give the same bits, and decode
 containers under several OpenBLAS kernels and numpy SIMD levels in child
 processes.
 """
@@ -101,31 +101,45 @@ def test_band_split_and_batch_do_not_change_a_bit(monkeypatch):
         monkeypatch.undo()
 
 
-def test_windows_match_the_full_map(monkeypatch):
-    # decode_context's causal windows give the full-map parameters of
-    # every position, at the map's edges and corners too
-    net = _fixture("xgdc").nets["ctx"]
+def test_cells_match_the_full_map(monkeypatch):
+    # the context net evaluated only at the cells each position reads
+    # equals the full-map pass at every position: desk nets of hidden width
+    # 4 and 16 and the xgdc fixture's, on maps of 1x1, 1xw, hx1 and 17x30
+    # (the HD hyper-latent's size), with values at and beyond +-Z_CLAMP
+    nets = [C.Coder.new(C.CoderConfig.desk("diff", ctx_width=width), seed=width).nets["ctx"]
+            for width in (4, 16)] + [_fixture("xgdc").nets["ctx"]]
     rng = np.random.default_rng(5)
+    for net in nets:
+        c = net.spec.layers[0].in_ch
+        for h, w in ((1, 1), (1, 9), (6, 1), (17, 30)):
+            z = rng.integers(-9, 10, size=(1, c, h, w)).astype(np.float64)
+            z.flat[rng.integers(0, z.size, 4)] = [E.Z_CLAMP, -E.Z_CLAMP,
+                                                  E.Z_CLAMP + 3, -50 * E.Z_CLAMP]
+            full = net.grid(np.clip(z, -E.Z_CLAMP, E.Z_CLAMP))
+            mean, raw = E.context_params(net, z)
+            assert mean.dtype == np.float64
+            assert np.array_equal(np.concatenate([mean, raw], axis=1), full), (c, h, w)
+    # the decoder evaluates one wavefront at a time, each over the values
+    # decoded before it, and gets the same parameters
+    net = nets[-1]
     z = rng.integers(-5, 6, size=(1, 16, 7, 12)).astype(np.float64)
-    mean, raw = E.context_params(net, z)
+    full = net.grid(z)[0].reshape(32, -1).T
     payload, support = E.encode_context(z, net)
     seen = []
-    params = E.context_params
+    params = E._ContextMap.params
 
-    def spy(ctx_net, windows, inside=1.0):
-        m, r = params(ctx_net, windows, inside)
-        seen.append((windows.shape, m, r))
-        return m, r
+    def spy(cmap, positions):
+        out = params(cmap, positions)
+        seen.append((positions, out))
+        return out
 
-    monkeypatch.setattr(E, "context_params", spy)
+    monkeypatch.setattr(E._ContextMap, "params", spy)
     assert np.array_equal(E.decode_context(payload, net, z.shape, support), z)
-    _, fronts, r = E._decode_order(net, 7, 12)
-    assert r == 4 and len(seen) == len(fronts) == 5 * 6 + 11 + 1
-    for front, (shape, m, q) in zip(fronts, seen):
-        i, j = np.divmod(front, 12)
-        assert shape == (front.size, 16, r + 1, 2 * r + 1)
-        assert np.array_equal(m[:, :, r, r], mean[0][:, i, j].T)
-        assert np.array_equal(q[:, :, r, r], raw[0][:, i, j].T)
+    fronts = E._decode_order(net, 7, 12)[1]
+    assert len(seen) == len(fronts) == 5 * 6 + 11 + 1
+    for front, (positions, out) in zip(fronts, seen):
+        assert np.array_equal(positions, front)
+        assert np.array_equal(out, full[front])
 
 
 def test_clamp_bounds_the_grid_input():

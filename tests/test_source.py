@@ -4,7 +4,7 @@ import ast
 from pathlib import Path
 
 import gdclab
-from gdclab import errors, rangecoder
+from gdclab import errors, rans
 
 PACKAGE = Path(gdclab.__file__).parent
 
@@ -41,11 +41,11 @@ def _imported_packages(path):
     return {m.split(".")[0] for m in imported}
 
 
-def test_rangecoder_does_not_import_numpy():
-    # the coder loops run on plain ints; numpy scalars in them cost several
-    # times the arithmetic they carry
-    imported = _imported_packages(PACKAGE / "rangecoder.py")
-    assert "numpy" not in imported, imported
+def test_lane_coder_imports_only_numpy_and_errors():
+    # the coder steps symbols on the 2^16 grid and nothing else: tables,
+    # nets and containers stay out of it
+    imported = _imported_packages(PACKAGE / "rans.py")
+    assert imported <= {"__future__", "numpy", "errors"}, imported
 
 
 def test_no_module_imports_scipy():
@@ -56,11 +56,12 @@ def test_no_module_imports_scipy():
 
 
 def test_range_coder_has_one_entry_per_direction():
-    # every symbol goes through the run loops that real payloads use
-    public = {cls.__name__: sorted(n for n in vars(cls) if not n.startswith("_"))
-              for cls in (rangecoder.RangeEncoder, rangecoder.RangeDecoder)}
-    assert public == {"RangeEncoder": ["encode_intervals", "finish"],
-                      "RangeDecoder": ["decode_rows"]}
+    # every symbol goes through the lane steps that real payloads use: one
+    # encode function, one decoder with one method, and the lane rule
+    public = sorted(n for n, v in vars(rans).items() if not n.startswith("_")
+                    and callable(v) and getattr(v, "__module__", None) == rans.__name__)
+    assert public == ["Decoder", "encode", "lane_count"]
+    assert sorted(n for n in vars(rans.Decoder) if not n.startswith("_")) == ["decode"]
 
 
 def test_every_error_is_a_package_error():

@@ -21,8 +21,9 @@ both modes.
 
 Rerun the script after any change to the container format or to what a
 coder decodes (its transforms, its entropy parameters, the tables or the
-range coder), and commit the new set.  On a tree that changes neither, it
-rewrites the same bytes.
+rANS coder), and commit the new set.  On a tree that changes neither, it
+rewrites the same bytes.  A change of the entropy coder alone rewrites only
+the containers: the manifest's inputs, tables, latents and PSNRs stay.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@
 
 Imports the package from ``<root>/src`` and the benchmark fixtures from
 ``<root>/bench``, runs a fixed set of seeded cases and prints one SHA-256
-per case group plus a total.  Run it once against a checkout of the parent
+per case group, one for the container bytes (``streams``) and a total.  Run it once against a checkout of the parent
 commit and once against the change: identical lines mean identical
 streams, reconstructions, rate estimates and training figures.  The script
 only calls API that has been stable across refactors, so one copy hashes
@@ -58,8 +58,12 @@ Cases:
             ``decode`` in every mode the container holds, and the eval CSV
             of the diff coder, with each command's printed line
   hd        (only with ``hd``) the diff fixture at 1088x1920
-Each coded case hashes the container bytes, x_hat_d, x_hat_g, x_hat_merged,
-both payloads' est_bits and the decoder's reconstructions.  A masked
+Each coded case hashes x_hat_d, x_hat_g, x_hat_merged, both payloads'
+est_bits and the decoder's reconstructions in its group, and its container
+bytes on the line ``streams``, after the groups.  That line also takes the
+cli group's container files and the figures printed from their size (the
+encode line, and the eval line and CSV), so a change of entropy coder that
+keeps every decoded latent shows as a change of ``streams`` alone.  A masked
 layer's weight gradient is 0 at its masked taps however the layer is
 written, but multiplying by a 0/1 mask leaves -0.0 where the upstream
 gradient is negative; the masked cases therefore fold -0.0 into +0.0
@@ -82,8 +86,12 @@ def _setup(root):
 
 
 class Digest:
-    def __init__(self):
+    """A running SHA-256; ``streams`` is the digest that container bytes
+    go to instead."""
+
+    def __init__(self, streams=None):
         self.h = hashlib.sha256()
+        self.streams = streams
 
     def add(self, label, value):
         import numpy as np
@@ -108,7 +116,7 @@ def code_case(d, label, coder, x, xt, qt_lambda=None):
     container, enc = coder.encode(x, xt, qt_lambda=qt_lambda)
     data = container.to_bytes()
     dec = coder.decode(xt, F.BitstreamContainer.from_bytes(data))
-    d.add(label + "/bytes", data)
+    d.streams.add(label + "/bytes", data)
     d.add(label + "/est", (container.payload_y.est_bits, container.payload_z.est_bits))
     for side, out in (("enc", enc), ("dec", dec)):
         for attr in ("x_hat_d", "x_hat_g", "x_hat_merged"):
@@ -446,11 +454,11 @@ def cli_group(d):
             ecfg.save(model + ".cfg")
             for qt in ([], ["--qt-lambda", "50"]) if kind == "xgdc" else ([],):
                 label = kind + ("/qt50" if qt else "")
-                _run_cli(d, label + "/encode",
+                _run_cli(d.streams, label + "/encode",
                          ["encode", "--model", model, "--frame", path("x.ppm"),
                           "--pred", path("xt.ppm"), "--out", path("s.gdc"),
                           "--recon", path("enc.ppm")] + qt, tmp)
-                d.add(label + "/stream", read("s.gdc"))
+                d.streams.add(label + "/stream", read("s.gdc"))
                 d.add(label + "/enc.ppm", read("enc.ppm"))
                 for mode in ("auto", "d", "g", "merged"):
                     _run_cli(d, f"{label}/decode/{mode}",
@@ -460,9 +468,9 @@ def cli_group(d):
                     if os.path.exists(path(mode + ".ppm")):
                         d.add(f"{label}/decode/{mode}.ppm", read(mode + ".ppm"))
                         os.remove(path(mode + ".ppm"))
-        _run_cli(d, "eval", ["eval", "--model", path("diff.ckpt"), "--frames", "2",
-                             "--out", path("eval.csv")], tmp)
-        d.add("eval.csv", read("eval.csv"))
+        _run_cli(d.streams, "eval", ["eval", "--model", path("diff.ckpt"), "--frames", "2",
+                                     "--out", path("eval.csv")], tmp)
+        d.streams.add("eval.csv", read("eval.csv"))
 
 
 def main(argv):
@@ -476,12 +484,14 @@ def main(argv):
               ("quadtree", quadtree), ("cli", cli_group)]
     if len(argv) == 2:
         groups.append(("hd", lambda d: fixture(d, root, ((1088, 1920),), ("diff",))))
-    total = Digest()
+    total, streams = Digest(), Digest()
     for name, fn in groups:
-        d = Digest()
+        d = Digest(streams)
         fn(d)
         total.add(name, d.hex())
         print(f"{name:9s} {d.hex()}", flush=True)
+    total.add("streams", streams.hex())
+    print(f"{'streams':9s} {streams.hex()}")
     print(f"{'total':9s} {total.hex()}")
 
 

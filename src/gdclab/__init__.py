@@ -7,10 +7,10 @@ engine, a bit-exact lane-interleaved rANS entropy coder, and quad-tree hybrid
 evaluation tools.
 """
 
-from .tensor import Tensor, backward, grad_check, no_grad, using_dtype
+from .tensor import Tensor, backward, grad_check, no_grad
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Tensor", "backward", "grad_check", "no_grad", "using_dtype", "__version__",
+    "Tensor", "backward", "grad_check", "no_grad", "__version__",
 ]

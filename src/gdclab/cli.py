@@ -137,10 +137,9 @@ def cmd_train(args):
             raise ContractError("--init-from applies to the gdc kind only")
         diff_coder, diff_cfg = _load_model(args.init_from)
         coder = CD.gdc_from_diff(diff_coder)
-        ecfg = replace(ecfg, features=coder.cfg.features, **{
-            name: getattr(diff_cfg, name)
-            for name in ("channels", "core_width", "latent", "hyper_latent",
-                         "pred_width", "ctx_width", "kernel", "strides")})
+        dims = {name: getattr(diff_cfg, name) for name in F.SHARED_FIELDS}
+        dims["features"] = coder.cfg.features
+        ecfg = replace(ecfg, strides=diff_cfg.strides, **dims)
     else:
         coder = CD.Coder.new(ecfg.coder_config(), seed=ecfg.seed)
 

@@ -142,12 +142,10 @@ class Coder:
     def _check_pair(self, x, xt):
         if x.shape != xt.shape:
             raise ShapeError(f"frame/prediction shape mismatch {x.shape} vs {xt.shape}")
-        n, c, h, w = x.shape
-        if c != self.cfg.channels:
-            raise ShapeError(f"expected {self.cfg.channels} channels, got {c}")
-        sp = self.cfg.stride_product
-        if h % sp or w % sp:
-            raise ContractError(f"frame size {h}x{w} not divisible by total stride {sp}")
+        if x.size == 0:
+            raise ShapeError(f"empty frame {x.shape}")
+        if x.shape[1] != self.cfg.channels:
+            raise ShapeError(f"expected {self.cfg.channels} channels, got {x.shape[1]}")
 
     def _core_input(self, x, xt):
         kind = self.cfg.kind
@@ -194,6 +192,10 @@ class Coder:
         In round mode the entropy parameters are the coder's, from the exact
         grid, and pass no gradient to the hyper decoder or context net."""
         self._check_pair(x, xt)
+        h, w = x.shape[2:]
+        sp = self.cfg.stride_product
+        if h % sp or w % sp:
+            raise ContractError(f"frame size {h}x{w} not divisible by total stride {sp}")
         y = self.nets["enc"](self._core_input(x, xt))
         z = self.nets["hyp_enc"](y)
         z_hat = E.quantize(z, mode, rng)
@@ -213,8 +215,12 @@ class Coder:
     # -- real coding --------------------------------------------------------
 
     def _frame(self, a):
-        """A frame or prediction (array or Tensor) in the coder's dtype."""
-        return np.asarray(a.data if isinstance(a, T.Tensor) else a, dtype=self.params.dtype)
+        """One frame or prediction (array or Tensor) in the coder's dtype."""
+        arr = np.asarray(a.data if isinstance(a, T.Tensor) else a, dtype=self.params.dtype)
+        if arr.ndim != 4 or arr.shape[:2] != (1, self.cfg.channels):
+            raise ShapeError(f"expected one frame of shape (1, {self.cfg.channels}, h, w), "
+                             f"got {arr.shape}")
+        return arr
 
     def _check_quadtree(self):
         """Quad-tree side information picks between two reconstructions,
@@ -236,10 +242,7 @@ class Coder:
         if qt_lambda is not None:
             self._check_quadtree()
         xd_arr, xt_arr = self._frame(x), self._frame(xt)
-        if xd_arr.shape != xt_arr.shape:
-            raise ShapeError(f"frame/prediction shape mismatch {xd_arr.shape} vs {xt_arr.shape}")
-        if xd_arr.size == 0:
-            raise ShapeError(f"empty frame {xd_arr.shape}")
+        self._check_pair(xd_arr, xt_arr)
         true_h, true_w = xd_arr.shape[2], xd_arr.shape[3]
         sp = self.cfg.stride_product
         xp = T.Tensor(pad_to_multiple(xd_arr, sp))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
@@ -133,9 +133,11 @@ def pack_bits(bits):
 
 
 def unpack_bits(data, count):
+    """The ``count`` bits of ``data``, MSB first, as a uint8 array: one byte
+    a bit, not a list, since a hostile block can claim 2^32 of them."""
     if len(data) != (count + 7) // 8:
         raise StreamError(f"bit block: {len(data)} bytes cannot hold {count} bits exactly")
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=count).tolist()
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=count)
 
 
 @dataclass
@@ -189,7 +191,7 @@ class BitstreamContainer:
     height: int
     payload_z: Payload
     payload_y: Payload
-    qt_bits: list = field(default=None)
+    qt_bits: object = None   # 0/1 sequence; a uint8 array once parsed
     qt_min_block: int = 0
     qt_max_block: int = 0
 
@@ -336,11 +338,7 @@ def load_image(path):
         with open(path, "rb") as f:
             return pixels_to_tensor(parse_ppm(f.read()))
     if path.endswith(".png"):
-        try:
-            from PIL import Image
-        except ImportError as e:
-            raise FormatError("png support needs the pillow package") from e
-        with Image.open(path) as im:
+        with _pillow().open(path) as im:
             return pixels_to_tensor(np.asarray(im.convert("RGB")))
     raise FormatError(f"unsupported image format: {path}")
 
@@ -353,19 +351,26 @@ def write_image(path, t):
             f.write(ppm_bytes(pixels))
         return
     if path.endswith(".png"):
-        try:
-            from PIL import Image
-        except ImportError as e:
-            raise FormatError("png support needs the pillow package") from e
-        Image.fromarray(pixels).save(path)
+        _pillow().fromarray(pixels).save(path)
         return
     raise FormatError(f"unsupported image format: {path}")
+
+
+def _pillow():
+    try:
+        from PIL import Image
+    except ImportError as e:
+        raise FormatError("png support needs the pillow package") from e
+    return Image
 
 
 # ---------------------------------------------------------------------------
 # config types
 # ---------------------------------------------------------------------------
 
+# The CoderConfig fields (positive ints) an ExperimentConfig carries by name.
+SHARED_FIELDS = ("channels", "core_width", "latent", "hyper_latent",
+                 "pred_width", "features", "ctx_width", "kernel")
 # Small dims for fast experiments and training at 32x32.
 DESK_DIMS = dict(core_width=32, latent=32, hyper_latent=16, pred_width=32, ctx_width=8)
 
@@ -389,8 +394,7 @@ class CoderConfig:
         if self.features == 0:
             default = self.channels if self.kind == "gdc" else 16
             object.__setattr__(self, "features", default)
-        for name in ("channels", "core_width", "latent", "hyper_latent",
-                     "pred_width", "features", "ctx_width", "kernel"):
+        for name in SHARED_FIELDS:
             if getattr(self, name) <= 0:
                 raise ContractError(f"{name} must be positive")
         if self.kernel % 2 == 0:
@@ -408,35 +412,27 @@ class CoderConfig:
         """DESK_DIMS, overridable per field."""
         return cls(kind, **{**DESK_DIMS, **over})
 
-    @classmethod
-    def tiny(cls, kind, **over):
-        """Minimal dims for gradient checking whole coder graphs."""
-        base = dict(core_width=8, latent=8, hyper_latent=4, pred_width=8,
-                    ctx_width=4, features=0 if kind != "xgdc" else 4,
-                    enc_strides=(2, 2))
-        base.update(over)
-        return cls(kind, **base)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Flat key = value configuration for CLI runs.  It describes one
-    CoderConfig and one TrainConfig, and checks itself by building both."""
+    CoderConfig and one TrainConfig, takes their defaults and checks itself
+    by building both.  Its field order is a sidecar's line order."""
     coder: str = "diff"
-    channels: int = 3
-    core_width: int = 64
-    latent: int = 96
-    hyper_latent: int = 32
-    pred_width: int = 64
-    features: int = 0          # 0 = per-kind default (3 for gdc, 16 for xgdc)
-    ctx_width: int = 16
-    kernel: int = 5
-    strides: str = "2,2,2,2"
-    lmbda: float = 1024.0
-    steps: int = 2000
-    lr: float = 1e-4
-    seed: int = 0
-    patch: int = 32
+    channels: int = CoderConfig.channels
+    core_width: int = CoderConfig.core_width
+    latent: int = CoderConfig.latent
+    hyper_latent: int = CoderConfig.hyper_latent
+    pred_width: int = CoderConfig.pred_width
+    features: int = CoderConfig.features
+    ctx_width: int = CoderConfig.ctx_width
+    kernel: int = CoderConfig.kernel
+    strides: str = ",".join(map(str, CoderConfig.enc_strides))
+    lmbda: float = TrainConfig.lmbda
+    steps: int = TrainConfig.steps
+    lr: float = TrainConfig.lr
+    seed: int = TrainConfig.seed
+    patch: int = TrainConfig.patch
     pairs: int = 200
 
     def __post_init__(self):
@@ -447,12 +443,8 @@ class ExperimentConfig:
         self.train_config()
 
     def coder_config(self):
-        return CoderConfig(
-            kind=self.coder, channels=self.channels, core_width=self.core_width,
-            latent=self.latent, hyper_latent=self.hyper_latent,
-            pred_width=self.pred_width, features=self.features,
-            ctx_width=self.ctx_width, kernel=self.kernel,
-            enc_strides=self.stride_tuple())
+        return CoderConfig(self.coder, enc_strides=self.stride_tuple(),
+                           **{name: getattr(self, name) for name in SHARED_FIELDS})
 
     def train_config(self):
         return TrainConfig(lmbda=self.lmbda, lr=self.lr, steps=self.steps,

@@ -7,8 +7,8 @@ output's gradient to that input's share.  ``_node`` keeps only the edges
 into inputs that require gradients, and ``backward(loss)`` alone applies
 the chain rule: in reverse topological order it accumulates each edge's
 VJP of a node's ``.grad`` into the edge's input, in edge order.  float32
-is the working precision for training; a graph runs in float64 when its
-inputs and parameters are float64 (``using_dtype`` only types non-float data).
+is the working precision for training, and the type non-float data becomes;
+a graph runs in float64 when its inputs and parameters are float64.
 
 Scalars (losses, rates) are represented as tensors of shape (1, 1, 1, 1);
 nothing in the engine supports other ranks, which keeps the shape algebra
@@ -45,24 +45,7 @@ ERF_DEGREE, ERF_BLOCK = 14, 8192
 # Central-difference step of grad_check.
 GRAD_CHECK_STEP = 1e-5
 
-_default_dtype = np.float32
 _grad_enabled = True
-
-
-@contextlib.contextmanager
-def using_dtype(dtype):
-    """Temporarily switch the dtype used when tensors are built from
-    non-float data (used by 64-bit verification)."""
-    global _default_dtype
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ContractError("only float32 and float64 tensors are supported")
-    saved = _default_dtype
-    _default_dtype = dtype.type
-    try:
-        yield
-    finally:
-        _default_dtype = saved
 
 
 @contextlib.contextmanager
@@ -85,7 +68,7 @@ class Tensor:
     def __init__(self, data, requires_grad=False, *, op="leaf", edges=()):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(_default_dtype)
+            arr = arr.astype(np.float32)
         if arr.ndim != 4:
             raise ShapeError(f"tensors are rank-4, got shape {arr.shape}")
         self.data = arr
@@ -110,9 +93,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a scalar tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def zero_grad(self):
-        self.grad = None
 
     def _accum(self, g):
         if self.grad is None:
@@ -263,7 +243,7 @@ def backward(loss):
     """Reverse-mode sweep from a scalar loss.
 
     Populates ``.grad`` on every tensor reachable from ``loss`` that has
-    ``requires_grad`` set.  Gradients accumulate, so call ``zero_grad``
+    ``requires_grad`` set.  Gradients accumulate, so set ``.grad`` to None
     (or rebuild the graph) between steps.
     """
     if not isinstance(loss, Tensor):
@@ -317,7 +297,7 @@ def grad_check(f, inputs):
             raise ContractError("grad_check inputs must require gradients")
 
     for t in inputs:
-        t.zero_grad()
+        t.grad = None
     out = f(*inputs)
     if out.data.size != 1:
         raise ContractError("grad_check target must return a scalar tensor")

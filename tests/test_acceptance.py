@@ -67,23 +67,28 @@ def test_1_residual_and_bottleneck_identities(announce):
              f"1.5 = 1.0 + 0.5 exact, {dt:.1f} s")
 
 
+# Minimal dims for gradient checking whole coder graphs.
+TINY_DIMS = dict(core_width=8, latent=8, hyper_latent=4, pred_width=8, ctx_width=4,
+                 enc_strides=(2, 2))
+
+
 def _graph_err(kind, seed):
     """Gradient error of an RD-style loss through one full coder graph."""
-    with T.using_dtype(np.float64):
-        coder = C.Coder.new(C.CoderConfig.tiny(kind), seed=seed, dtype=np.float64)
-        rng = np.random.default_rng(seed + 5000)
-        x = T.Tensor(rng.uniform(0.2, 0.8, size=(1, 3, 4, 4)), requires_grad=True)
-        xt = T.Tensor(rng.uniform(0.2, 0.8, size=(1, 3, 4, 4)), requires_grad=True)
+    cfg = C.CoderConfig(kind, features=4 if kind == "xgdc" else 0, **TINY_DIMS)
+    coder = C.Coder.new(cfg, seed=seed, dtype=np.float64)
+    rng = np.random.default_rng(seed + 5000)
+    x = T.Tensor(rng.uniform(0.2, 0.8, size=(1, 3, 4, 4)), requires_grad=True)
+    xt = T.Tensor(rng.uniform(0.2, 0.8, size=(1, 3, 4, 4)), requires_grad=True)
 
-        def f(xi, xti):
-            out = coder.forward(xi, xti, mode="noise",
-                                rng=np.random.default_rng(99))
-            recon = out.x_hat_d if out.x_hat_d is not None else out.x_hat_g
-            err = T.sub(recon, xi)
-            return T.add(T.mean_all(T.mul(err, err)),
-                         T.scale(out.total_rate(), 1e-4))
+    def f(xi, xti):
+        out = coder.forward(xi, xti, mode="noise",
+                            rng=np.random.default_rng(99))
+        recon = out.x_hat_d if out.x_hat_d is not None else out.x_hat_g
+        err = T.sub(recon, xi)
+        return T.add(T.mean_all(T.mul(err, err)),
+                     T.scale(out.total_rate(), 1e-4))
 
-        return T.grad_check(f, [x, xt])
+    return T.grad_check(f, [x, xt])
 
 
 def test_2_gradient_suite(announce):
@@ -93,49 +98,48 @@ def test_2_gradient_suite(announce):
         return T.sum_all(T.mul(y, y))
 
     worst_layer = 0.0
-    with T.using_dtype(np.float64):
-        for seed in range(10):
-            rng = np.random.default_rng(2000 + seed)
-            x = T.Tensor(rng.normal(size=(2, 2, 6, 6)), requires_grad=True)
-            w = T.Tensor(rng.normal(scale=0.3, size=(3, 2, 3, 3)), requires_grad=True)
-            b = T.Tensor(rng.normal(size=(1, 3, 1, 1)), requires_grad=True)
-            errs = [T.grad_check(
-                lambda xi, wi, bi: sq(L.conv2d(xi, wi, bias=bi, stride=2)),
-                [x, w, b])]
+    for seed in range(10):
+        rng = np.random.default_rng(2000 + seed)
+        x = T.Tensor(rng.normal(size=(2, 2, 6, 6)), requires_grad=True)
+        w = T.Tensor(rng.normal(scale=0.3, size=(3, 2, 3, 3)), requires_grad=True)
+        b = T.Tensor(rng.normal(size=(1, 3, 1, 1)), requires_grad=True)
+        errs = [T.grad_check(
+            lambda xi, wi, bi: sq(L.conv2d(xi, wi, bias=bi, stride=2)),
+            [x, w, b])]
 
-            xt_ = T.Tensor(rng.normal(size=(1, 3, 4, 4)), requires_grad=True)
-            wt = T.Tensor(rng.normal(scale=0.3, size=(3, 2, 3, 3)), requires_grad=True)
-            bt = T.Tensor(rng.normal(size=(1, 2, 1, 1)), requires_grad=True)
+        xt_ = T.Tensor(rng.normal(size=(1, 3, 4, 4)), requires_grad=True)
+        wt = T.Tensor(rng.normal(scale=0.3, size=(3, 2, 3, 3)), requires_grad=True)
+        bt = T.Tensor(rng.normal(size=(1, 2, 1, 1)), requires_grad=True)
+        errs.append(T.grad_check(
+            lambda xi, wi, bi: sq(L.tconv2d(xi, wi, bias=bi, stride=2)),
+            [xt_, wt, bt]))
+
+        mag = rng.uniform(0.5, 1.5, size=(2, 3, 4, 4))
+        xp = T.Tensor(mag * rng.choice([-1.0, 1.0], size=mag.shape),
+                      requires_grad=True)
+        sl = T.Tensor(rng.uniform(0.1, 0.4, size=(1, 3, 1, 1)),
+                      requires_grad=True)
+        errs.append(T.grad_check(lambda xi, si: sq(L.prelu(xi, si)), [xp, sl]))
+
+        xg = T.Tensor(rng.normal(size=(1, 2, 4, 4)), requires_grad=True)
+        beta = T.Tensor(rng.uniform(0.4, 1.0, size=(1, 2, 1, 1)),
+                        requires_grad=True)
+        gamma = T.Tensor(rng.uniform(0.2, 0.6, size=(2, 2, 1, 1)),
+                         requires_grad=True)
+        errs.append(T.grad_check(
+            lambda xi, bi, gi: sq(L.gdn(xi, bi, gi)), [xg, beta, gamma]))
+        errs.append(T.grad_check(
+            lambda xi, bi, gi: sq(L.gdn(xi, bi, gi, inverse=True)),
+            [xg, beta, gamma]))
+
+        xm = T.Tensor(rng.normal(size=(1, 2, 5, 5)), requires_grad=True)
+        wm = T.Tensor(rng.normal(scale=0.3, size=(2, 2, 3, 3)),
+                      requires_grad=True)
+        for kind in ("A", "B"):
             errs.append(T.grad_check(
-                lambda xi, wi, bi: sq(L.tconv2d(xi, wi, bias=bi, stride=2)),
-                [xt_, wt, bt]))
-
-            mag = rng.uniform(0.5, 1.5, size=(2, 3, 4, 4))
-            xp = T.Tensor(mag * rng.choice([-1.0, 1.0], size=mag.shape),
-                          requires_grad=True)
-            sl = T.Tensor(rng.uniform(0.1, 0.4, size=(1, 3, 1, 1)),
-                          requires_grad=True)
-            errs.append(T.grad_check(lambda xi, si: sq(L.prelu(xi, si)), [xp, sl]))
-
-            xg = T.Tensor(rng.normal(size=(1, 2, 4, 4)), requires_grad=True)
-            beta = T.Tensor(rng.uniform(0.4, 1.0, size=(1, 2, 1, 1)),
-                            requires_grad=True)
-            gamma = T.Tensor(rng.uniform(0.2, 0.6, size=(2, 2, 1, 1)),
-                             requires_grad=True)
-            errs.append(T.grad_check(
-                lambda xi, bi, gi: sq(L.gdn(xi, bi, gi)), [xg, beta, gamma]))
-            errs.append(T.grad_check(
-                lambda xi, bi, gi: sq(L.gdn(xi, bi, gi, inverse=True)),
-                [xg, beta, gamma]))
-
-            xm = T.Tensor(rng.normal(size=(1, 2, 5, 5)), requires_grad=True)
-            wm = T.Tensor(rng.normal(scale=0.3, size=(2, 2, 3, 3)),
-                          requires_grad=True)
-            for kind in ("A", "B"):
-                errs.append(T.grad_check(
-                    lambda xi, wi, k=kind: sq(L.masked_conv2d(xi, wi, kind=k)),
-                    [xm, wm]))
-            worst_layer = max(worst_layer, max(errs))
+                lambda xi, wi, k=kind: sq(L.masked_conv2d(xi, wi, kind=k)),
+                [xm, wm]))
+        worst_layer = max(worst_layer, max(errs))
 
     worst_graph = 0.0
     for kind in C.KINDS:

@@ -3,6 +3,8 @@ rate bookkeeping, and the identity-initialized equivalence between the
 generalized coder and the plain difference coder."""
 
 import dataclasses
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -49,9 +51,6 @@ class TestCoderConfig:
     def test_presets(self):
         desk = C.CoderConfig.desk("xgdc")
         assert (desk.core_width, desk.latent, desk.hyper_latent) == (32, 32, 16)
-        tiny = C.CoderConfig.tiny("diff")
-        assert tiny.enc_strides == (2, 2)
-        assert tiny.stride_product == 4
 
 
 class TestCoderSpecs:
@@ -286,6 +285,33 @@ class TestEncodeDecode:
         with pytest.raises(ShapeError):
             coder.encode(empty, empty)
 
+    def test_batch_refused_before_any_net(self, monkeypatch):
+        # the coder codes one frame: a batch of two is a ShapeError before
+        # the forward pass, and a two-frame or one-channel prediction one
+        # before decoding
+        coder = C.Coder.new(C.CoderConfig.desk("diff"), seed=8)
+        x, xt = frame_pair(np.random.default_rng(12), 32, 32)
+        container, _ = coder.encode(x, xt)
+        calls = []
+        forward, decode_context = coder.forward, C.E.decode_context
+        monkeypatch.setattr(coder, "forward",
+                            lambda *a, **k: calls.append("forward") or forward(*a, **k))
+        monkeypatch.setattr(C.E, "decode_context",
+                            lambda *a, **k: calls.append("decode_context")
+                            or decode_context(*a, **k))
+        pair = np.concatenate([x, x]), np.concatenate([xt, xt])
+        with pytest.raises(ShapeError, match="one frame"):
+            coder.encode(*pair)
+        with pytest.raises(ShapeError, match="one frame"):
+            coder.decode(pair[1], container)
+        with pytest.raises(ShapeError, match="one frame"):
+            coder.decode(xt[:, :1], container)
+        with pytest.raises(ShapeError, match="one frame"):
+            coder.encode(x[0], xt[0])
+        assert calls == []
+        coder.decode(xt, container)
+        assert calls == ["decode_context"]
+
     def test_qt_lambda_needs_two_reconstructions(self):
         coder = C.Coder.new(C.CoderConfig.desk("diff"), seed=9)
         x, xt = frame_pair(np.random.default_rng(13), 32, 32)
@@ -381,6 +407,26 @@ class TestQuadTreeSideInfo:
         with pytest.raises(ContractError):
             coder.decode(xt, BitstreamContainer.from_bytes(container.to_bytes()))
 
+    def test_hostile_block_refused_in_bounded_memory(self):
+        # a 1 MB block claims 2^23 side bits for a 32x32 tree of a few:
+        # decode refuses it without expanding the bits to a Python list
+        coder = C.Coder.new(C.CoderConfig.desk("xgdc"), seed=9)
+        x, xt = frame_pair(np.random.default_rng(15), 32, 32)
+        container, _ = coder.encode(x, xt, qt_lambda=200.0, min_block=4, max_block=16)
+        block = 1 << 20
+        data = dataclasses.replace(container, qt_bits=np.zeros(8 * block, np.uint8)).to_bytes()
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(ContractError, match="tree used"):
+                coder.decode(xt, BitstreamContainer.from_bytes(data))
+            seconds = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seconds < 1.0
+        assert peak <= 16 * block
+
     @pytest.mark.parametrize("kind", ["diff", "gdc", "codecnet"])
     def test_side_bits_need_two_reconstructions(self, kind, monkeypatch):
         # bits that fit the 32x32 tree still name a reconstruction these
@@ -473,18 +519,18 @@ class TestWholeGraphGradients:
     def test_diff_graph_gradients(self):
         # gradients of a rate-distortion style loss w.r.t. both input
         # frames, through quantization, entropy models and reconstruction
-        cfg = C.CoderConfig.tiny("diff")
-        with T.using_dtype(np.float64):
-            coder = C.Coder.new(cfg, seed=12, dtype=np.float64)
-            rng = np.random.default_rng(18)
-            x = T.Tensor(rng.uniform(0.2, 0.8, size=(1, 3, 4, 4)), requires_grad=True)
-            xt = T.Tensor(rng.uniform(0.2, 0.8, size=(1, 3, 4, 4)), requires_grad=True)
+        cfg = C.CoderConfig("diff", core_width=8, latent=8, hyper_latent=4, pred_width=8,
+                            ctx_width=4, enc_strides=(2, 2))
+        coder = C.Coder.new(cfg, seed=12, dtype=np.float64)
+        rng = np.random.default_rng(18)
+        x = T.Tensor(rng.uniform(0.2, 0.8, size=(1, 3, 4, 4)), requires_grad=True)
+        xt = T.Tensor(rng.uniform(0.2, 0.8, size=(1, 3, 4, 4)), requires_grad=True)
 
-            def f(xi, xti):
-                out = coder.forward(xi, xti, mode="noise",
-                                    rng=np.random.default_rng(99))
-                err = T.sub(out.x_hat_d, xi)
-                return T.add(T.mean_all(T.mul(err, err)),
-                             T.scale(out.total_rate(), 1e-4))
+        def f(xi, xti):
+            out = coder.forward(xi, xti, mode="noise",
+                                rng=np.random.default_rng(99))
+            err = T.sub(out.x_hat_d, xi)
+            return T.add(T.mean_all(T.mul(err, err)),
+                         T.scale(out.total_rate(), 1e-4))
 
-            assert T.grad_check(f, [x, xt]) < 1e-4
+        assert T.grad_check(f, [x, xt]) < 1e-4

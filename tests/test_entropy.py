@@ -74,10 +74,9 @@ class TestQuantize:
 
     @pytest.mark.parametrize("mode", ["noise", "round"])
     def test_gradient_passes_through(self, mode):
-        with T.using_dtype(np.float64):
-            x = Tensor(np.full((1, 1, 2, 2), 0.3), requires_grad=True)
-            out = E.quantize(x, mode, rng=np.random.default_rng(0))
-            T.backward(T.sum_all(out))
+        x = Tensor(np.full((1, 1, 2, 2), 0.3), requires_grad=True)
+        out = E.quantize(x, mode, rng=np.random.default_rng(0))
+        T.backward(T.sum_all(out))
         assert np.array_equal(x.grad, np.ones((1, 1, 2, 2)))
 
 
@@ -601,36 +600,33 @@ def _context_net(channels, hidden, seed, zero=False):
 class TestContextCoding:
     def test_round_trip_random(self):
         rng = np.random.default_rng(15)
-        with T.using_dtype(np.float64):
-            net = _context_net(2, 4, seed=16)
-            z = rng.integers(-4, 5, size=(1, 2, 5, 6)).astype(np.float64)
-            payload, support = E.encode_context(z, net)
-            back = E.decode_context(payload, net, z.shape, support)
+        net = _context_net(2, 4, seed=16)
+        z = rng.integers(-4, 5, size=(1, 2, 5, 6)).astype(np.float64)
+        payload, support = E.encode_context(z, net)
+        back = E.decode_context(payload, net, z.shape, support)
         assert np.array_equal(back, z)
 
     def test_all_zero_with_zero_net(self):
         # a zeroed context net gives every position the same parameters
-        with T.using_dtype(np.float64):
-            net = _context_net(2, 4, seed=0, zero=True)
-            z = np.zeros((1, 2, 4, 4))
-            mean, raw = E.context_params(net, z)
-            assert np.all(mean == mean.reshape(-1)[0])
-            assert np.all(raw == raw.reshape(-1)[0])
-            payload, support = E.encode_context(z, net)
-            back = E.decode_context(payload, net, z.shape, support)
+        net = _context_net(2, 4, seed=0, zero=True)
+        z = np.zeros((1, 2, 4, 4))
+        mean, raw = E.context_params(net, z)
+        assert np.all(mean == mean.reshape(-1)[0])
+        assert np.all(raw == raw.reshape(-1)[0])
+        payload, support = E.encode_context(z, net)
+        back = E.decode_context(payload, net, z.shape, support)
         assert np.array_equal(back, z)
 
     def test_causality_of_parameters(self):
         # flipping a value never changes the parameters used before it
         rng = np.random.default_rng(17)
-        with T.using_dtype(np.float64):
-            net = _context_net(2, 4, seed=18)
-            z = rng.integers(-2, 3, size=(1, 2, 4, 5)).astype(np.float64)
-            m1, s1 = E.context_params(net, z)
-            qy, qx = 2, 3
-            z2 = z.copy()
-            z2[0, :, qy, qx] += 4.0
-            m2, s2 = E.context_params(net, z2)
+        net = _context_net(2, 4, seed=18)
+        z = rng.integers(-2, 3, size=(1, 2, 4, 5)).astype(np.float64)
+        m1, s1 = E.context_params(net, z)
+        qy, qx = 2, 3
+        z2 = z.copy()
+        z2[0, :, qy, qx] += 4.0
+        m2, s2 = E.context_params(net, z2)
         cut = qy * 5 + qx
         dm = np.abs(m1 - m2).max(axis=(0, 1)).reshape(-1)
         ds = np.abs(s1 - s2).max(axis=(0, 1)).reshape(-1)
@@ -639,11 +635,10 @@ class TestContextCoding:
 
     def test_rate_close_to_estimate(self):
         rng = np.random.default_rng(19)
-        with T.using_dtype(np.float64):
-            net = _context_net(2, 4, seed=20)
-            z = rng.integers(-3, 4, size=(1, 2, 6, 6)).astype(np.float64)
-            payload, support = E.encode_context(z, net)
-            est = E.context_bits(t64(z), net)
+        net = _context_net(2, 4, seed=20)
+        z = rng.integers(-3, 4, size=(1, 2, 6, 6)).astype(np.float64)
+        payload, support = E.encode_context(z, net)
+        est = E.context_bits(t64(z), net)
         n = z.size
         assert 8 * len(payload) <= float(est.data.sum()) + 0.01 * n + 64
 

@@ -141,8 +141,7 @@ class TestConv:
         rng = np.random.default_rng(hash((stride, k, shape)) % 2**32)
         x = rng.normal(size=shape)
         w = rng.normal(size=(4, shape[1], k, k))
-        with T.using_dtype(np.float64):
-            got = L.conv2d(t64(x), t64(w), stride=stride)
+        got = L.conv2d(t64(x), t64(w), stride=stride)
         assert got.data == pytest.approx(conv_oracle(x, w, stride), abs=1e-12)
 
     def test_bias_adds_per_channel(self):
@@ -150,9 +149,8 @@ class TestConv:
         x = rng.normal(size=(1, 2, 4, 4))
         w = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=(1, 3, 1, 1))
-        with T.using_dtype(np.float64):
-            base = L.conv2d(t64(x), t64(w))
-            with_b = L.conv2d(t64(x), t64(w), bias=t64(b))
+        base = L.conv2d(t64(x), t64(w))
+        with_b = L.conv2d(t64(x), t64(w), bias=t64(b))
         assert with_b.data == pytest.approx(base.data + b, abs=1e-12)
 
     def test_output_shape_rounds_up(self):
@@ -181,8 +179,7 @@ class TestTconv:
         rng = np.random.default_rng(stride * 10 + k)
         x = rng.normal(size=(2, 3, 4, 5))
         w = rng.normal(size=(3, 2, k, k))
-        with T.using_dtype(np.float64):
-            got = L.tconv2d(t64(x), t64(w), stride=stride)
+        got = L.tconv2d(t64(x), t64(w), stride=stride)
         assert got.shape == (2, 2, 4 * stride, 5 * stride)
         assert got.data == pytest.approx(tconv_oracle(x, w, stride), abs=1e-12)
 
@@ -193,9 +190,8 @@ class TestTconv:
         x = rng.normal(size=(2, 3, 8, 8))
         w = rng.normal(size=(5, 3, 3, 3))
         y = rng.normal(size=(2, 5, 4, 4))
-        with T.using_dtype(np.float64):
-            cx = L.conv2d(t64(x), t64(w), stride=2)
-            ty = L.tconv2d(t64(y), t64(w), stride=2)
+        cx = L.conv2d(t64(x), t64(w), stride=2)
+        ty = L.tconv2d(t64(y), t64(w), stride=2)
         lhs = float(np.sum(cx.data * y))
         rhs = float(np.sum(x * ty.data))
         assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -289,8 +285,7 @@ class TestTransposedFloat32:
     @staticmethod
     def _both(fn, *arrays):
         got = fn(*arrays)
-        with T.using_dtype(np.float64):
-            want = fn(*(a.astype(np.float64) for a in arrays))
+        want = fn(*(a.astype(np.float64) for a in arrays))
         assert got.dtype == np.float32 and want.dtype == np.float64
         return got, want
 
@@ -324,9 +319,8 @@ class TestGDN:
         x = t64([[[[2.0]]]])
         beta = t64([[[[0.5]]]])
         gamma = t64([[[[0.3]]]])
-        with T.using_dtype(np.float64):
-            fwd = L.gdn(x, beta, gamma)
-            inv = L.gdn(x, beta, gamma, inverse=True)
+        fwd = L.gdn(x, beta, gamma)
+        inv = L.gdn(x, beta, gamma, inverse=True)
         assert fwd.item() == pytest.approx(2.560735499695255, abs=1e-14)
         assert inv.item() == pytest.approx(1.5620512155496056, abs=1e-14)
 
@@ -336,8 +330,7 @@ class TestGDN:
         x = rng.normal(size=(2, 3, 4, 4))
         beta = rng.uniform(0.3, 1.0, size=(1, 3, 1, 1))
         gamma = rng.uniform(0.1, 0.6, size=(3, 3, 1, 1))
-        with T.using_dtype(np.float64):
-            got = L.gdn(t64(x), t64(beta), t64(gamma), inverse=inverse)
+        got = L.gdn(t64(x), t64(beta), t64(gamma), inverse=inverse)
         want = gdn_oracle(x, beta, gamma, inverse)
         assert got.data == pytest.approx(want, abs=1e-12)
 
@@ -346,9 +339,8 @@ class TestGDN:
         x = rng.normal(size=(1, 2, 3, 3))
         beta = rng.uniform(0.3, 1.0, size=(1, 2, 1, 1))
         gamma = rng.uniform(0.1, 0.6, size=(2, 2, 1, 1))
-        with T.using_dtype(np.float64):
-            fwd = L.gdn(t64(x), t64(beta), t64(gamma))
-            inv = L.gdn(t64(x), t64(beta), t64(gamma), inverse=True)
+        fwd = L.gdn(t64(x), t64(beta), t64(gamma))
+        inv = L.gdn(t64(x), t64(beta), t64(gamma), inverse=True)
         assert fwd.data * inv.data == pytest.approx(x * x, abs=1e-12)
 
     def test_reparam_keeps_denominator_positive(self):
@@ -420,13 +412,12 @@ class TestMaskedConv:
         b = rng.normal(size=(1, 4, 1, 1))
         r = rng.normal(size=(2, 4, 6, 7))
         grads = []
-        with T.using_dtype(np.float64):
-            for op, weight in ((lambda *a: L.masked_conv2d(*a, kind=kind), w),
-                               (L.conv2d, w * mask)):
-                ts = [t64(a, grad=True) for a in (x, weight, b)]
-                out = op(*ts)
-                T.backward(T.sum_all(T.mul(out, t64(r))))
-                grads.append([out.data] + [t.grad for t in ts])
+        for op, weight in ((lambda *a: L.masked_conv2d(*a, kind=kind), w),
+                           (L.conv2d, w * mask)):
+            ts = [t64(a, grad=True) for a in (x, weight, b)]
+            out = op(*ts)
+            T.backward(T.sum_all(T.mul(out, t64(r))))
+            grads.append([out.data] + [t.grad for t in ts])
         (out, dx, dw, db), (want, want_dx, want_dw, want_db) = grads
         assert np.array_equal(out, want)
         assert np.array_equal(dx, want_dx)
@@ -451,9 +442,8 @@ class TestMaskedConv:
         py, px = 3, 4
         x2 = x.copy()
         x2[:, :, py, px] += 1.0
-        with T.using_dtype(np.float64):
-            o1 = L.masked_conv2d(t64(x), t64(w), kind=kind).data
-            o2 = L.masked_conv2d(t64(x2), t64(w), kind=kind).data
+        o1 = L.masked_conv2d(t64(x), t64(w), kind=kind).data
+        o2 = L.masked_conv2d(t64(x2), t64(w), kind=kind).data
         diff = np.abs(o1 - o2).max(axis=(0, 1))
         flat = diff.reshape(-1)
         cut = py * 7 + px
@@ -466,17 +456,16 @@ class TestMaskedConv:
         # no output position sees its own input
         spec = L.context_spec(2, hidden=4)
         params = L.ParamStore(np.float64)
-        with T.using_dtype(np.float64):
-            net = L.make_network(spec, params, "ctx", rng=np.random.default_rng(6))
-            x = np.random.default_rng(7).normal(size=(1, 2, 5, 6))
-            base = net(t64(x)).data
-            for pos in [(0, 0), (2, 3), (4, 5)]:
-                x2 = x.copy()
-                x2[:, :, pos[0], pos[1]] += 0.7
-                out = net(t64(x2)).data
-                cut = pos[0] * 6 + pos[1]
-                d = np.abs(out - base).max(axis=(0, 1)).reshape(-1)
-                assert np.all(d[:cut + 1] == 0.0)
+        net = L.make_network(spec, params, "ctx", rng=np.random.default_rng(6))
+        x = np.random.default_rng(7).normal(size=(1, 2, 5, 6))
+        base = net(t64(x)).data
+        for pos in [(0, 0), (2, 3), (4, 5)]:
+            x2 = x.copy()
+            x2[:, :, pos[0], pos[1]] += 0.7
+            out = net(t64(x2)).data
+            cut = pos[0] * 6 + pos[1]
+            d = np.abs(out - base).max(axis=(0, 1)).reshape(-1)
+            assert np.all(d[:cut + 1] == 0.0)
 
 
 class TestGradients:
@@ -484,43 +473,40 @@ class TestGradients:
 
     def test_conv_grads(self):
         rng = np.random.default_rng(21)
-        with T.using_dtype(np.float64):
-            x = Tensor(rng.normal(size=(2, 2, 6, 6)), requires_grad=True)
-            w = Tensor(rng.normal(scale=0.3, size=(3, 2, 3, 3)), requires_grad=True)
-            b = Tensor(rng.normal(size=(1, 3, 1, 1)), requires_grad=True)
+        x = Tensor(rng.normal(size=(2, 2, 6, 6)), requires_grad=True)
+        w = Tensor(rng.normal(scale=0.3, size=(3, 2, 3, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=(1, 3, 1, 1)), requires_grad=True)
 
-            def f(xi, wi, bi):
-                y = L.conv2d(xi, wi, bias=bi, stride=2)
-                return T.sum_all(T.mul(y, y))
+        def f(xi, wi, bi):
+            y = L.conv2d(xi, wi, bias=bi, stride=2)
+            return T.sum_all(T.mul(y, y))
 
-            assert T.grad_check(f, [x, w, b]) < self.TOL
+        assert T.grad_check(f, [x, w, b]) < self.TOL
 
     def test_tconv_grads(self):
         rng = np.random.default_rng(22)
-        with T.using_dtype(np.float64):
-            x = Tensor(rng.normal(size=(1, 3, 4, 4)), requires_grad=True)
-            w = Tensor(rng.normal(scale=0.3, size=(3, 2, 3, 3)), requires_grad=True)
-            b = Tensor(rng.normal(size=(1, 2, 1, 1)), requires_grad=True)
+        x = Tensor(rng.normal(size=(1, 3, 4, 4)), requires_grad=True)
+        w = Tensor(rng.normal(scale=0.3, size=(3, 2, 3, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=(1, 2, 1, 1)), requires_grad=True)
 
-            def f(xi, wi, bi):
-                y = L.tconv2d(xi, wi, bias=bi, stride=2)
-                return T.sum_all(T.mul(y, y))
+        def f(xi, wi, bi):
+            y = L.tconv2d(xi, wi, bias=bi, stride=2)
+            return T.sum_all(T.mul(y, y))
 
-            assert T.grad_check(f, [x, w, b]) < self.TOL
+        assert T.grad_check(f, [x, w, b]) < self.TOL
 
     def test_prelu_grads_away_from_kink(self):
         rng = np.random.default_rng(23)
-        with T.using_dtype(np.float64):
-            mag = rng.uniform(0.5, 1.5, size=(2, 3, 4, 4))
-            sign = rng.choice([-1.0, 1.0], size=mag.shape)
-            x = Tensor(mag * sign, requires_grad=True)
-            slope = Tensor(rng.uniform(0.1, 0.4, size=(1, 3, 1, 1)), requires_grad=True)
+        mag = rng.uniform(0.5, 1.5, size=(2, 3, 4, 4))
+        sign = rng.choice([-1.0, 1.0], size=mag.shape)
+        x = Tensor(mag * sign, requires_grad=True)
+        slope = Tensor(rng.uniform(0.1, 0.4, size=(1, 3, 1, 1)), requires_grad=True)
 
-            def f(xi, si):
-                y = L.prelu(xi, si)
-                return T.sum_all(T.mul(y, y))
+        def f(xi, si):
+            y = L.prelu(xi, si)
+            return T.sum_all(T.mul(y, y))
 
-            assert T.grad_check(f, [x, slope]) < self.TOL
+        assert T.grad_check(f, [x, slope]) < self.TOL
 
     def test_gdn_grads(self, monkeypatch):
         # both forms; the batch of two runs in bands of 4 pixels, 9 per
@@ -530,32 +516,30 @@ class TestGradients:
             monkeypatch.setattr(L, "BAND_CELLS", band)
             c = shape[1]
             for inverse in (False, True):
-                with T.using_dtype(np.float64):
-                    x = Tensor(rng.normal(size=shape), requires_grad=True)
-                    beta = Tensor(rng.uniform(0.4, 1.0, size=(1, c, 1, 1)), requires_grad=True)
-                    gamma = Tensor(rng.uniform(0.2, 0.6, size=(c, c, 1, 1)), requires_grad=True)
-                    r = Tensor(rng.normal(size=shape))
+                x = Tensor(rng.normal(size=shape), requires_grad=True)
+                beta = Tensor(rng.uniform(0.4, 1.0, size=(1, c, 1, 1)), requires_grad=True)
+                gamma = Tensor(rng.uniform(0.2, 0.6, size=(c, c, 1, 1)), requires_grad=True)
+                r = Tensor(rng.normal(size=shape))
 
-                    def f(xi, bi, gi):
-                        y = L.gdn(xi, bi, gi, inverse=inverse)
-                        return T.sum_all(T.mul(T.mul(y, y), r))
+                def f(xi, bi, gi):
+                    y = L.gdn(xi, bi, gi, inverse=inverse)
+                    return T.sum_all(T.mul(T.mul(y, y), r))
 
-                    got = L.gdn(x, beta, gamma, inverse=inverse).data
-                    want = gdn_oracle(x.data, beta.data, gamma.data, inverse)
-                    assert got == pytest.approx(want, abs=1e-12)
-                    assert T.grad_check(f, [x, beta, gamma]) < self.TOL, (shape, inverse)
+                got = L.gdn(x, beta, gamma, inverse=inverse).data
+                want = gdn_oracle(x.data, beta.data, gamma.data, inverse)
+                assert got == pytest.approx(want, abs=1e-12)
+                assert T.grad_check(f, [x, beta, gamma]) < self.TOL, (shape, inverse)
 
     def test_masked_conv_grads(self):
         rng = np.random.default_rng(25)
-        with T.using_dtype(np.float64):
-            x = Tensor(rng.normal(size=(1, 2, 5, 5)), requires_grad=True)
-            w = Tensor(rng.normal(scale=0.3, size=(2, 2, 3, 3)), requires_grad=True)
+        x = Tensor(rng.normal(size=(1, 2, 5, 5)), requires_grad=True)
+        w = Tensor(rng.normal(scale=0.3, size=(2, 2, 3, 3)), requires_grad=True)
 
-            def f(xi, wi):
-                y = L.masked_conv2d(xi, wi, kind="A")
-                return T.sum_all(T.mul(y, y))
+        def f(xi, wi):
+            y = L.masked_conv2d(xi, wi, kind="A")
+            return T.sum_all(T.mul(y, y))
 
-            assert T.grad_check(f, [x, w]) < self.TOL
+        assert T.grad_check(f, [x, w]) < self.TOL
 
 
 class TestConvEdges:
@@ -889,36 +873,33 @@ class TestSpecs:
     def test_encoder_decoder_round_trip_shape(self):
         params = L.ParamStore(np.float64)
         rng = np.random.default_rng(1)
-        with T.using_dtype(np.float64):
-            enc = L.make_network(L.encoder_spec(3, 4, 6), params, "enc", rng=rng)
-            dec = L.make_network(L.decoder_spec(6, 4, 3), params, "dec", rng=rng)
-            x = t64(rng.normal(size=(1, 3, 16, 16)))
-            y = enc(x)
-            assert y.shape == (1, 6, 1, 1)
-            out = dec(y)
+        enc = L.make_network(L.encoder_spec(3, 4, 6), params, "enc", rng=rng)
+        dec = L.make_network(L.decoder_spec(6, 4, 3), params, "dec", rng=rng)
+        x = t64(rng.normal(size=(1, 3, 16, 16)))
+        y = enc(x)
+        assert y.shape == (1, 6, 1, 1)
+        out = dec(y)
         assert out.shape == (1, 3, 16, 16)
 
 
 class TestIdentityInits:
     def test_difference_init_computes_difference(self):
         params = L.ParamStore(np.float64)
-        with T.using_dtype(np.float64):
-            net = L.make_network(L.feature_spec(6, 3, 5, "gd"), params, "gd",
-                                 init="identity-difference")
-            rng = np.random.default_rng(9)
-            x = rng.normal(size=(2, 3, 6, 6))
-            xt = rng.normal(size=(2, 3, 6, 6))
-            out = net(T.concat_channels([t64(x), t64(xt)]))
+        net = L.make_network(L.feature_spec(6, 3, 5, "gd"), params, "gd",
+                             init="identity-difference")
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(2, 3, 6, 6))
+        xt = rng.normal(size=(2, 3, 6, 6))
+        out = net(T.concat_channels([t64(x), t64(xt)]))
         assert out.data == pytest.approx(x - xt, abs=1e-12)
 
     def test_sum_init_computes_sum(self):
         params = L.ParamStore(np.float64)
-        with T.using_dtype(np.float64):
-            net = L.make_network(L.feature_spec(6, 3, 5, "gs"), params, "gs", init="identity-sum")
-            rng = np.random.default_rng(10)
-            xt = rng.normal(size=(1, 3, 5, 5))
-            d = rng.normal(size=(1, 3, 5, 5))
-            out = net(T.concat_channels([t64(xt), t64(d)]))
+        net = L.make_network(L.feature_spec(6, 3, 5, "gs"), params, "gs", init="identity-sum")
+        rng = np.random.default_rng(10)
+        xt = rng.normal(size=(1, 3, 5, 5))
+        d = rng.normal(size=(1, 3, 5, 5))
+        out = net(T.concat_channels([t64(xt), t64(d)]))
         assert out.data == pytest.approx(xt + d, abs=1e-12)
 
     def test_identity_init_rejects_narrow_layers(self):

@@ -163,3 +163,54 @@ def test_one_convolution_kernel():
                        in ("sliding_window_view", "as_strided"))
     assert windowing == ["_columns"], windowing
     assert "_scatter" not in {fn.name for fn in functions}
+
+
+# Public names that nothing outside the tests calls, each kept for a reason
+UNCALLED_PUBLIC_NAMES = {
+    # the central-difference reference that gate 2 and the layer tests
+    # compare every VJP against; exported as public API
+    "grad_check",
+    # gate 4's parameter ledger
+    "param_count",
+}
+
+
+def _public_definitions(tree):
+    """(name, first line, last line) of each public top-level function and
+    class and of each public method of a top-level class."""
+    defs = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            defs.append((node.name, node.lineno, node.end_lineno))
+        if isinstance(node, ast.ClassDef):
+            defs += [(f.name, f.lineno, f.end_lineno) for f in node.body
+                     if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+    return defs
+
+
+def test_every_public_name_has_a_caller():
+    # library code that only tests call is a second API to keep working:
+    # each public name is read by the package outside its own definition
+    # and outside the bodies of UNCALLED_PUBLIC_NAMES, or by the benchmark
+    # or the tools (imports and __all__ do not count)
+    root = Path(__file__).resolve().parents[1]
+    definitions = {path.resolve(): _public_definitions(ast.parse(path.read_text(encoding="utf-8")))
+                   for path in sorted(PACKAGE.glob("*.py"))}
+    uses = {}
+    for path in [*sorted((root / "src").rglob("*.py")), *sorted((root / "bench").rglob("*.py")),
+                 *sorted((root / "tools").rglob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                uses.setdefault(name, []).append((path.resolve(), node.lineno))
+
+    def inside(use, name):
+        return any(use[0] == path and first <= use[1] <= last
+                   for path, defs in definitions.items() for n, first, last in defs
+                   if n == name or n in UNCALLED_PUBLIC_NAMES)
+
+    uncalled = [f"{path.name}:{first} {name}"
+                for path, defs in definitions.items() for name, first, _ in defs
+                if name not in UNCALLED_PUBLIC_NAMES
+                and all(inside(use, name) for use in uses.get(name, ()))]
+    assert not uncalled, f"public names only tests call: {uncalled}"

@@ -34,11 +34,8 @@ class TestTensorBasics:
             T.Tensor(np.zeros((1, 2, 1, 1))).item()
 
     def test_default_dtype_context(self):
-        # non-float data is cast to the default dtype
+        # non-float data is cast to float32
         ints = np.zeros((1, 1, 1, 1), dtype=np.int64)
-        assert T.Tensor(ints).dtype == np.float32
-        with T.using_dtype(np.float64):
-            assert T.Tensor(ints).dtype == np.float64
         assert T.Tensor(ints).dtype == np.float32
 
 
@@ -149,43 +146,40 @@ class TestGradCheck:
         # operands bounded away from zero keep every coordinate's gradient
         # large relative to finite-difference noise
         rng = np.random.default_rng(seed)
-        with T.using_dtype(np.float64):
-            a = T.Tensor(rng.uniform(0.5, 1.5, size=(2, 3, 4, 4)), requires_grad=True)
-            b = T.Tensor(rng.uniform(1.0, 2.0, size=(2, 3, 4, 4)), requires_grad=True)
+        a = T.Tensor(rng.uniform(0.5, 1.5, size=(2, 3, 4, 4)), requires_grad=True)
+        b = T.Tensor(rng.uniform(1.0, 2.0, size=(2, 3, 4, 4)), requires_grad=True)
 
-            def f(x, y):
-                s = T.add(T.sub(T.mul(x, y), T.scale(y, 0.3)), x)
-                return T.sum_all(T.mul(s, s))
+        def f(x, y):
+            s = T.add(T.sub(T.mul(x, y), T.scale(y, 0.3)), x)
+            return T.sum_all(T.mul(s, s))
 
-            assert T.grad_check(f, [a, b]) < 1e-7
+        assert T.grad_check(f, [a, b]) < 1e-7
 
     @pytest.mark.parametrize("seed", range(3))
     def test_structure_ops(self, seed):
         rng = np.random.default_rng(10 + seed)
-        with T.using_dtype(np.float64):
-            a = randt(rng, (1, 2, 4, 4))
-            b = randt(rng, (1, 3, 4, 4))
+        a = randt(rng, (1, 2, 4, 4))
+        b = randt(rng, (1, 3, 4, 4))
 
-            def f(x, y):
-                cat = T.concat_channels([x, y])
-                sl = T.slice_channels(cat, 1, 4)
-                cr = T.crop_spatial(sl, 1, 4, 0, 3)
-                return T.sum_all(T.mul(cr, cr))
+        def f(x, y):
+            cat = T.concat_channels([x, y])
+            sl = T.slice_channels(cat, 1, 4)
+            cr = T.crop_spatial(sl, 1, 4, 0, 3)
+            return T.sum_all(T.mul(cr, cr))
 
-            assert T.grad_check(f, [a, b]) < 1e-7
+        assert T.grad_check(f, [a, b]) < 1e-7
 
     def test_mean_and_broadcast(self):
         # the gradient of a mean is broadcast back over every element;
         # operands bounded away from zero keep each coordinate's gradient
         # large relative to finite-difference noise
         rng = np.random.default_rng(5)
-        with T.using_dtype(np.float64):
-            a = T.Tensor(rng.uniform(0.5, 1.5, size=(2, 3, 4, 4)), requires_grad=True)
+        a = T.Tensor(rng.uniform(0.5, 1.5, size=(2, 3, 4, 4)), requires_grad=True)
 
-            def f(x):
-                return T.mean_all(T.mul(x, x))
+        def f(x):
+            return T.mean_all(T.mul(x, x))
 
-            assert T.grad_check(f, [a]) < 1e-8
+        assert T.grad_check(f, [a]) < 1e-8
 
     def test_grad_check_rejects_float32(self):
         a = T.Tensor(np.ones((1, 1, 1, 1), dtype=np.float32), requires_grad=True)

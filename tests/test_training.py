@@ -391,7 +391,9 @@ class TestEpochs:
             assert np.array_equal(t.data, coder2.params[name].data), name
 
     def test_empty_epoch_changes_nothing(self):
-        coder = C.Coder.new(C.CoderConfig.tiny("diff"), seed=2)
+        cfg = C.CoderConfig("diff", core_width=8, latent=8, hyper_latent=4, pred_width=8,
+                            ctx_width=4, enc_strides=(2, 2))
+        coder = C.Coder.new(cfg, seed=2)
         snap = {n: t.data.copy() for n, t in coder.params.items()}
         stats, _ = TR.train_epoch(coder, [], TR.TrainConfig())
         assert stats.steps == 0

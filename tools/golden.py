@@ -22,8 +22,10 @@ both modes.
 Rerun the script after any change to the container format or to what a
 coder decodes (its transforms, its entropy parameters, the tables or the
 rANS coder), and commit the new set.  On a tree that changes neither, it
-rewrites the same bytes.  A change of the entropy coder alone rewrites only
-the containers: the manifest's inputs, tables, latents and PSNRs stay.
+rewrites the same bytes: BLAS runs on one thread, pinned before numpy
+loads, because the float32 synthesis sums (and so the PSNRs) depend on the
+thread count.  A change of the entropy coder alone rewrites only the
+containers: the manifest's inputs, tables, latents and PSNRs stay.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ from __future__ import annotations
 import json
 import os
 import sys
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GAIN = 20

@@ -448,6 +448,3 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return 1
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

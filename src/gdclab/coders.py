@@ -301,6 +301,9 @@ class Coder:
         with T.no_grad():
             xtp = T.Tensor(pad_to_multiple(xt_arr, sp))
             ph, pw = xtp.shape[2], xtp.shape[3]
+            # the side information is checked before any entropy decoding
+            leaves = None if container.qt_bits is None else V.parse_quadtree(
+                container.qt_bits, ph, pw, container.qt_min_block, container.qt_max_block)
             yh, yw = (self.specs["enc"].out_size(n) for n in (ph, pw))
             zh, zw = (self.specs["hyp_enc"].out_size(n) for n in (yh, yw))
             z_shape = (1, self.cfg.hyper_latent, zh, zw)
@@ -325,9 +328,7 @@ class Coder:
                 x_hat_d=self._crop(x_hat_d, container.height, container.width),
                 x_hat_g=self._crop(x_hat_g, container.height, container.width),
                 latents={"y_hat": y_hat.data, "z_hat": z_hat.data})
-            if container.qt_bits is not None:
-                leaves = V.parse_quadtree(container.qt_bits, ph, pw,
-                                          container.qt_min_block, container.qt_max_block)
+            if leaves is not None:
                 merged = V.merge_reconstructions(x_hat_d.data, x_hat_g.data, leaves)
                 out.x_hat_merged = self._crop(T.Tensor(merged), container.height, container.width)
         return out

@@ -11,7 +11,10 @@ the same array describes a map and its adjoint.
 
 from __future__ import annotations
 
+import contextvars
 import functools
+import os
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +46,8 @@ FEATURE_HIDDEN = 16
 # of the small grid with the flipped sub-kernel w[:, :, ry::s, rx::s],
 # zero-filled to m = ceil(k/s) taps per axis.  The s*s sub-kernels are
 # stacked into one [s*s*c, o*m*m] matrix, so one GEMM per band serves all
-# phases and writes straight into the phase-strided view of the output.
+# phases; each phase's block is copied into the phase-strided view of the
+# output.
 # A causal mask zeroes the weight's taps past the first ``taps`` in raster
 # order, and the same taps of the weight gradient; the columns keep all
 # taps, so a masked conv is bit for bit the conv with the masked weight.
@@ -53,8 +57,9 @@ FEATURE_HIDDEN = 16
 # k + (rows-1)*s rows), whose border columns stay zero.  When a band needs
 # rows past the slab, the k - s rows it shares with the band before are
 # carried to the slab's front and the next input rows are read after them,
-# so each input row is read once, after every earlier band was yielded.
-# A stride-1 gather that keeps the channel count may therefore write each
+# so each input row is read once, after every band of the earlier fills
+# has returned.  A band copies its columns from the slab alone.  A
+# stride-1 gather that keeps the channel count may therefore write each
 # band's output over its own input: band i0:i1 writes rows i0:i1, and the
 # rows read after it start at i1 + (k-1)//2.  Network does so under
 # no_grad for the intermediates it owns, never for its caller's input.
@@ -65,14 +70,73 @@ FEATURE_HIDDEN = 16
 # slower, and that of the 3->32 first encoder layer at 1088x1920 1.5 times.
 BAND_CELLS = 1 << 18
 
+# Whole bands run concurrently on WORKERS threads, the caller's and those
+# of a pool; numpy leaves the GIL in the column copy, the GEMM and the
+# elementwise band work.  A band keeps its rows, its shape and its one
+# GEMM, so no byte depends on WORKERS: a GEMM split by rows or columns
+# gives other float32 bits under some OpenBLAS kernels (Haswell,
+# SkylakeX), while an unsplit GEMM of one shape gives the same bits in any
+# thread and at any buffer offset.  A pass uses the pool only when it
+# spans at least two bands per worker, so small passes (the 32x32
+# training steps) stay on the caller's thread.  BLAS itself should run on
+# one thread beside the pool.
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# (pid, workers, executor), made at first use; a forked child makes its own
+_pool = None
 
-def _columns(a, before, k, stride, oh, ow):
-    """Yield (i0, i1, cols) for each band of output rows i0:i1, with cols
-    the [c*k*k, n*(i1-i0)*ow] columns of ``a`` padded by ``before``: row
-    (ch, ki*k + kj) holds the input that tap (ki, kj) of channel ch meets
-    at output position (n, i, j).  Every band reuses one column buffer and
-    reads the padded rows from one slab buffer; each row of ``a`` is read
-    once, when a band first needs it."""
+
+def _workers(bands):
+    """The threads a pass of ``bands`` bands runs on."""
+    return WORKERS if WORKERS > 1 and bands >= 2 * WORKERS else 1
+
+
+def _run(band, spans, workers):
+    """band(t, span) for each of ``spans``: in order on this thread (t = 0)
+    when ``workers`` is 1 or there is one span, else taken in order from
+    one queue by this thread and the pool's workers - 1 threads (t = 1,
+    2, ...), each in a copy of the caller's context (numpy keeps its error
+    state there), so a thread that runs slower takes fewer spans.
+    Returns, or raises a band's error, once every thread is done."""
+    if workers == 1 or len(spans) < 2:
+        for span in spans:
+            band(0, span)
+        return
+    global _pool
+    if _pool is None or _pool[:2] != (os.getpid(), workers):
+        # imported with the first pool: a process that never pools (the
+        # 32x32 training steps) does not load concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
+        if _pool is not None and _pool[0] == os.getpid():
+            _pool[2].shutdown(wait=False)  # WORKERS changed
+        _pool = (os.getpid(), workers, ThreadPoolExecutor(workers - 1))
+    todo = deque(spans)
+
+    def drain(t):
+        while todo:
+            try:
+                span = todo.popleft()
+            except IndexError:
+                return
+            band(t, span)
+
+    futures = [_pool[2].submit(contextvars.copy_context().run, drain, t) for t in range(1, workers)]
+    try:
+        drain(0)
+    finally:
+        for f in futures:
+            f.exception()  # waits for the thread without raising
+    for f in futures:
+        f.result()
+
+
+def _columns(a, before, k, stride, oh, ow, band, pooled=True):
+    """Call band(i0, i1, cols) for each band of output rows i0:i1, with
+    cols the [c*k*k, n*(i1-i0)*ow] columns of ``a`` padded by ``before``:
+    row (ch, ki*k + kj) holds the input that tap (ki, kj) of channel ch
+    meets at output position (n, i, j).  The bands that read one fill of
+    the slab run in order, or, when ``pooled`` and the pass spans enough
+    bands, on the pool (see _run); each thread reuses one column buffer.
+    Returns once every band has returned."""
     n, c, h, w = a.shape
     rows = min(oh, max(1, BAND_CELLS // (c * k * k * n * ow)))
     ph, pw = (oh - 1) * stride + k, (ow - 1) * stride + k
@@ -80,18 +144,33 @@ def _columns(a, before, k, stride, oh, ow):
     # ``before`` zeros on the left, up to pw on the right
     slab = np.zeros((n, c, min(ph, max((rows - 1) * stride + k, BAND_CELLS // (n * c * pw))), pw),
                     dtype=a.dtype)
-    # [c, k, k, n, i, ow] windows of the slab, every s-th per axis
+    # [c, k, k, n, i, ow] windows of the slab, every s-th per axis; the
+    # ndarray constructor checks them against the slab's size and costs
+    # 3 us less per call than as_strided, which tells at 32x32
     sn, sc, sh, sw = slab.strides
-    win = np.lib.stride_tricks.as_strided(
-        slab, (c, k, k, n, (slab.shape[2] - k) // stride + 1, ow),
-        (sc, sh, sw, sn, sh * stride, sw * stride), writeable=False)
+    win = np.ndarray((c, k, k, n, (slab.shape[2] - k) // stride + 1, ow), a.dtype, slab, 0,
+                     (sc, sh, sw, sn, sh * stride, sw * stride))
+    win.flags.writeable = False
     cw = min(w, pw - before)
-    buf = np.empty(c * k * k * n * rows * ow, dtype=a.dtype)
+    spans = range(0, oh, rows)
+    workers = _workers(len(spans)) if pooled else 1
+    bufs = np.empty((workers, c * k * k * n * rows * ow), dtype=a.dtype)
+
+    def copy(t, span):
+        i0, i1, j = span
+        cols = bufs[t, :c * k * k * n * (i1 - i0) * ow].reshape(c, k, k, n, i1 - i0, ow)
+        cols[...] = win[..., j:j + i1 - i0, :]
+        band(i0, i1, cols.reshape(c * k * k, -1))
+
     base = filled = 0
-    for i0 in range(0, oh, rows):
+    fill = []
+    for i0 in spans:
         i1 = min(i0 + rows, oh)
         top, bottom = i0 * stride, (i1 - 1) * stride + k
         if bottom > base + filled:
+            if fill:
+                _run(copy, fill, workers)
+                fill = []
             # carry the rows this band shares with the last to the front,
             # then read the rows after them; rows above ``a`` occur only in
             # the first fill, while the slab is still zero
@@ -104,19 +183,24 @@ def _columns(a, before, k, stride, oh, ow):
             fresh = slab[:, :, kept:filled]
             fresh[:, :, v0 - r0:v1 - r0, before:before + cw] = a[:, :, v0:v1, :cw]
             fresh[:, :, v1 - r0:] = 0
-        j = (top - base) // stride
-        cols = buf[:c * k * k * n * (i1 - i0) * ow].reshape(c, k, k, n, i1 - i0, ow)
-        cols[...] = win[..., j:j + i1 - i0, :]
-        yield i0, i1, cols.reshape(c * k * k, -1)
+        fill.append((i0, i1, (top - base) // stride))
+    _run(copy, fill, workers)
 
 
 def _gemm(a, before, wm, k, stride, out):
     """Fill ``out``, viewed [n, c, oh, s, ow, s], band by band: element
-    (n, c, i, ry, j, rx) is row (ry, rx, c) of ``wm`` times column (n, i, j)."""
+    (n, c, i, ry, j, rx) is row (ry, rx, c) of ``wm`` times column (n, i, j).
+    Each phase (ry, rx) of a band is written as one [c, n, rows, ow] block."""
     n, c, oh, s, ow, _ = out.shape
-    for i0, i1, cols in _columns(a, before, k, stride, oh, ow):
-        out[:, :, i0:i1] = np.dot(wm, cols).reshape(s, s, c, n, i1 - i0, ow) \
-            .transpose(3, 2, 4, 0, 5, 1)
+    phases = out.transpose(3, 5, 1, 0, 2, 4)
+
+    def band(i0, i1, cols):
+        prod = np.dot(wm, cols).reshape(s, s, c, n, i1 - i0, ow)
+        for ry in range(s):
+            for rx in range(s):
+                phases[ry, rx, :, :, i0:i1] = prod[ry, rx]
+
+    _columns(a, before, k, stride, oh, ow, band)
 
 
 def _gather(big, w, stride, taps, out=None):
@@ -161,10 +245,14 @@ def _weight_grad(big, small, stride, taps, w_shape):
     o, c, k, _ = w_shape
     n, _, oh, ow = small.shape
     dw = np.zeros((c * k * k, o), dtype=small.dtype)
-    for i0, i1, cols in _columns(big, (k - 1) // 2, k, stride, oh, ow):
+
+    def band(i0, i1, cols):
         # [c*k*k,n*rows*ow] x [n*rows*ow,o]: with the small grid channels
         # last, this product ran faster than its transpose [o,.] x [.,c*k*k]
-        dw += np.dot(cols, small[:, :, i0:i1].transpose(0, 2, 3, 1).reshape(-1, o))
+        np.add(dw, np.dot(cols, small[:, :, i0:i1].transpose(0, 2, 3, 1).reshape(-1, o)), out=dw)
+
+    # the bands' sum keeps its order on this thread
+    _columns(big, (k - 1) // 2, k, stride, oh, ow, band, pooled=False)
     dw = dw.T.reshape(o, c, k * k)
     dw[:, :, taps:] = 0
     return dw.reshape(w_shape)
@@ -248,41 +336,49 @@ def _bias_prelu(a, bias, slope):
     bands of rows that with their one temporary fill BAND_CELLS cells."""
     n, c, h, w = a.shape
     rows = max(1, BAND_CELLS // (2 * c * w))
-    for b in range(n):
-        for r0 in range(0, h, rows):
-            band = a[b:b + 1, :, r0:r0 + rows]
-            if bias is not None:
-                band += bias
-            if slope is not None:
-                neg = np.minimum(band, 0)
-                neg *= slope
-                np.maximum(band, 0, out=band)
-                band += neg
+    spans = [(b, r0) for b in range(n) for r0 in range(0, h, rows)]
+
+    def run(t, span):
+        band = a[span[0]:span[0] + 1, :, span[1]:span[1] + rows]
+        if bias is not None:
+            band += bias
+        if slope is not None:
+            neg = np.minimum(band, 0)
+            neg *= slope
+            np.maximum(band, 0, out=band)
+            band += neg
+
+    _run(run, spans, _workers(len(spans)))
 
 
-def _gdn_norms(x, gamma, beta):
-    """Yield (cols, band, sq, s) for each band of pixels of each image of
+def _gdn_norms(x, gamma, beta, fn, pooled=True):
+    """Call fn(cols, band, sq, s) for each band of pixels of each image of
     ``x``: cols indexes the band in an [n, c, h*w] view, band is that
     [c, p] slice of ``x``, sq = band**2 and s = sqrt(beta + gamma @ sq).
-    sq and s share one buffer of at most BAND_CELLS cells, which every
-    band reuses, so the GEMM reads sq from cache right after it is
-    written."""
+    sq and s share one buffer of at most BAND_CELLS cells per thread, which
+    its bands reuse, so the GEMM reads sq from cache right after it is
+    written.  The bands run in order, or, when ``pooled`` and there are
+    enough of them, on the pool."""
     n, c = x.shape[:2]
     flat = x.reshape(n, c, -1)
     hw = flat.shape[2]
     step = max(1, min(hw, BAND_CELLS // (2 * c)))
-    buf = np.empty(2 * c * step, dtype=x.dtype)
-    for b in range(n):
-        for p0 in range(0, hw, step):
-            cols = np.s_[b, :, p0:p0 + step]
-            band = flat[cols]
-            cells = band.size
-            sq, s = buf[:cells].reshape(band.shape), buf[cells:2 * cells].reshape(band.shape)
-            np.multiply(band, band, out=sq)
-            np.dot(gamma, sq, out=s)
-            s += beta
-            np.sqrt(s, out=s)
-            yield cols, band, sq, s
+    spans = [(b, p0) for b in range(n) for p0 in range(0, hw, step)]
+    workers = _workers(len(spans)) if pooled else 1
+    bufs = np.empty((workers, 2 * c * step), dtype=x.dtype)
+
+    def norms(t, span):
+        cols = np.s_[span[0], :, span[1]:span[1] + step]
+        band = flat[cols]
+        cells = band.size
+        sq, s = bufs[t, :cells].reshape(band.shape), bufs[t, cells:2 * cells].reshape(band.shape)
+        np.multiply(band, band, out=sq)
+        np.dot(gamma, sq, out=s)
+        s += beta
+        np.sqrt(s, out=s)
+        fn(cols, band, sq, s)
+
+    _run(norms, spans, workers)
 
 
 def gdn(x, beta_raw, gamma_raw, inverse=False):
@@ -317,24 +413,27 @@ def _gdn(x, beta_raw, gamma_raw, inverse, out):
     beta, gamma = br * br + x.dtype.type(GDN_BETA_MIN), gr * gr
     flat = out.reshape(x.shape[0], c, -1)
     scale = np.multiply if inverse else np.divide
-    for cols, band, _, s in _gdn_norms(x.data, gamma, beta):
-        scale(band, s, out=flat[cols])
+    _gdn_norms(x.data, gamma, beta, lambda cols, band, sq, s: scale(band, s, out=flat[cols]))
 
     def grads(g):
         """(dx, dbeta_raw, dgamma_raw) of upstream gradient ``g``."""
         dx = np.empty(x.shape, dtype=x.dtype)
         dflat, gflat = dx.reshape(flat.shape), g.reshape(flat.shape)
         dbeta, dgamma = np.zeros_like(beta), np.zeros_like(gamma)
-        for cols, band, sq, s in _gdn_norms(x.data, gamma, beta):
+
+        def band_grads(cols, band, sq, s):
             gb = gflat[cols]
             if inverse:
                 d, t = gb * s, 0.5 * gb * band / s
             else:
                 d = gb / s
                 t = -0.5 * d * band / (s * s)
-            dbeta += t.sum(axis=1, keepdims=True)
-            dgamma += np.dot(t, sq.T)
+            np.add(dbeta, t.sum(axis=1, keepdims=True), out=dbeta)
+            np.add(dgamma, np.dot(t, sq.T), out=dgamma)
             dflat[cols] = d + 2 * band * np.dot(gamma.T, t)
+
+        # dbeta and dgamma sum over the bands in order on this thread
+        _gdn_norms(x.data, gamma, beta, band_grads, pooled=False)
         return dx, (2 * br * dbeta).reshape(beta_raw.shape), (2 * gr * dgamma).reshape(gamma_raw.shape)
 
     return T._node(out, "gdn", *T._joint_edges(grads, x, beta_raw, gamma_raw))

@@ -5,6 +5,7 @@ success, 1 for domain errors, 2 for argparse rejections)."""
 import csv
 import dataclasses
 import json
+import os
 import shutil
 import struct
 import subprocess
@@ -341,6 +342,46 @@ class TestBdrate:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.0%"
+
+
+ENTRY_CHILD = """
+import ctypes, glob, json, os, runpy, sys
+import gdclab
+lazy = "numpy" not in sys.modules
+sys.argv = ["gdclab", "--help"]
+try:
+    runpy.run_module("gdclab", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+import numpy as np
+threads = None
+for lib in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")):
+    for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                 "openblas_get_num_threads"):
+        fn = getattr(ctypes.CDLL(lib), name, None)
+        if fn is not None and threads is None:
+            threads = fn()
+print(json.dumps([lazy, os.environ.get("OPENBLAS_NUM_THREADS"),
+                  os.environ.get("OMP_NUM_THREADS"), threads]))
+"""
+
+
+@pytest.mark.parametrize("given,want", [(None, "1"), ("2", "2")])
+def test_command_runs_blas_on_one_thread(given, want):
+    # the entry of ``python -m gdclab`` and of the console script sets
+    # OpenBLAS and OpenMP to one thread before numpy loads, unless the
+    # caller set them; importing the package loads no numpy
+    root = Path(__file__).resolve().parents[1]
+    assert 'gdclab = "gdclab.__main__:main"' in (root / "pyproject.toml").read_text()
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    if given:
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = given
+    proc = subprocess.run([sys.executable, "-c", ENTRY_CHILD], capture_output=True, text=True,
+                          env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    lazy, openblas, omp, threads = json.loads(proc.stdout.splitlines()[-1])
+    assert lazy and openblas == omp == want
+    assert threads in (None, int(want))
 
 
 class TestQuadtree:

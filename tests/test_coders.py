@@ -385,6 +385,43 @@ class TestEncodeDecode:
             with pytest.raises(StreamError):
                 coder.decode(xt, BitstreamContainer.from_bytes(hostile.to_bytes()))
 
+    def test_workers_see_the_callers_error_state(self, monkeypatch):
+        # the synthesis overflows while its bands run on the pool: decode's
+        # np.errstate reaches the workers, so under warnings-as-errors no
+        # RuntimeWarning escapes a worker, and decode refuses the stream
+        monkeypatch.setattr(L, "WORKERS", 2)
+        monkeypatch.setattr(L, "BAND_CELLS", 2048)
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0.1, 0.9, size=(1, 3, 64, 64)).astype(np.float32)
+        xt = np.clip(x + rng.normal(scale=0.05, size=x.shape), 0, 1).astype(np.float32)
+        coder = C.Coder.new(C.CoderConfig.desk("diff"), seed=1)
+        container, out = coder.encode(x, xt)
+        lat = out.latents
+        y_hat = lat["y_hat"].copy()
+        y_hat.reshape(-1)[::7] = 2.0 ** 20
+        stream, (lo, hi) = E.encode_gaussian(y_hat, lat["mean"], lat["raw_scale"])
+        payload = dataclasses.replace(container.payload_y, stream=stream, lo=lo, hi=hi)
+        hostile = dataclasses.replace(container, payload_y=payload)
+        run, on_pool = L._run, []
+
+        def spy(band, spans, workers):
+            def slow_caller(t, span):
+                # the caller's thread lags, so pool threads take bands too
+                if t == 0:
+                    time.sleep(0.002)
+                else:
+                    on_pool.append(span)
+                band(t, span)
+
+            return run(slow_caller, spans, workers)
+
+        monkeypatch.setattr(L, "_run", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StreamError):
+                coder.decode(xt, BitstreamContainer.from_bytes(hostile.to_bytes()))
+        assert on_pool
+
 
 class TestQuadTreeSideInfo:
     def test_round_trip_with_merged(self):
@@ -426,6 +463,21 @@ class TestQuadTreeSideInfo:
             tracemalloc.stop()
         assert seconds < 1.0
         assert peak <= 16 * block
+
+    def test_hostile_block_refused_before_entropy_decoding(self, monkeypatch):
+        # the tree is parsed first: a block of more bits than the tree
+        # reads is refused before either payload is decoded
+        coder = C.Coder.new(C.CoderConfig.desk("xgdc"), seed=9)
+        x, xt = frame_pair(np.random.default_rng(15), 32, 32)
+        container, _ = coder.encode(x, xt, qt_lambda=200.0, min_block=4, max_block=16)
+        data = dataclasses.replace(container, qt_bits=np.zeros(8 * 4096, np.uint8)).to_bytes()
+
+        def decode_context(*args, **kwargs):
+            raise RuntimeError("entropy decoding ran")
+
+        monkeypatch.setattr(C.E, "decode_context", decode_context)
+        with pytest.raises(ContractError, match="tree used"):
+            coder.decode(xt, BitstreamContainer.from_bytes(data))
 
     @pytest.mark.parametrize("kind", ["diff", "gdc", "codecnet"])
     def test_side_bits_need_two_reconstructions(self, kind, monkeypatch):

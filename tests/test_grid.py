@@ -311,6 +311,30 @@ def test_selftest_passes_under_every_kernel():
         assert proc.stdout.splitlines() == want, coretype
 
 
+# Each child runs every pass the pool can take at one and two workers
+# (test_layers.pool_passes) and hashes the outputs.
+POOL_CHILD = textwrap.dedent("""
+    import hashlib, json, os, sys
+    root = sys.argv[1]
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "tests")]
+    from test_layers import pool_passes
+    print(json.dumps({str(w): {k: hashlib.sha256(v.tobytes()).hexdigest()
+                               for k, v in pool_passes(w).items()} for w in (1, 2)}))
+""")
+
+
+def test_pool_keeps_the_bytes_under_every_kernel():
+    # an unsplit GEMM gives the same bits on any thread under every kernel,
+    # so each kernel gives one worker's bytes at two workers
+    kernels = _second_kernels()
+    for coretype in kernels:
+        proc = subprocess.run([sys.executable, "-c", POOL_CHILD, str(ROOT)], capture_output=True,
+                              text=True, env=_kernel_env(coretype), timeout=600)
+        assert proc.returncode == 0, (coretype, proc.stderr[-3000:])
+        hashes = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert hashes["1"] == hashes["2"], coretype
+
+
 SIMD_CHILD = textwrap.dedent("""
     import hashlib, json, sys
     import numpy as np

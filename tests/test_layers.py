@@ -4,8 +4,15 @@ The reference convolutions below are deliberately naive (explicit loops,
 no shared code with the package) so that agreement is meaningful.
 """
 
+import hashlib
 import itertools
+import os
+import select
+import signal
+import sys
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -256,10 +263,11 @@ class TestScatterBytes:
         taps = k * k // 2 + (kind == "B")
         assert same_bytes(got, scatter_reference(r, w, 1, taps, x.shape))
 
-    def test_hd_tconv_peak_memory(self):
-        # one stride-2 32->32 synthesis layer of a 1088x1920 frame: the
-        # call holds its output, one slab of padded small-grid rows, one
-        # band of columns and one band product (1.15 times the output)
+    @staticmethod
+    def _tconv_peak(monkeypatch, workers):
+        """(peak traced bytes, output bytes) of one stride-2 32->32
+        synthesis layer of a 1088x1920 frame on ``workers`` threads."""
+        monkeypatch.setattr(L, "WORKERS", workers)
         rng = np.random.default_rng(31)
         x = Tensor(rng.normal(size=(1, 32, 136, 240)).astype(np.float32))
         w = Tensor(rng.normal(scale=0.1, size=(32, 32, 5, 5)).astype(np.float32))
@@ -269,7 +277,21 @@ class TestScatterBytes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.2 * out.data.nbytes
+        return peak, out.data.nbytes
+
+    def test_hd_tconv_peak_memory(self, monkeypatch):
+        # the call holds its output, one slab of padded small-grid rows, one
+        # band of columns and one band product (1.15 times the output)
+        peak, out = self._tconv_peak(monkeypatch, 1)
+        assert peak <= 1.2 * out
+
+    def test_hd_tconv_peak_memory_two_workers(self, monkeypatch):
+        # the second worker adds one band of columns and one band product:
+        # 3x3 sub-kernels of 32 channels over 240 columns, 4 phases of 32
+        peak, out = self._tconv_peak(monkeypatch, 2)
+        rows = L.BAND_CELLS // (32 * 9 * 240)
+        band, product = 32 * 9 * rows * 240 * 4, 4 * 32 * rows * 240 * 4
+        assert peak <= 1.2 * out + band + product
 
 
 class TestTransposedFloat32:
@@ -349,25 +371,39 @@ class TestGDN:
         out = L.gdn(x, t64([[[[-0.5]]]]), t64([[[[-0.2]]]]))
         assert np.all(np.isfinite(out.data))
 
-    def test_forward_holds_its_output_and_one_band(self):
-        # float32 GDN over an HD-sized 32-channel map: x^2 and the norm of
-        # one band of pixels at a time share one buffer of BAND_CELLS cells,
-        # and nothing of the map's size is made besides the output (the
-        # composed form held four full-size temporaries)
+    @staticmethod
+    def _hd_gdn_peaks(monkeypatch, workers):
+        """(peak traced bytes, output bytes) of float32 GDN and inverse GDN
+        over an HD-sized 32-channel map on ``workers`` threads."""
+        monkeypatch.setattr(L, "WORKERS", workers)
         rng = np.random.default_rng(9)
         x = Tensor(rng.normal(size=(1, 32, 544, 960)).astype(np.float32))
         beta = Tensor(rng.uniform(0.5, 1.0, size=(1, 32, 1, 1)).astype(np.float32))
         gamma = Tensor(rng.uniform(0.0, 0.3, size=(32, 32, 1, 1)).astype(np.float32))
+        peaks = []
         for inverse in (False, True):
             tracemalloc.start()
             try:
                 out = L.gdn(x, beta, gamma, inverse=inverse)
-                peak = tracemalloc.get_traced_memory()[1]
+                peaks.append((tracemalloc.get_traced_memory()[1], out.data.nbytes))
             finally:
                 tracemalloc.stop()
-            # numpy's ufunc and GEMM calls allocate about 74 KB of their own
-            assert peak <= out.data.nbytes + 4 * L.BAND_CELLS + 131072
             del out
+        return peaks
+
+    def test_forward_holds_its_output_and_one_band(self, monkeypatch):
+        # x^2 and the norm of one band of pixels at a time share one buffer
+        # of BAND_CELLS cells, and nothing of the map's size is made
+        # besides the output (the composed form held four full-size
+        # temporaries); numpy's ufunc and GEMM calls allocate about 74 KB
+        # of their own
+        for peak, out in self._hd_gdn_peaks(monkeypatch, 1):
+            assert peak <= out + 4 * L.BAND_CELLS + 131072
+
+    def test_forward_holds_its_output_and_one_band_two_workers(self, monkeypatch):
+        # the second worker adds its own buffer of BAND_CELLS cells
+        for peak, out in self._hd_gdn_peaks(monkeypatch, 2):
+            assert peak <= out + 2 * 4 * L.BAND_CELLS + 131072
 
     def test_dtypes_must_agree(self):
         x = Tensor(np.ones((1, 2, 3, 3), dtype=np.float32))
@@ -637,13 +673,17 @@ class TestColumnBands:
         its own columns; return the band heights of each call."""
         columns, passes = L._columns, []
 
-        def banded(a, before, k, stride, oh, ow):
+        def banded(a, before, k, stride, oh, ow, band, **pooled):
             n, c = a.shape[:2]
             monkeypatch.setattr(L, "BAND_CELLS", cls.ROWS * c * k * k * n * ow)
-            passes.append([])
-            for i0, i1, cols in columns(a, before, k, stride, oh, ow):
-                passes[-1].append(i1 - i0)
-                yield i0, i1, cols
+            heights = []
+            passes.append(heights)
+
+            def spy(i0, i1, cols):
+                heights.append(i1 - i0)
+                band(i0, i1, cols)
+
+            columns(a, before, k, stride, oh, ow, spy, **pooled)
 
         monkeypatch.setattr(L, "_columns", banded)
         return passes
@@ -663,7 +703,8 @@ class TestColumnBands:
     def test_bands_cover_rows(self, monkeypatch):
         passes = self._three_rows(monkeypatch)
         big = np.zeros((1, 2, 13, 9))
-        bands = [(i0, i1, cols.shape) for i0, i1, cols in L._columns(big, 1, 3, 2, 7, 5)]
+        bands = []
+        L._columns(big, 1, 3, 2, 7, 5, lambda i0, i1, cols: bands.append((i0, i1, cols.shape)))
         assert bands == [(0, 3, (18, 15)), (3, 6, (18, 15)), (6, 7, (18, 5))]
         assert passes == [[3, 3, 1]]
 
@@ -725,11 +766,12 @@ class TestColumnBands:
         assert out.dtype == np.float32 and np.array_equal(out, want)
         assert np.array_equal(dw, want_dw * mask)
 
-    def test_hd_gather_peak_memory(self):
-        # the 3->32 k5 stride-2 first encoder layer of a 1088x1920 frame: the
-        # call holds its output, one slab of padded input rows (at most
-        # BAND_CELLS cells here), one band of columns and one band product,
-        # never a padded copy of the input nor the 157 MB column matrix
+    @staticmethod
+    def _gather_peak(monkeypatch, workers):
+        """(peak traced bytes, the bytes of the output, the slab, one band
+        of columns and one band product) of the 3->32 k5 stride-2 first
+        encoder layer of a 1088x1920 frame on ``workers`` threads."""
+        monkeypatch.setattr(L, "WORKERS", workers)
         rng = np.random.default_rng(32)
         x = Tensor(rng.normal(size=(1, 3, 1088, 1920)).astype(np.float32))
         w = Tensor(rng.normal(scale=0.1, size=(32, 3, 5, 5)).astype(np.float32))
@@ -739,11 +781,162 @@ class TestColumnBands:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        slab = 4 * L.BAND_CELLS
-        rows = L.BAND_CELLS // (75 * 960)
-        band, product = 75 * rows * 960 * 4, 32 * rows * 960 * 4
         assert out.shape == (1, 32, 544, 960)
-        assert peak <= out.data.nbytes + slab + band + product + 65536
+        rows = L.BAND_CELLS // (75 * 960)
+        return peak, out.data.nbytes, 4 * L.BAND_CELLS, 75 * rows * 960 * 4, 32 * rows * 960 * 4
+
+    def test_hd_gather_peak_memory(self, monkeypatch):
+        # the call holds its output, one slab of padded input rows (at most
+        # BAND_CELLS cells here), one band of columns and one band product,
+        # never a padded copy of the input nor the 157 MB column matrix
+        peak, out, slab, band, product = self._gather_peak(monkeypatch, 1)
+        assert peak <= out + slab + band + product + 65536
+
+    def test_hd_gather_peak_memory_two_workers(self, monkeypatch):
+        # the second worker adds one band of columns and one band product
+        peak, out, slab, band, product = self._gather_peak(monkeypatch, 2)
+        assert peak <= out + slab + 2 * (band + product) + 65536
+
+
+def pool_passes(workers):
+    """Every pass that can run on the pool, in float32, at ``workers``
+    threads: name -> output.  Each runs at the default column budget and
+    at 4,096 cells, and spans several bands per worker at both."""
+    rng = np.random.default_rng(44)
+
+    def f32(*shape, scale=1.0):
+        return rng.normal(scale=scale, size=shape).astype(np.float32)
+
+    saved = L.WORKERS, L.BAND_CELLS
+    got = {}
+    try:
+        L.WORKERS = workers
+        for cells in (saved[1], 4096):
+            L.BAND_CELLS = cells
+            # gather forward, transposed input gradient, serial weight gradient
+            x, w, r = f32(1, 16, 96, 80), f32(16, 16, 5, 5, scale=0.1), f32(1, 16, 96, 80)
+            xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+            y = L.conv2d(xt, wt)
+            T.backward(T.sum_all(T.mul(y, Tensor(r))))
+            got.update({f"{cells}/conv": y.data, f"{cells}/conv_dx": xt.grad,
+                        f"{cells}/conv_dw": wt.grad})
+            got[f"{cells}/conv_s2"] = L.conv2d(Tensor(f32(1, 3, 130, 96)),
+                                               Tensor(f32(32, 3, 5, 5, scale=0.2)), stride=2).data
+            # transposed forward (4 phases), gather input gradient
+            x = Tensor(f32(1, 32, 40, 36), requires_grad=True)
+            y = L.tconv2d(x, Tensor(f32(32, 16, 5, 5, scale=0.1)), stride=2)
+            T.backward(T.sum_all(T.mul(y, Tensor(f32(1, 16, 80, 72)))))
+            got.update({f"{cells}/tconv": y.data, f"{cells}/tconv_dx": x.grad})
+            got[f"{cells}/masked"] = L.masked_conv2d(Tensor(f32(1, 16, 60, 50)),
+                                                     Tensor(f32(8, 16, 5, 5, scale=0.1)), kind="A").data
+            x = Tensor(f32(1, 32, 128, 128))
+            beta = Tensor(rng.uniform(0.5, 1.0, size=(1, 32, 1, 1)).astype(np.float32))
+            gamma = Tensor(rng.uniform(0.0, 0.3, size=(32, 32, 1, 1)).astype(np.float32))
+            for inverse in (False, True):
+                got[f"{cells}/gdn{inverse:d}"] = L.gdn(x, beta, gamma, inverse=inverse).data
+            a = f32(1, 32, 128, 96)
+            L._bias_prelu(a, f32(1, 32, 1, 1), f32(1, 32, 1, 1))
+            got[f"{cells}/bias_prelu"] = a
+            # a graph-free stack: bias, PReLU and a layer written over its input
+            net = L.make_network(L.feature_spec(6, 16, 5, "gd"), L.ParamStore(np.float32), "n",
+                                 rng=np.random.default_rng(3))
+            with T.no_grad():
+                got[f"{cells}/net"] = net(Tensor(f32(1, 6, 96, 80))).data
+    finally:
+        L.WORKERS, L.BAND_CELLS = saved
+    return got
+
+
+class TestPool:
+    """Whole bands run on WORKERS threads and give the same bytes at any
+    worker count; tests/test_grid.py repeats the comparison under the
+    Haswell and Sandybridge OpenBLAS kernels."""
+
+    @pytest.mark.parametrize("workers", [2, 5])
+    def test_workers_give_the_same_bytes(self, monkeypatch, workers):
+        # five workers on fewer CPUs, switching threads every microsecond,
+        # write every band where one worker does
+        run, pooled = L._run, set()
+
+        def spy(task, spans, workers):
+            if workers > 1 and len(spans) > 1:
+                pooled.add(task.__qualname__.split(".")[0])
+            return run(task, spans, workers)
+
+        monkeypatch.setattr(L, "_run", spy)
+        one = pool_passes(1)
+        assert not pooled
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = pool_passes(workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled == {"_columns", "_gdn_norms", "_bias_prelu"}
+        assert list(one) == list(many)
+        for name in one:
+            assert same_bytes(many[name], one[name]), name
+
+    def test_small_passes_stay_serial(self, monkeypatch):
+        # a pass uses the pool only when it spans two bands per worker
+        monkeypatch.setattr(L, "WORKERS", 2)
+        assert (L._workers(3), L._workers(4)) == (1, 2)
+        monkeypatch.setattr(L, "WORKERS", 1)
+        assert L._workers(100) == 1
+        ran = []
+        L._run(lambda t, span: ran.append((t, span)), range(50), 1)
+        assert ran == [(0, i) for i in range(50)]
+
+    @pytest.mark.parametrize("fail", [None, 0, 13])
+    def test_every_span_runs_once_before_return(self, fail):
+        # the spans are shared among the threads; an error surfaces once
+        # no thread runs a span any more, and the others still ran
+        ran = []
+
+        def band(t, span):
+            time.sleep(0.001)
+            if span == fail:
+                raise ValueError(f"span {span}")
+            ran.append((t, span))
+
+        if fail is None:
+            L._run(band, range(40), 2)
+        else:
+            with pytest.raises(ValueError, match=f"span {fail}"):
+                L._run(band, range(40), 2)
+        assert sorted(span for _, span in ran) == [i for i in range(40) if i != fail]
+        assert {t for t, _ in ran} <= {0, 1}
+
+    def test_forked_child_makes_its_own_pool(self, monkeypatch):
+        # a pool made before fork has no threads in the child; the child
+        # makes its own and gets the parent's bytes
+        monkeypatch.setattr(L, "WORKERS", 2)
+        rng = np.random.default_rng(45)
+        x = Tensor(rng.normal(size=(1, 16, 96, 80)).astype(np.float32))
+        w = Tensor(rng.normal(scale=0.1, size=(16, 16, 5, 5)).astype(np.float32))
+        want = hashlib.sha256(L.conv2d(x, w).data.tobytes()).digest()
+        assert L._pool is not None and L._pool[0] == os.getpid()
+        r, wfd = os.pipe()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            try:
+                os.close(r)
+                got = hashlib.sha256(L.conv2d(x, w).data.tobytes()).digest()
+                os.write(wfd, got + bytes([L._pool[0] == os.getpid()]))
+            finally:
+                os._exit(0)
+        os.close(wfd)
+        try:
+            ready = select.select([r], [], [], 60)[0]
+            if not ready:
+                os.kill(pid, signal.SIGKILL)
+            reply = os.read(r, 64) if ready else b""
+        finally:
+            os.close(r)
+            os.waitpid(pid, 0)
+        assert reply == want + b"\x01"
 
 
 class TestGraphFreeNetwork:

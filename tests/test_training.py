@@ -4,13 +4,17 @@ constructed pairs, and the pair synthesizer against scripted-rng slicing
 oracles."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gdclab.tensor as T
 from gdclab import coders as C
+from gdclab import fileio as F
+from gdclab import layers as L
 from gdclab import training as TR
 from gdclab.errors import ContractError, NumericError, ShapeError, TrainingError
 from gdclab.evaluation import psnr
@@ -408,6 +412,26 @@ class TestEpochs:
         with pytest.raises(TrainingError) as exc:
             TR.train_epoch(coder, corpus[:1], TR.TrainConfig())
         assert exc.value.step == 0
+
+    def test_desk_epoch_does_no_pool_work(self, corpus, monkeypatch):
+        # at 32x32 every pass spans fewer than two bands per worker, so a
+        # desk epoch and the benchmark's train-desk32 block (the xgdc
+        # fixture) run on the caller's thread alone
+        monkeypatch.setattr(L, "WORKERS", 2)
+        submit, submitted = ThreadPoolExecutor.submit, []
+
+        def spy(self, *args, **kwargs):
+            submitted.append(args)
+            return submit(self, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", spy)
+        path = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "xgdc.ckpt"
+        fixture = C.Coder.from_arrays(F.ExperimentConfig.from_file(f"{path}.cfg").coder_config(),
+                                      F.load_checkpoint(path))
+        for coder in (C.Coder.new(C.CoderConfig.desk("xgdc"), seed=4), fixture):
+            stats, _ = TR.train_epoch(coder, corpus[:4], TR.TrainConfig(seed=7, patch=32))
+            assert stats.steps == 4
+        assert submitted == []
 
     def test_evaluate_leaves_params_untouched(self, corpus):
         coder = C.Coder.new(C.CoderConfig.desk("xgdc"), seed=4)

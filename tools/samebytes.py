@@ -8,7 +8,8 @@ per case group, one for the container bytes (``streams``) and a total.  Run it o
 commit and once against the change: identical lines mean identical
 streams, reconstructions, rate estimates and training figures.  The script
 only calls API that has been stable across refactors, so one copy hashes
-both trees.
+both trees.  BLAS runs on one thread, pinned before numpy loads as in
+tools/golden.py, because the float32 sums depend on the thread count.
 
 Cases:
   desk      all four kinds at seed 5, float32 and float64, at 32x32 and a
@@ -75,6 +76,11 @@ from __future__ import annotations
 import hashlib
 import os
 import sys
+
+# One BLAS thread, set before numpy loads: the float32 sums of the
+# transforms, and so the hashes, depend on the OpenBLAS thread count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 
 def _setup(root):

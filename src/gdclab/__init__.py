@@ -8,16 +8,3 @@ evaluation tools.
 """
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Tensor", "backward", "grad_check", "no_grad", "__version__",
-]
-
-
-def __getattr__(name):
-    # the exports load numpy, so they load on first use: the command line
-    # (__main__) sets the BLAS thread count before numpy loads
-    if name in __all__:
-        from . import tensor
-        return getattr(tensor, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,10 +22,11 @@ z payload one context wavefront at a time.
 In coding, both nets that read the hyper-latent (the hyper decoder and the
 context net) run on the exact grid of ``layers.Network.grid`` over z_hat
 clamped to +-Z_CLAMP, at the encoder and the decoder alike, so the tables a
-decoder picks do not depend on the host's BLAS kernel.  The context net
-runs only at the cells the coded positions read (_ContextMap), which on
-the grid equals the full-map pass bit for bit.  The tables come
-from committed constants and ``tensor.erf``, so no host libm shapes them.
+decoder picks do not depend on the host's BLAS kernel.  The encoder runs
+the context net over the whole map; the decoder runs it one wavefront at
+a time, only at the cells those positions read (_ContextMap), which on
+the grid equals the full-map pass bit for bit.  The tables come from
+committed constants and ``tensor.erf``, so no host libm shapes them.
 """
 
 from __future__ import annotations
@@ -296,7 +297,7 @@ def _taps(kernel, count, width):
 
 
 class _ContextMap:
-    """The context net's view of an h x w hyper-latent being coded: the
+    """The context net's view of an h x w hyper-latent being decoded: the
     values written so far, clamped to +-Z_CLAMP, in a position-major map
     behind r zero rows above and r zero columns either side, where r is
     the net's reach.  ``params`` evaluates the net on the exact grid only at
@@ -355,16 +356,11 @@ class _ContextMap:
 
 
 def context_params(ctx_net, z_hat_data):
-    """The causal context net on the exact grid over a rank-4 single-frame
-    integer array, at every position through _ContextMap; returns the
-    float64 mean and raw scale arrays, each of the input's shape."""
-    n, c, h, w = z_hat_data.shape
-    if n != 1:
-        raise ContractError("context coding runs on single-frame tensors")
-    cmap = _ContextMap(ctx_net, c, h, w)
-    positions = np.arange(h * w)
-    cmap.write(positions, z_hat_data[0].reshape(c, -1).T)
-    out = cmap.params(positions).T.reshape(1, 2 * c, h, w)
+    """The causal context net on the exact grid over a rank-4 integer array
+    (on_grid); returns the float64 mean and raw scale arrays, each of the
+    input's shape."""
+    out = on_grid(ctx_net, z_hat_data)
+    c = z_hat_data.shape[1]
     return out[:, :c], out[:, c:]
 
 
@@ -386,12 +382,14 @@ def _decode_order(ctx_net, h, w):
 def encode_context(z_hat, ctx_net):
     """Encode an integer hyper-latent autoregressively.
 
-    The encoder knows the whole map, so it evaluates the context net at
-    every position at once (context_params) and codes the values in the
+    The encoder knows the whole map, so it evaluates the context net over
+    all of it at once (context_params) and codes the values in the
     decoder's order: positions by wavefront (see _decode_order), channels
     within a position.  Returns (payload, (lo, hi)).
     """
     z = np.asarray(z_hat)
+    if z.shape[0] != 1:
+        raise ContractError("context coding runs on single-frame tensors")
     mean, raw = context_params(ctx_net, z)
     order = _decode_order(ctx_net, *z.shape[2:])[0]
     flat, mean_f, raw_f = (a[0].reshape(a.shape[1], -1)[:, order].T.reshape(-1)

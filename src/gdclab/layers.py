@@ -81,7 +81,8 @@ BAND_CELLS = 1 << 18
 # training steps) stay on the caller's thread.  BLAS itself should run on
 # one thread beside the pool.
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-# (pid, workers, executor), made at first use; a forked child makes its own
+# (pid, executor), made at first use; a forked child makes its own.  A
+# pass submits workers - 1 tasks, so it runs on at most WORKERS threads.
 _pool = None
 
 
@@ -93,7 +94,7 @@ def _workers(bands):
 def _run(band, spans, workers):
     """band(t, span) for each of ``spans``: in order on this thread (t = 0)
     when ``workers`` is 1 or there is one span, else taken in order from
-    one queue by this thread and the pool's workers - 1 threads (t = 1,
+    one queue by this thread and workers - 1 tasks on the pool (t = 1,
     2, ...), each in a copy of the caller's context (numpy keeps its error
     state there), so a thread that runs slower takes fewer spans.
     Returns, or raises a band's error, once every thread is done."""
@@ -102,13 +103,11 @@ def _run(band, spans, workers):
             band(0, span)
         return
     global _pool
-    if _pool is None or _pool[:2] != (os.getpid(), workers):
+    if _pool is None or _pool[0] != os.getpid():
         # imported with the first pool: a process that never pools (the
         # 32x32 training steps) does not load concurrent.futures
         from concurrent.futures import ThreadPoolExecutor
-        if _pool is not None and _pool[0] == os.getpid():
-            _pool[2].shutdown(wait=False)  # WORKERS changed
-        _pool = (os.getpid(), workers, ThreadPoolExecutor(workers - 1))
+        _pool = (os.getpid(), ThreadPoolExecutor())
     todo = deque(spans)
 
     def drain(t):
@@ -119,7 +118,7 @@ def _run(band, spans, workers):
                 return
             band(t, span)
 
-    futures = [_pool[2].submit(contextvars.copy_context().run, drain, t) for t in range(1, workers)]
+    futures = [_pool[1].submit(contextvars.copy_context().run, drain, t) for t in range(1, workers)]
     try:
         drain(0)
     finally:
@@ -696,24 +695,24 @@ def make_network(spec, params, prefix, rng=None, init="random"):
 # spec builders for the coder networks
 # ---------------------------------------------------------------------------
 
+def _chain(first, hidden, last, kernel, strides, transposed, act, role):
+    """Layers first -> hidden -> ... -> last, one per stride, each followed
+    by ``act`` but the last, which has none."""
+    chans = [first] + [hidden] * (len(strides) - 1) + [last]
+    return NetworkSpec(tuple(
+        ConvSpec(chans[i], chans[i + 1], kernel, s, transposed,
+                 act if i < len(strides) - 1 else "none")
+        for i, s in enumerate(strides)), role=role)
+
+
 def encoder_spec(in_ch, hidden, latent, kernel=5, strides=(2, 2, 2, 2)):
     """Analysis transform: stride-2 convs with GDN between, none after last."""
-    chans = [in_ch] + [hidden] * (len(strides) - 1) + [latent]
-    layers = []
-    for i, s in enumerate(strides):
-        act = "gdn" if i < len(strides) - 1 else "none"
-        layers.append(ConvSpec(chans[i], chans[i + 1], kernel, s, False, act))
-    return NetworkSpec(tuple(layers), role="encoder")
+    return _chain(in_ch, hidden, latent, kernel, strides, False, "gdn", "encoder")
 
 
 def decoder_spec(latent, hidden, out_ch, kernel=5, strides=(2, 2, 2, 2)):
     """Synthesis transform mirroring encoder_spec, with inverse GDN."""
-    chans = [latent] + [hidden] * (len(strides) - 1) + [out_ch]
-    layers = []
-    for i, s in enumerate(reversed(strides)):
-        act = "igdn" if i < len(strides) - 1 else "none"
-        layers.append(ConvSpec(chans[i], chans[i + 1], kernel, s, True, act))
-    return NetworkSpec(tuple(layers), role="decoder")
+    return _chain(latent, hidden, out_ch, kernel, strides[::-1], True, "igdn", "decoder")
 
 
 def hyper_encoder_spec(latent, hidden, hyper_latent):
@@ -757,9 +756,4 @@ def feature_spec(in_ch, out_ch, kernel, role):
 def pred_branch_spec(in_ch, width, kernel=5, strides=(2, 2, 2, 2)):
     """Prediction-side encoder used by the conditional-latent coder; all
     layers run at the output width."""
-    chans = [in_ch] + [width] * len(strides)
-    layers = []
-    for i, s in enumerate(strides):
-        act = "prelu" if i < len(strides) - 1 else "none"
-        layers.append(ConvSpec(chans[i], chans[i + 1], kernel, s, False, act))
-    return NetworkSpec(tuple(layers), role="pred-branch")
+    return _chain(in_ch, width, width, kernel, strides, False, "prelu", "pred-branch")

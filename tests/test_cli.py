@@ -384,6 +384,16 @@ def test_command_runs_blas_on_one_thread(given, want):
     assert threads in (None, int(want))
 
 
+def test_package_import_loads_no_numpy():
+    # the command pins the BLAS thread count after ``import gdclab`` and
+    # before numpy loads, so the package's __init__ imports nothing more
+    code = ("import sys, gdclab\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('gdclab', 'numpy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    assert proc.stdout.strip() == "['gdclab']"
+
+
 class TestQuadtree:
     def test_mode_search_outputs(self, workdir, capsys):
         rng = np.random.default_rng(5)

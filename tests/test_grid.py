@@ -24,6 +24,7 @@ from gdclab import coders as C
 from gdclab import entropy as E
 from gdclab import fileio as F
 from gdclab import layers as L
+from gdclab.errors import ContractError
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "bench" / "fixtures"
@@ -103,9 +104,10 @@ def test_band_split_and_batch_do_not_change_a_bit(monkeypatch):
 
 def test_cells_match_the_full_map(monkeypatch):
     # the context net evaluated only at the cells each position reads
-    # equals the full-map pass at every position: desk nets of hidden width
-    # 4 and 16 and the xgdc fixture's, on maps of 1x1, 1xw, hx1 and 17x30
-    # (the HD hyper-latent's size), with values at and beyond +-Z_CLAMP
+    # (_ContextMap) equals the full-map pass at every position: desk nets of
+    # hidden width 4 and 16 and the xgdc fixture's, on maps of 1x1, 1xw, hx1
+    # and 17x30 (the HD hyper-latent's size), with values at and beyond
+    # +-Z_CLAMP, which the map clamps when they are written
     nets = [C.Coder.new(C.CoderConfig.desk("diff", ctx_width=width), seed=width).nets["ctx"]
             for width in (4, 16)] + [_fixture("xgdc").nets["ctx"]]
     rng = np.random.default_rng(5)
@@ -116,9 +118,12 @@ def test_cells_match_the_full_map(monkeypatch):
             z.flat[rng.integers(0, z.size, 4)] = [E.Z_CLAMP, -E.Z_CLAMP,
                                                   E.Z_CLAMP + 3, -50 * E.Z_CLAMP]
             full = net.grid(np.clip(z, -E.Z_CLAMP, E.Z_CLAMP))
-            mean, raw = E.context_params(net, z)
-            assert mean.dtype == np.float64
-            assert np.array_equal(np.concatenate([mean, raw], axis=1), full), (c, h, w)
+            cmap = E._ContextMap(net, c, h, w)
+            positions = np.arange(h * w)
+            cmap.write(positions, z[0].reshape(c, -1).T)
+            out = cmap.params(positions)
+            assert out.dtype == np.float64
+            assert np.array_equal(out.T.reshape(full.shape), full), (c, h, w)
     # the decoder evaluates one wavefront at a time, each over the values
     # decoded before it, and gets the same parameters
     net = nets[-1]
@@ -153,6 +158,31 @@ def test_clamp_bounds_the_grid_input():
         assert np.array_equal(a, b)
     payload, support = E.encode_context(z, net)
     assert np.array_equal(E.decode_context(payload, net, z.shape, support), z)
+
+
+def test_only_the_decoder_builds_a_context_map(monkeypatch):
+    # the encoder reads the whole map's context parameters from
+    # Network.grid; _ContextMap serves the decoder's wavefronts alone
+    built = []
+    init = E._ContextMap.__init__
+
+    def spy(cmap, *args):
+        built.append(args)
+        init(cmap, *args)
+
+    monkeypatch.setattr(E._ContextMap, "__init__", spy)
+    rng = np.random.default_rng(6)
+    x = rng.uniform(0.1, 0.9, size=(1, 3, 32, 32)).astype(np.float32)
+    xt = np.clip(x + rng.normal(scale=0.05, size=x.shape), 0, 1).astype(np.float32)
+    diff = C.Coder.new(C.CoderConfig.desk("diff"), seed=6)
+    container, _ = diff.encode(x, xt)
+    C.Coder.new(C.CoderConfig.desk("xgdc"), seed=6).encode(x, xt, qt_lambda=50.0)
+    assert built == []
+    diff.decode(xt, container)
+    assert len(built) == 1
+    # the encoder still codes single frames only
+    with pytest.raises(ContractError):
+        E.encode_context(np.zeros((2, 16, 2, 2)), diff.nets["ctx"])
 
 
 # ---------------------------------------------------------------------------

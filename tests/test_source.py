@@ -169,7 +169,7 @@ def test_one_convolution_kernel():
 # Public names that nothing outside the tests calls, each kept for a reason
 UNCALLED_PUBLIC_NAMES = {
     # the central-difference reference that gate 2 and the layer tests
-    # compare every VJP against; exported as public API
+    # compare every VJP against; public in gdclab.tensor
     "grad_check",
     # gate 4's parameter ledger
     "param_count",

@@ -158,17 +158,6 @@ class Coder:
             return g
         return T.concat_channels([g, T.sub(x, xt)])
 
-    def _hyper(self, z_hat, y_shape, grid):
-        """The hyper decoder's output over z_hat, cropped to the latent's
-        size: mean, then raw scale.  With ``grid`` it runs on the exact grid
-        over z_hat clamped to +-Z_CLAMP, as coding needs, and is cast to the
-        coder's dtype with no graph."""
-        if grid:
-            h = T.Tensor(E.on_grid(self.nets["hyp_dec"], z_hat.data).astype(self.params.dtype))
-        else:
-            h = self.nets["hyp_dec"](z_hat)
-        return self._crop(h, y_shape[2], y_shape[3])
-
     def _reconstruct(self, y_hat, xt):
         kind = self.cfg.kind
         if kind == "diff":
@@ -189,8 +178,10 @@ class Coder:
         """Run the full train-time graph.  ``mode`` is 'noise' (additive
         U[-1/2,1/2), needs ``rng``) or 'round'.  The hyper-latent is
         quantized before the main latent, which fixes the rng draw order.
-        In round mode the entropy parameters are the coder's, from the exact
-        grid, and pass no gradient to the hyper decoder or context net."""
+        In round mode the hyper decoder and the context net run once each
+        on the exact grid with no gradient, and the latents keep their
+        outputs as coding reads them: ``mean`` and ``raw_scale``, and the
+        float64 ``z_params`` (None in noise mode)."""
         self._check_pair(x, xt)
         h, w = x.shape[2:]
         sp = self.cfg.stride_product
@@ -200,17 +191,22 @@ class Coder:
         z = self.nets["hyp_enc"](y)
         z_hat = E.quantize(z, mode, rng)
         y_hat = E.quantize(y, mode, rng)
-        grid = mode == "round"
-        h = self._hyper(z_hat, y.shape, grid)
+        if mode == "round":
+            h = T.Tensor(E.on_grid(self.nets["hyp_dec"], z_hat.data).astype(self.params.dtype))
+            z_params = E.context_params(self.nets["ctx"], z_hat.data)
+            bits_z = E.gaussian_bits(z_hat, T.Tensor(z_params.astype(self.params.dtype)))
+        else:
+            h, z_params = self.nets["hyp_dec"](z_hat), None
+            bits_z = E.context_bits(z_hat, self.nets["ctx"])
+        h = self._crop(h, y.shape[2], y.shape[3])
         rate_y = T.sum_all(E.gaussian_bits(y_hat, h))
-        rate_z = T.sum_all(E.context_bits(z_hat, self.nets["ctx"], grid))
         x_hat_d, x_hat_g = self._reconstruct(y_hat, xt)
         return CoderOutput(
             kind=self.cfg.kind, x_hat_d=x_hat_d, x_hat_g=x_hat_g,
-            rate_y=rate_y, rate_z=rate_z,
+            rate_y=rate_y, rate_z=T.sum_all(bits_z),
             latents={"y": y.data, "y_hat": y_hat.data, "z": z.data,
                      "z_hat": z_hat.data, "mean": h.data[:, :self.cfg.latent],
-                     "raw_scale": h.data[:, self.cfg.latent:]})
+                     "raw_scale": h.data[:, self.cfg.latent:], "z_params": z_params})
 
     # -- real coding --------------------------------------------------------
 
@@ -232,10 +228,11 @@ class Coder:
         """Code a frame against its prediction; returns (container, output).
 
         This is the round-mode forward pass plus the rANS coder: the
-        rounded latents are coded under their entropy parameters, and the
-        forward rates become the payloads' ``est_bits``.  Both frames enter
-        in the coder's dtype.  Frames of any size are padded to the stride
-        multiple and the true size is recorded in the container.  For the
+        rounded latents are coded under the parameters that pass rated them
+        with (latents ``mean``, ``raw_scale`` and ``z_params``), and its
+        rates become the payloads' ``est_bits``.  Both frames enter in the
+        coder's dtype.  Frames of any size are padded to the stride multiple
+        and the true size is recorded in the container.  For the
         two-reconstruction kind, passing ``qt_lambda`` also runs the
         quad-tree mode search and embeds its side information.
         """
@@ -253,7 +250,7 @@ class Coder:
         with T.no_grad():
             out = self.forward(xp, T.Tensor(pad_to_multiple(xt_arr, sp)), mode="round")
             lat = out.latents
-            stream_z, sup_z = E.encode_context(lat["z_hat"], self.nets["ctx"])
+            stream_z, sup_z = E.encode_context(lat["z_hat"], self.nets["ctx"], lat["z_params"])
             stream_y, sup_y = E.encode_gaussian(lat["y_hat"], lat["mean"], lat["raw_scale"])
             pz = Payload(stream=stream_z, lo=sup_z[0], hi=sup_z[1],
                          symbol_count=lat["z_hat"].size, est_bits=out.rate_z.item())
@@ -311,7 +308,7 @@ class Coder:
                                      z_shape, (container.payload_z.lo, container.payload_z.hi))
             z_hat = T.Tensor(z_arr.astype(self.params.dtype))
             y_shape = (1, self.cfg.latent, yh, yw)
-            h = self._hyper(z_hat, y_shape, grid=True).data
+            h = E.on_grid(self.nets["hyp_dec"], z_hat.data)[..., :yh, :yw].astype(self.params.dtype)
             c = self.cfg.latent
             y_flat = E.decode_gaussian(container.payload_y.stream, h[:, :c], h[:, c:],
                                        (container.payload_y.lo, container.payload_y.hi),

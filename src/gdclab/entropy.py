@@ -23,10 +23,10 @@ In coding, both nets that read the hyper-latent (the hyper decoder and the
 context net) run on the exact grid of ``layers.Network.grid`` over z_hat
 clamped to +-Z_CLAMP, at the encoder and the decoder alike, so the tables a
 decoder picks do not depend on the host's BLAS kernel.  The encoder runs
-the context net over the whole map; the decoder runs it one wavefront at
-a time, only at the cells those positions read (_ContextMap), which on
-the grid equals the full-map pass bit for bit.  The tables come from
-committed constants and ``tensor.erf``, so no host libm shapes them.
+the context net once over the whole map, in its forward pass; the decoder
+runs it one wavefront at a time, only at the cells those positions read
+(_ContextMap), which on the grid equals the full-map pass bit for bit.
+The tables come from committed constants and ``tensor.erf``, not libm.
 """
 
 from __future__ import annotations
@@ -357,11 +357,9 @@ class _ContextMap:
 
 def context_params(ctx_net, z_hat_data):
     """The causal context net on the exact grid over a rank-4 integer array
-    (on_grid); returns the float64 mean and raw scale arrays, each of the
-    input's shape."""
-    out = on_grid(ctx_net, z_hat_data)
-    c = z_hat_data.shape[1]
-    return out[:, :c], out[:, c:]
+    (on_grid): for c channels in, a float64 array of c channels of means,
+    then c of raw scales."""
+    return on_grid(ctx_net, z_hat_data)
 
 
 def _decode_order(ctx_net, h, w):
@@ -379,21 +377,23 @@ def _decode_order(ctx_net, h, w):
     return order, fronts
 
 
-def encode_context(z_hat, ctx_net):
+def encode_context(z_hat, ctx_net, params):
     """Encode an integer hyper-latent autoregressively.
 
-    The encoder knows the whole map, so it evaluates the context net over
-    all of it at once (context_params) and codes the values in the
-    decoder's order: positions by wavefront (see _decode_order), channels
-    within a position.  Returns (payload, (lo, hi)).
+    The encoder knows the whole map, so ``params`` is the context net's
+    output over all of it (context_params), and the values are coded in
+    the decoder's order: positions by wavefront (see _decode_order),
+    channels within a position.  Returns (payload, (lo, hi)).
     """
-    z = np.asarray(z_hat)
-    if z.shape[0] != 1:
+    z, params = np.asarray(z_hat), np.asarray(params)
+    n, c, h, w = z.shape
+    if n != 1:
         raise ContractError("context coding runs on single-frame tensors")
-    mean, raw = context_params(ctx_net, z)
-    order = _decode_order(ctx_net, *z.shape[2:])[0]
+    if params.shape != (1, 2 * c, h, w):
+        raise ShapeError(f"encode_context: {z.shape} values but {params.shape} params")
+    order = _decode_order(ctx_net, h, w)[0]
     flat, mean_f, raw_f = (a[0].reshape(a.shape[1], -1)[:, order].T.reshape(-1)
-                           for a in (z, mean, raw))
+                           for a in (z, params[:, :c], params[:, c:]))
     return _encode_symbols(flat.astype(np.int64), mean_f, raw_f)
 
 
@@ -421,13 +421,7 @@ def decode_context(payload, ctx_net, shape, support):
     return np.ascontiguousarray(z.T.reshape(1, c, h, w))
 
 
-def context_bits(z_hat_t, ctx_net, grid=False):
-    """Rate of a (possibly noise-quantized) hyper-latent under the context
-    model; returns the per-element bits tensor.  Differentiable through
-    the float net; with ``grid`` the parameters are the coder's, from the
-    exact grid, and pass no gradient."""
-    if grid:
-        params = T.Tensor(on_grid(ctx_net, z_hat_t.data).astype(z_hat_t.dtype))
-    else:
-        params = ctx_net(z_hat_t)
-    return gaussian_bits(z_hat_t, params)
+def context_bits(z_hat_t, ctx_net):
+    """Rate of a noise-quantized hyper-latent under the float context net;
+    returns the per-element bits tensor, differentiable through the net."""
+    return gaussian_bits(z_hat_t, ctx_net(z_hat_t))

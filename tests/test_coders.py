@@ -144,7 +144,25 @@ class TestForward:
         assert out.rate_z.item() > 0 and np.isfinite(out.rate_z.item())
         assert out.total_rate().item() == pytest.approx(
             out.rate_y.item() + out.rate_z.item(), rel=1e-6)
-        assert set(out.latents) == {"y", "y_hat", "z", "z_hat", "mean", "raw_scale"}
+        assert set(out.latents) == {"y", "y_hat", "z", "z_hat", "mean", "raw_scale",
+                                    "z_params"}
+        assert out.latents["z_params"] is None
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rate_z_reads_the_coded_parameters(self, dtype):
+        # round mode rates z_hat under the context net's grid output, the
+        # float64 array that encode codes under, cast to the coder's dtype;
+        # the container's estimate is that rate
+        coder = C.Coder.new(C.CoderConfig.desk("diff"), seed=4, dtype=dtype)
+        x, xt = frame_pair(np.random.default_rng(43), 32, 32)
+        out = coder.forward(T.Tensor(x.astype(dtype)), T.Tensor(xt.astype(dtype)), "round")
+        z_hat, params = out.latents["z_hat"], out.latents["z_params"]
+        assert params.dtype == np.float64
+        assert np.array_equal(params, E.context_params(coder.nets["ctx"], z_hat))
+        want = T.sum_all(E.gaussian_bits(T.Tensor(z_hat), T.Tensor(params.astype(dtype))))
+        assert out.rate_z.item() == want.item()
+        container, _ = coder.encode(x, xt)
+        assert container.payload_z.est_bits == want.item()
 
     def test_single_reconstruction_rule(self):
         rng = np.random.default_rng(1)

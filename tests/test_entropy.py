@@ -426,7 +426,7 @@ class TestTableSet:
         monkeypatch.setattr(E, "build_cdfs", lambda *a: calls.append(a) or build(*a))
         payload, support = E.encode_gaussian(values, mean, raw_of(scale))
         E.decode_gaussian(payload, mean, raw_of(scale), support, 300)
-        z_payload, z_support = E.encode_context(z, net)
+        z_payload, z_support = E.encode_context(z, net, E.context_params(net, z))
         assert np.array_equal(E.decode_context(z_payload, net, z.shape, z_support), z)
         assert len(calls) == 4
         assert all(len(a[0]) == E.TABLE_SCALES.size * E.TABLE_MEANS.size for a in calls)
@@ -563,7 +563,7 @@ class TestHostileHeader:
         payload, _ = E.encode_gaussian(values, mean, raw_of(scale))
         z = np.round(rng.normal(size=(1, 2, 3, 4)))
         net = _context_net(2, 4, 1)
-        z_payload, _ = E.encode_context(z, net)
+        z_payload, _ = E.encode_context(z, net, E.context_params(net, z))
         calls = []
         build = E.build_cdfs
         monkeypatch.setattr(E, "build_cdfs", lambda *a: calls.append(a) or build(*a))
@@ -602,7 +602,7 @@ class TestContextCoding:
         rng = np.random.default_rng(15)
         net = _context_net(2, 4, seed=16)
         z = rng.integers(-4, 5, size=(1, 2, 5, 6)).astype(np.float64)
-        payload, support = E.encode_context(z, net)
+        payload, support = E.encode_context(z, net, E.context_params(net, z))
         back = E.decode_context(payload, net, z.shape, support)
         assert np.array_equal(back, z)
 
@@ -610,10 +610,11 @@ class TestContextCoding:
         # a zeroed context net gives every position the same parameters
         net = _context_net(2, 4, seed=0, zero=True)
         z = np.zeros((1, 2, 4, 4))
-        mean, raw = E.context_params(net, z)
+        params = E.context_params(net, z)
+        mean, raw = params[:, :2], params[:, 2:]
         assert np.all(mean == mean.reshape(-1)[0])
         assert np.all(raw == raw.reshape(-1)[0])
-        payload, support = E.encode_context(z, net)
+        payload, support = E.encode_context(z, net, params)
         back = E.decode_context(payload, net, z.shape, support)
         assert np.array_equal(back, z)
 
@@ -622,14 +623,14 @@ class TestContextCoding:
         rng = np.random.default_rng(17)
         net = _context_net(2, 4, seed=18)
         z = rng.integers(-2, 3, size=(1, 2, 4, 5)).astype(np.float64)
-        m1, s1 = E.context_params(net, z)
+        p1 = E.context_params(net, z)
         qy, qx = 2, 3
         z2 = z.copy()
         z2[0, :, qy, qx] += 4.0
-        m2, s2 = E.context_params(net, z2)
+        p2 = E.context_params(net, z2)
         cut = qy * 5 + qx
-        dm = np.abs(m1 - m2).max(axis=(0, 1)).reshape(-1)
-        ds = np.abs(s1 - s2).max(axis=(0, 1)).reshape(-1)
+        dm = np.abs(p1[:, :2] - p2[:, :2]).max(axis=(0, 1)).reshape(-1)
+        ds = np.abs(p1[:, 2:] - p2[:, 2:]).max(axis=(0, 1)).reshape(-1)
         assert np.all(dm[:cut + 1] == 0.0)
         assert np.all(ds[:cut + 1] == 0.0)
 
@@ -637,7 +638,7 @@ class TestContextCoding:
         rng = np.random.default_rng(19)
         net = _context_net(2, 4, seed=20)
         z = rng.integers(-3, 4, size=(1, 2, 6, 6)).astype(np.float64)
-        payload, support = E.encode_context(z, net)
+        payload, support = E.encode_context(z, net, E.context_params(net, z))
         est = E.context_bits(t64(z), net)
         n = z.size
         assert 8 * len(payload) <= float(est.data.sum()) + 0.01 * n + 64
@@ -650,27 +651,39 @@ class TestContextCoding:
         z = rng.integers(-3, 4, size=(1, 2, 4, 5)).astype(np.float64)
         z[0, 1, 2, 3] = 4000.0
         z[0, 0, 3, 4] = -4000.0
-        payload, (lo, hi) = E.encode_context(z, net)
-        offsets = z - E.round_away(E.context_params(net, z)[0])
+        params = E.context_params(net, z)
+        payload, (lo, hi) = E.encode_context(z, net, params)
+        offsets = z - E.round_away(params[:, :2])
         assert hi - lo + 2 <= E.MAX_TABLE_BINS
         assert ((offsets < lo) | (offsets > hi)).any()
         back = E.decode_context(payload, net, z.shape, (lo, hi))
         assert np.array_equal(back, z)
 
     def test_bits_come_from_the_coder_parameters(self):
-        # on the grid the rate estimate reads the coder's parameters; off it
-        # the float net's, which the grid rounds by a little
+        # the rate estimate reads the float net's parameters, which the
+        # coder's, on the grid, round by a little (the coder rates z_hat
+        # under the grid's: test_coders::test_rate_z_reads_the_coded_parameters)
         rng = np.random.default_rng(24)
         net = _context_net(2, 4, seed=25)
         z = rng.integers(-3, 4, size=(1, 2, 5, 6)).astype(np.float64)
-        mean, raw = E.context_params(net, z)
-        want = E.gaussian_bits(t64(z), t64(np.concatenate([mean, raw], axis=1)))
-        assert np.array_equal(E.context_bits(t64(z), net, grid=True).data, want.data)
+        params = E.context_params(net, z)
+        want = E.gaussian_bits(t64(z), t64(params))
         out = net(t64(z))
-        assert np.abs(out.data[:, :2] - mean).max() < 0.02
+        assert np.abs(out.data[:, :2] - params[:, :2]).max() < 0.02
         float_bits = E.context_bits(t64(z), net).data
         assert np.array_equal(float_bits, E.gaussian_bits(t64(z), out).data)
         assert np.abs(float_bits - want.data).max() < 0.05
+
+    def test_encode_rejects_misshapen_params(self):
+        # the parameters come from the caller: any shape but (1, 2c, h, w)
+        # for a (1, c, h, w) map would code under the wrong tables
+        net = _context_net(2, 4, seed=26)
+        z = np.zeros((1, 2, 3, 4))
+        params = E.context_params(net, z)
+        for bad in (params[:, :2], params[:, :, :2], params[:, :, :, 1:], params[0],
+                    np.concatenate([params, params])):
+            with pytest.raises(ShapeError):
+                E.encode_context(z, net, bad)
 
     def test_decode_rejects_batches(self):
         net = _context_net(1, 4, seed=21)

@@ -129,7 +129,7 @@ def test_cells_match_the_full_map(monkeypatch):
     net = nets[-1]
     z = rng.integers(-5, 6, size=(1, 16, 7, 12)).astype(np.float64)
     full = net.grid(z)[0].reshape(32, -1).T
-    payload, support = E.encode_context(z, net)
+    payload, support = E.encode_context(z, net, E.context_params(net, z))
     seen = []
     params = E._ContextMap.params
 
@@ -154,35 +154,50 @@ def test_clamp_bounds_the_grid_input():
     z = np.zeros((1, 16, 3, 4))
     z[0, 2, 1, 1] = 40 * E.Z_CLAMP
     clamped = np.clip(z, -E.Z_CLAMP, E.Z_CLAMP)
-    for a, b in zip(E.context_params(net, z), E.context_params(net, clamped)):
-        assert np.array_equal(a, b)
-    payload, support = E.encode_context(z, net)
+    params = E.context_params(net, z)
+    assert np.array_equal(params, E.context_params(net, clamped))
+    payload, support = E.encode_context(z, net, params)
     assert np.array_equal(E.decode_context(payload, net, z.shape, support), z)
 
 
 def test_only_the_decoder_builds_a_context_map(monkeypatch):
-    # the encoder reads the whole map's context parameters from
-    # Network.grid; _ContextMap serves the decoder's wavefronts alone
-    built = []
-    init = E._ContextMap.__init__
+    # the encoder reads the whole map's context parameters from one
+    # Network.grid pass, in its forward pass, and runs each grid net once;
+    # _ContextMap serves the decoder's wavefronts alone
+    built, grids = [], {}
+    init, grid = E._ContextMap.__init__, L.Network.grid
 
     def spy(cmap, *args):
         built.append(args)
         init(cmap, *args)
 
+    def grid_spy(net, x):
+        grids[net.prefix] = grids.get(net.prefix, 0) + 1
+        return grid(net, x)
+
     monkeypatch.setattr(E._ContextMap, "__init__", spy)
+    monkeypatch.setattr(L.Network, "grid", grid_spy)
     rng = np.random.default_rng(6)
-    x = rng.uniform(0.1, 0.9, size=(1, 3, 32, 32)).astype(np.float32)
-    xt = np.clip(x + rng.normal(scale=0.05, size=x.shape), 0, 1).astype(np.float32)
+
+    def pair(size):
+        x = rng.uniform(0.1, 0.9, size=(1, 3, size, size)).astype(np.float32)
+        return x, np.clip(x + rng.normal(scale=0.05, size=x.shape), 0, 1).astype(np.float32)
+
+    x, xt = pair(32)
     diff = C.Coder.new(C.CoderConfig.desk("diff"), seed=6)
     container, _ = diff.encode(x, xt)
-    C.Coder.new(C.CoderConfig.desk("xgdc"), seed=6).encode(x, xt, qt_lambda=50.0)
+    assert grids == {"hyp_dec": 1, "ctx": 1}
+    grids.clear()
+    C.Coder.new(C.CoderConfig.desk("xgdc"), seed=6).encode(*pair(64), qt_lambda=50.0)
+    assert grids == {"hyp_dec": 1, "ctx": 1}
     assert built == []
+    grids.clear()
     diff.decode(xt, container)
     assert len(built) == 1
+    assert grids == {"hyp_dec": 1}
     # the encoder still codes single frames only
     with pytest.raises(ContractError):
-        E.encode_context(np.zeros((2, 16, 2, 2)), diff.nets["ctx"])
+        E.encode_context(np.zeros((2, 16, 2, 2)), diff.nets["ctx"], np.zeros((2, 32, 2, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,18 @@ def test_build_cdfs_has_one_caller():
     assert callers == ["_table_set"], callers
 
 
+def test_no_grid_switch():
+    # Coder.forward picks the float nets or the exact grid once, from its
+    # mode; no package function takes a flag to pick again
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{fn.lineno}" for fn in ast.walk(tree)
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                  and any(isinstance(a, ast.arg) and a.arg == "grid" for a in ast.walk(fn.args))]
+    assert not found, f"functions with a grid parameter: {found}"
+
+
 # (function, parameter) pairs whose default no library, benchmark or gate
 # call overrides, each kept for a reason
 DEFAULTS_WITHOUT_CALLER = {
